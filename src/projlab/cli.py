@@ -109,8 +109,28 @@ def _cmd_transversality(args):
     return 0
 
 
-def _run_experiment(args, runner):
+# config fields each grid mode reads beyond the common ones
+_REQUIRED_FIELDS = {"bound_check": ("measure",), "sharpness": ("l", "s")}
+
+
+def _config_problem(cfg, mode):
+    """Why cfg cannot run as the given grid mode, or None."""
+    if cfg.mode != mode:
+        return f"field 'mode' is {cfg.mode!r}, this subcommand runs {mode!r}"
+    missing = [f for f in _REQUIRED_FIELDS[mode] if getattr(cfg, f) is None]
+    if missing:
+        return (f"mode {mode!r} requires field(s) "
+                f"{', '.join(repr(f) for f in missing)}")
+    return None
+
+
+def _run_experiment(args, runner, mode):
     cfg = ExperimentConfig.load(args.experiment)
+    problem = _config_problem(cfg, mode)
+    if problem:
+        print(f"projlab {args.command}: {args.experiment}: {problem}",
+              file=sys.stderr)
+        return 2
     if args.seed is not None:
         cfg.seed = args.seed
     if args.force:
@@ -166,20 +186,19 @@ def build_parser():
     t.add_argument("--samples", type=int, default=1_000_000)
     t.add_argument("--directions", type=int, default=8)
     t.add_argument("--seed", type=int, required=True)
-    t.add_argument("--threads", type=int, default=0)
     t.add_argument("--force", action="store_true")
     t.add_argument("--out", type=str, default=None)
     t.set_defaults(fn=_cmd_transversality)
 
-    for name, runner in (("project", run_bound_check),
-                         ("sharpness", run_sharpness)):
+    for name, runner, mode in (("project", run_bound_check, "bound_check"),
+                               ("sharpness", run_sharpness, "sharpness")):
         p = sub.add_parser(name)
         p.add_argument("experiment")
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=0)
         p.add_argument("--force", action="store_true")
-        p.set_defaults(fn=lambda a, r=runner: _run_experiment(a, r))
+        p.set_defaults(fn=lambda a, r=runner, md=mode:
+                       _run_experiment(a, r, md))
 
     v = sub.add_parser("verify", help="cross-module property suite")
     v.add_argument("--filter", type=str, default=None)

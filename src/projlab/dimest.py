@@ -9,10 +9,10 @@ contract, not an optimization.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .fractal import SampledMeasure
 from .grassmann import Frame, projector
@@ -77,51 +77,75 @@ def _intrinsic_coords(points, weights):
     return X @ evecs[:, keep]
 
 
+def _linfit(x, y):
+    """Least-squares line of y on x: (slope, r, slope stderr), by the same
+    floating-point operations as scipy.stats.linregress."""
+    if x.max() == x.min():
+        raise ValueError("cannot fit a line when all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / (len(x) - 2))
+    return slope, r, stderr
+
+
 def _best_window(x, y, min_len=5, skip_top=2):
     """Sliding-window fit of y against x: the contiguous window of at
     least min_len points with the highest r^2, never touching the
-    skip_top points of largest x (the sampling-noise floor)."""
+    skip_top points of largest x (the sampling-noise floor).
+
+    Returns (r2, lo, hi, slope, stderr)."""
     n = len(x) - skip_top
+    if n < min_len:
+        raise ValueError(f"need ≥ {min_len + skip_top} usable scales, "
+                         f"got {len(x)}")
     best = None
     for lo in range(0, n - min_len + 1):
         for hi in range(lo + min_len, n + 1):
-            fit = stats.linregress(x[lo:hi], y[lo:hi])
-            r2 = fit.rvalue ** 2
+            slope, r, stderr = _linfit(x[lo:hi], y[lo:hi])
+            r2 = r ** 2
             if best is None or r2 > best[0]:
-                best = (r2, lo, hi, fit)
+                best = (r2, lo, hi, slope, stderr)
     return best
 
 
-def _pack_keys(idx):
-    """Collapse integer grid coordinates to single int64 keys when they
-    fit; falls back to row-wise unique otherwise."""
-    d = idx.shape[1]
-    if d <= 3 and idx.min() >= 0 and idx.max() < (1 << 20):
-        key = idx[:, 0].astype(np.int64)
-        for a in range(1, d):
-            key = (key << 21) | idx[:, a].astype(np.int64)
-        return key
-    return None
-
-
-def _count_boxes(pts, weights, eps, offsets, mass_floor_factor=10.0):
+def _count_boxes(cols, span, weights, total, eps, offsets,
+                 mass_floor_factor=10.0):
     """Occupied-box count at side eps, averaged over grid offsets; a box
-    counts when its mass clears the outlier floor."""
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
+    counts when its mass clears the outlier floor.
+
+    cols holds the cloud as contiguous per-axis columns shifted to start
+    at 0, span the per-axis extent and total the total weight.  Boxes get
+    a mixed-radix key that bincount sums directly when the grid has at
+    most 4N + 65536 boxes; sparser grids rank the occupied keys (or, past
+    int64, the occupied index rows) with np.unique first.  Every path sums
+    each box's weights in input order, so the count does not depend on
+    the path taken.
+    """
     per_axis = np.minimum(np.ceil(span / eps) + 1.0, 1e6)
     possible = float(np.prod(per_axis))
-    floor = weights.sum() / (mass_floor_factor * max(possible, 1.0))
+    floor = total / (mass_floor_factor * max(possible, 1.0))
+    dense_limit = 4 * len(weights) + 65536
     counts = []
     for off in offsets:
-        idx = np.floor((pts - lo + off * eps) / eps).astype(np.int64)
-        idx -= idx.min(axis=0)
-        key = _pack_keys(idx)
-        if key is None:
-            _, inv = np.unique(idx, axis=0, return_inverse=True)
+        idx = [np.floor((c + o * eps) / eps).astype(np.int64)
+               for c, o in zip(cols, off)]
+        idx = [i - i.min() for i in idx]
+        extents = [int(i.max()) + 1 for i in idx]
+        size = math.prod(extents)
+        if size < 2 ** 63:
+            key = idx[0]
+            for i, e in zip(idx[1:], extents[1:]):
+                key = key * e + i
+            if size > dense_limit:
+                _, key = np.unique(key, return_inverse=True)
         else:
-            _, inv = np.unique(key, return_inverse=True)
-        mass = np.bincount(inv, weights=weights)
+            _, key = np.unique(np.column_stack(idx), axis=0,
+                               return_inverse=True)
+        mass = np.bincount(key.ravel(), weights=weights)
         counts.append(int(np.count_nonzero(mass >= floor)))
     return float(np.mean(counts))
 
@@ -145,8 +169,13 @@ def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
     scales = np.sort(np.asarray(scales, dtype=float))[::-1]
     rng = np.random.default_rng(seed)
     offsets = rng.random((n_offsets, pts.shape[1]))
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    cols = np.ascontiguousarray((pts - lo).T)
+    total = measure.weights.sum()
     counts = np.array([
-        _count_boxes(pts, measure.weights, eps, offsets) for eps in scales
+        _count_boxes(cols, span, measure.weights, total, eps, offsets)
+        for eps in scales
     ])
     good = counts > 0
     if np.ptp(np.log(counts[good])) < 1e-12:
@@ -156,12 +185,12 @@ def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
                                  warning="no scaling range")
     x = np.log(1.0 / scales[good])
     y = np.log(counts[good])
-    r2, lo, hi, fit = _best_window(x, y)
+    r2, lo, hi, slope, stderr = _best_window(x, y)
     window_scales = scales[good][lo:hi]
     return DimensionEstimate(
-        float(fit.slope), "box_counting",
+        float(slope), "box_counting",
         (float(window_scales.min()), float(window_scales.max())),
-        float(fit.stderr), float(r2), measure.count,
+        float(stderr), float(r2), measure.count,
         scales, counts,
     )
 
@@ -198,12 +227,12 @@ def correlation_dim(measure: SampledMeasure, pair_budget=200_000,
     good = frac * len(d) >= 8  # at least 8 hits per scale
     x = np.log(radii[good])
     y = np.log(frac[good])
-    r2, lo, hi, fit = _best_window(x, y)
+    r2, lo, hi, slope, stderr = _best_window(x, y)
     window = radii[good][lo:hi]
     return DimensionEstimate(
-        float(fit.slope), "correlation",
+        float(slope), "correlation",
         (float(window.min()), float(window.max())),
-        float(fit.stderr), float(r2), measure.count,
+        float(stderr), float(r2), measure.count,
         radii, frac,
     )
 

@@ -547,12 +547,6 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0, extra_radius=0.4,
 # Derivative-agreement check for extended planes
 # ---------------------------------------------------------------------------
 
-def _stack_projector(rows_list):
-    from .grassmann import span_projector
-
-    return span_projector(np.vstack(rows_list))
-
-
 def extended_plane_derivative_check(V_path, c, U: Frame,
                                     hs=(1e-1, 1e-2, 1e-3, 1e-4),
                                     n_z=3, seed=0):

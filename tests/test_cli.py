@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from projlab.cli import main
 from projlab.family import FamilySpec, disjoint_slot_family, save_family
 from projlab.grassmann import standard_frame
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -87,6 +90,31 @@ def test_project_subcommand(tmp_path, fam_path, capsys):
     assert summary["violation_fraction"] == 0.0
     assert (out / "report.json").exists()
     assert (out / "per-lambda.csv").exists()
+
+
+def test_grid_subcommands_reject_mismatched_or_incomplete_config(
+        tmp_path, capsys):
+    out = str(tmp_path / "run")
+    sharp = CONFIGS / "sharpness_n3m2k1.json"
+    assert main(["project", str(sharp), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'mode'" in err and "'sharpness'" in err
+    assert main(["sharpness", str(CONFIGS / "bound_check_n3m2k1.json"),
+                 "--out", out]) == 2
+    assert "'mode'" in capsys.readouterr().err
+    cfg = json.loads(sharp.read_text())
+    del cfg["s"]
+    no_s = tmp_path / "no_s.json"
+    no_s.write_text(json.dumps(cfg))
+    assert main(["sharpness", str(no_s), "--out", out]) == 2
+    assert "'s'" in capsys.readouterr().err
+    cfg = json.loads((CONFIGS / "bound_check_n3m2k1.json").read_text())
+    del cfg["measure"]
+    no_measure = tmp_path / "no_measure.json"
+    no_measure.write_text(json.dumps(cfg))
+    assert main(["project", str(no_measure), "--out", out]) == 2
+    assert "'measure'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_verify_subcommand(capsys):

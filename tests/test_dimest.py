@@ -1,15 +1,23 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from projlab.dimest import (
     DimensionEstimate,
+    _count_boxes,
+    _intrinsic_coords,
+    _linfit,
     box_counting_dim,
     correlation_dim,
     energy_diagnostic,
     project_points,
 )
+from projlab.family import p_of_l
 from projlab.fractal import (
     SampledMeasure,
     four_corner_cantor,
@@ -17,6 +25,16 @@ from projlab.fractal import (
     line_cantor,
 )
 from projlab.grassmann import Frame, span_frame
+from projlab.lab import (
+    ExperimentConfig,
+    build_measure,
+    family_frame,
+    lambda_grid,
+    resolve_family,
+    sharpness_measure,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _uniform_square(N, seed):
@@ -153,3 +171,173 @@ def test_estimate_serialization(tmp_path):
     est.save_fit_csv(path)
     rows = path.read_text().strip().splitlines()
     assert len(rows) == len(est.scales) + 1  # header + one row per scale
+
+
+def test_box_counting_rejects_short_scale_list():
+    scales = np.geomspace(0.3, 0.01, 6)
+    with pytest.raises(ValueError, match="need ≥ 7 usable scales, got 6"):
+        box_counting_dim(four_corner_cantor(6), scales=scales)
+
+
+def test_correlation_rejects_too_few_usable_radii():
+    # 28 points on the unit circle plus a near-coincident pair at its
+    # center: the pair sets the smallest radius but is sampled too rarely
+    # to give 8 hits, so only the radii above the shortest chord count
+    a = 2 * np.pi * np.arange(28) / 28
+    pts = np.vstack([np.c_[np.cos(a), np.sin(a)], [[0.0, 0.0], [1e-6, 0.0]]])
+    m = SampledMeasure(pts, np.full(30, 1.0 / 30), 0.0, {})
+    with pytest.raises(ValueError, match="need ≥ 7 usable scales"):
+        correlation_dim(m, pair_budget=2000, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The box counter against a reference that enumerates occupied rows
+# ---------------------------------------------------------------------------
+
+def _reference_count_boxes(pts, weights, eps, offsets,
+                           mass_floor_factor=10.0):
+    """Occupied boxes found by sorting the integer box rows, one offset at
+    a time: the counter box counting used before the dense key, with the
+    row sort done by lexsort, which gives np.unique(axis=0)'s grouping
+    several times faster."""
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    per_axis = np.minimum(np.ceil(span / eps) + 1.0, 1e6)
+    possible = float(np.prod(per_axis))
+    floor = weights.sum() / (mass_floor_factor * max(possible, 1.0))
+    counts = []
+    for off in offsets:
+        idx = np.floor((pts - lo + off * eps) / eps).astype(np.int64)
+        idx -= idx.min(axis=0)
+        order = np.lexsort(idx.T[::-1])
+        rows = idx[order]
+        starts = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+        box = np.empty(len(idx), dtype=np.int64)
+        box[order] = np.cumsum(starts) - 1
+        mass = np.bincount(box, weights=weights)
+        counts.append(int(np.count_nonzero(mass >= floor)))
+    return float(np.mean(counts))
+
+
+def _new_count_boxes(pts, weights, eps, offsets):
+    lo = pts.min(axis=0)
+    cols = np.ascontiguousarray((pts - lo).T)
+    return _count_boxes(cols, pts.max(axis=0) - lo, weights, weights.sum(),
+                        eps, offsets)
+
+
+def _assert_counts_match(pts, weights, seed):
+    """Every default scale and every offset of box_counting_dim(seed)."""
+    diam = float(np.max(np.ptp(pts, axis=0)))
+    offsets = np.random.default_rng(seed).random((3, pts.shape[1]))
+    for eps in np.geomspace(0.4 * diam, 2.5e-3 * diam, 18):
+        for off in offsets:
+            one = off[None, :]
+            assert (_new_count_boxes(pts, weights, eps, one)
+                    == _reference_count_boxes(pts, weights, eps, one))
+
+
+def _projected_rows(cfg, measure, rows):
+    spec = resolve_family(cfg.family)
+    for idx, lam in enumerate(lambda_grid(spec, (rows,))):
+        projected = project_points(family_frame(spec, lam), measure)
+        pts = _intrinsic_coords(projected.points, projected.weights)
+        yield pts, projected.weights, cfg.seed ^ idx
+
+
+def test_count_boxes_matches_reference_on_bound_check_rows():
+    cfg = ExperimentConfig.load(CONFIGS / "bound_check_n3m2k1.json")
+    measure = build_measure(cfg.measure, cfg.seed)
+    dims = []
+    for pts, weights, seed in _projected_rows(cfg, measure, 8):
+        dims.append(pts.shape[1])
+        _assert_counts_match(pts, weights, seed)
+    # round-off keeps a third intrinsic axis on some rows; they are
+    # counted in 3-D and must match too
+    assert dims == [3, 2, 3, 2, 2, 2, 3, 2]
+
+
+def test_count_boxes_matches_reference_on_sharpness_row():
+    cfg = ExperimentConfig.load(CONFIGS / "sharpness_n3m2k1.json")
+    spec = resolve_family(cfg.family)
+    p = p_of_l(spec.n, spec.m, spec.k, cfg.l)
+    measure = sharpness_measure(spec.n, cfg.l, p, cfg.s, cfg.level,
+                                cfg.sample_count, cfg.seed)
+    pts, weights, seed = next(_projected_rows(cfg, measure, 8))
+    assert pts.shape == (cfg.sample_count, 2)
+    _assert_counts_match(pts, weights, seed)
+
+
+@st.composite
+def _weighted_clouds(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    pts = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                 min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                               max_size=n)))
+    w = (w + 1e-3) / (w + 1e-3).sum()
+    span = float(np.max(np.ptp(pts, axis=0))) or 1.0
+    eps = span * 10.0 ** -draw(st.floats(-0.5, 7.5))
+    offsets = np.array(draw(st.lists(
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=d,
+                 max_size=d), min_size=1, max_size=3)))
+    return pts, w, eps, offsets
+
+
+# Dense key, ranked key and ranked rows: the three explicit examples take
+# one path each; the strategy draws grids from 1 box to 1e22.
+@settings(max_examples=200, deadline=None)
+@given(_weighted_clouds())
+@example((np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]),
+          np.array([0.2, 0.3, 0.5]), 0.1, np.array([[0.3, 0.7]])))
+@example((np.array([[0.0], [0.25], [1.0]]), np.array([0.2, 0.3, 0.5]),
+          1e-7, np.array([[0.5]])))
+@example((np.array([[0.0, 0.0, 0.0], [0.5, 0.2, 0.1], [1.0, 1.0, 1.0]]),
+          np.array([0.2, 0.3, 0.5]), 1e-7, np.array([[0.1, 0.2, 0.3]])))
+def test_count_boxes_matches_reference_on_random_clouds(cloud):
+    pts, w, eps, offsets = cloud
+    assert (_new_count_boxes(pts, w, eps, offsets)
+            == _reference_count_boxes(pts, w, eps, offsets))
+
+
+# ---------------------------------------------------------------------------
+# The window fit against scipy.stats.linregress, bit for bit
+# ---------------------------------------------------------------------------
+
+def _assert_linfit_is_linregress(x, y):
+    slope, r, stderr = _linfit(x, y)
+    ref = stats.linregress(x, y)
+    assert slope == ref.slope
+    assert r == ref.rvalue
+    assert stderr == ref.stderr
+
+
+def test_linfit_equals_linregress_on_random_windows():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(5, 19))
+        x = np.sort(rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3)
+        y = rng.uniform(-2, 2) * x + rng.normal(scale=10.0 ** rng.uniform(
+            -8, 1), size=n)
+        _assert_linfit_is_linregress(x, y)
+    # exact lines clip r to +-1; a flat y has no correlation
+    x = np.arange(6.0)
+    _assert_linfit_is_linregress(x, 2.0 * x + 1.0)
+    _assert_linfit_is_linregress(x, -3.0 * x)
+    slope, r, _ = _linfit(x, np.full(6, 4.0))
+    assert slope == 0.0 and np.isnan(r)
+
+
+def test_linfit_equals_linregress_on_fixture_fit_data():
+    fits = [box_counting_dim(four_corner_cantor(8)),
+            box_counting_dim(_uniform_square(20_000, 0)),
+            correlation_dim(line_cantor(0.7, 10), seed=0)]
+    for est in fits:
+        x = np.log(est.scales) if est.method == "correlation" else np.log(
+            1.0 / est.scales)
+        y = np.log(est.counts)
+        for lo in range(len(x) - 6):
+            for hi in range(lo + 5, len(x) - 1):
+                _assert_linfit_is_linregress(x[lo:hi], y[lo:hi])
