@@ -62,6 +62,7 @@ from .grassmann import (
     tangent_projection_derivative,
 )
 from .lab import (
+    ConfigError,
     ExperimentConfig,
     ExperimentReport,
     build_measure,

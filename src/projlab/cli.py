@@ -13,17 +13,14 @@ import numpy as np
 
 from .family import (
     bound_table,
-    extend_family,
-    family_rows_fn,
+    family_jacobian,
     find_witness_subspace,
     load_family,
     nondegeneracy_check,
-    p_of_l,
     theorem_lower_bound,
-    transversality_probe,
 )
-from .family import family_jacobian
 from .lab import (
+    ConfigError,
     ExperimentConfig,
     run_bound_check,
     run_sharpness,
@@ -72,8 +69,14 @@ def _cmd_witness(args):
     return 0
 
 
+def _reject(args, source, problem):
+    print(f"projlab {args.command}: {source}: {problem}", file=sys.stderr)
+    return 2
+
+
 def _cmd_transversality(args):
-    spec = load_family(args.family)
+    if args.extend and args.l is None:
+        return _reject(args, args.family, "--extend requires --l")
     deltas = [float(x) for x in args.deltas.split(",")] if args.deltas else []
     cfg = ExperimentConfig(
         mode="transversality",
@@ -83,9 +86,11 @@ def _cmd_transversality(args):
         deltas=tuple(deltas),
         mc_samples=args.samples,
         n_directions=args.directions,
-        force=args.force,
     )
-    report, runtime = run_transversality(cfg)
+    try:
+        report, runtime = run_transversality(cfg)
+    except ConfigError as exc:
+        return _reject(args, args.family, exc)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         import os
@@ -109,33 +114,16 @@ def _cmd_transversality(args):
     return 0
 
 
-# config fields each grid mode reads beyond the common ones
-_REQUIRED_FIELDS = {"bound_check": ("measure",), "sharpness": ("l", "s")}
-
-
-def _config_problem(cfg, mode):
-    """Why cfg cannot run as the given grid mode, or None."""
-    if cfg.mode != mode:
-        return f"field 'mode' is {cfg.mode!r}, this subcommand runs {mode!r}"
-    missing = [f for f in _REQUIRED_FIELDS[mode] if getattr(cfg, f) is None]
-    if missing:
-        return (f"mode {mode!r} requires field(s) "
-                f"{', '.join(repr(f) for f in missing)}")
-    return None
-
-
-def _run_experiment(args, runner, mode):
+def _run_experiment(args, runner):
     cfg = ExperimentConfig.load(args.experiment)
-    problem = _config_problem(cfg, mode)
-    if problem:
-        print(f"projlab {args.command}: {args.experiment}: {problem}",
-              file=sys.stderr)
-        return 2
     if args.seed is not None:
         cfg.seed = args.seed
     if args.force:
         cfg.force = True
-    report = runner(cfg)
+    try:
+        report = runner(cfg)
+    except ConfigError as exc:
+        return _reject(args, args.experiment, exc)
     report.save(args.out)
     print(f"wrote {args.out}/report.json", file=sys.stderr)
     summary = report.summary
@@ -186,19 +174,17 @@ def build_parser():
     t.add_argument("--samples", type=int, default=1_000_000)
     t.add_argument("--directions", type=int, default=8)
     t.add_argument("--seed", type=int, required=True)
-    t.add_argument("--force", action="store_true")
     t.add_argument("--out", type=str, default=None)
     t.set_defaults(fn=_cmd_transversality)
 
-    for name, runner, mode in (("project", run_bound_check, "bound_check"),
-                               ("sharpness", run_sharpness, "sharpness")):
+    for name, runner in (("project", run_bound_check),
+                         ("sharpness", run_sharpness)):
         p = sub.add_parser(name)
         p.add_argument("experiment")
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--force", action="store_true")
-        p.set_defaults(fn=lambda a, r=runner, md=mode:
-                       _run_experiment(a, r, md))
+        p.set_defaults(fn=lambda a, r=runner: _run_experiment(a, r))
 
     v = sub.add_parser("verify", help="cross-module property suite")
     v.add_argument("--filter", type=str, default=None)

@@ -201,33 +201,46 @@ def disjoint_slot_family(n, m, k, base=None, radius=None):
     return FamilySpec(n, m, k, base, schedule, (radius,) * k)
 
 
-def _rows_batch_chart(spec: FamilySpec, lam_batch):
-    """Spanning rows of V_lambda for a batch of parameters, in chart
-    coordinates: shape (B, m, n).  Not orthonormalized."""
-    lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-    B = lam_batch.shape[0]
+def _rotate_columns(x, i, j, beta):
+    """Rotate coordinate i of a batch of vectors toward coordinate j by
+    the per-sample angles beta, in place; x is (coordinates, B), so each
+    coordinate is one contiguous length-B vector."""
+    c, s = np.cos(beta), np.sin(beta)
+    xi = c * x[i]
+    xi -= s * x[j]
+    x[j] *= c
+    x[j] += s * x[i]
+    x[i] = xi
+
+
+def _ambient_rows(spec: FamilySpec, lam_batch, out):
+    """Write the spanning rows of V_lambda, ambient coordinates, into
+    out (m, n, B): row i of sample b is out[i, :, b]."""
+    lam_cols = np.asarray(lam_batch, dtype=float).T
     n, m = spec.n, spec.m
-    # angle per (sample, i, j)
-    ang = np.zeros((B, m, n - m))
+    # angle per (i, j, sample)
+    ang = np.zeros((m, n - m, lam_cols.shape[1]))
     for (par, i, j, w) in spec.schedule:
-        ang[:, i - 1, j - m - 1] += w * lam_batch[:, par - 1]
-    rows = np.broadcast_to(np.eye(n)[:m], (B, m, n)).copy()
+        ang[i - 1, j - m - 1] += w * lam_cols[par - 1]
+    to_ambient = spec.coordinate_matrix().T
+    chart = np.zeros((n, lam_cols.shape[1]))
     for i in range(1, m + 1):
+        chart[:] = 0.0
+        chart[i - 1] = 1.0
         for j in range(m + 1, n + 1):
-            beta = ang[:, i - 1, j - m - 1]
-            if not np.any(beta):
-                continue
-            c, s = np.cos(beta), np.sin(beta)
-            xi = rows[:, i - 1, i - 1].copy()
-            xj = rows[:, i - 1, j - 1].copy()
-            rows[:, i - 1, i - 1] = c * xi - s * xj
-            rows[:, i - 1, j - 1] = s * xi + c * xj
-    return rows
+            beta = ang[i - 1, j - m - 1]
+            if np.any(beta):
+                _rotate_columns(chart, i - 1, j - 1, beta)
+        np.matmul(to_ambient, chart, out=out[i - 1])
 
 
 def family_rows(spec: FamilySpec, lam_batch):
-    """Spanning rows of V_lambda in ambient coordinates, (B, m, n)."""
-    return _rows_batch_chart(spec, lam_batch) @ spec.coordinate_matrix()
+    """Spanning rows of V_lambda in ambient coordinates, (B, m, n).  Not
+    orthonormalized.  The result is a view of a (m, n, B) buffer."""
+    lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
+    out = np.empty((spec.m, spec.n, lam_batch.shape[0]))
+    _ambient_rows(spec, lam_batch, out)
+    return np.moveaxis(out, -1, 0)
 
 
 def family_frame(spec: FamilySpec, lam) -> Frame:
@@ -471,34 +484,29 @@ class ExtendedFamily:
     def center(self):
         return np.concatenate([self.lam0, np.zeros(self.p * self.t)])
 
-    def _extra_rows(self, lam2_batch):
-        """Rotated added directions, ambient, (B, p, n).  The rotations mix
-        complement coordinates only, so the rows stay inside V_{lam0}^perp
-        and are independent of lam1."""
-        m, t, p = self.spec.m, self.t, self.p
-        B = lam2_batch.shape[0]
-        if p == 0:
-            return np.zeros((B, 0, self.spec.n))
-        coords = np.zeros((B, p, self.spec.n - m))
-        for a, i in enumerate(range(t, t + p)):
-            coords[:, a, i] = 1.0
-        for a, i in enumerate(range(t, t + p)):  # i: added-direction index
+    def _extra_rows(self, lam2_batch, out):
+        """Write the rotated added directions, ambient, into out (p, n, B).
+        The rotations mix complement coordinates only, so the rows stay
+        inside V_{lam0}^perp and are independent of lam1."""
+        t = self.t
+        lam2_cols = lam2_batch.T
+        coords = np.zeros((self.spec.n - self.spec.m, lam2_cols.shape[1]))
+        for a, i in enumerate(range(t, t + self.p)):  # i: added direction
+            coords[:] = 0.0
+            coords[i] = 1.0
             for j in range(t):  # j: witness-direction index
-                beta = lam2_batch[:, a * t + j]
-                c, s = np.cos(beta), np.sin(beta)
-                xi = coords[:, a, i].copy()
-                xj = coords[:, a, j].copy()
-                coords[:, a, i] = c * xi - s * xj
-                coords[:, a, j] = s * xi + c * xj
-        return coords @ self.ehat
+                _rotate_columns(coords, i, j, lam2_cols[a * t + j])
+            np.matmul(self.ehat.T, coords, out=out[a])
 
     def rows(self, lam_batch):
-        """Spanning rows of the extended plane, ambient, (B, m+p, n)."""
+        """Spanning rows of the extended plane, ambient, (B, m+p, n).  The
+        result is a view of a (m+p, n, B) buffer."""
         lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-        k = self.spec.k
-        base_rows = family_rows(self.spec, lam_batch[:, :k])
-        extra = self._extra_rows(lam_batch[:, k:])
-        return np.concatenate([base_rows, extra], axis=1)
+        m, k = self.spec.m, self.spec.k
+        out = np.empty((m + self.p, self.spec.n, lam_batch.shape[0]))
+        _ambient_rows(self.spec, lam_batch[:, :k], out[:m])
+        self._extra_rows(lam_batch[:, k:], out[m:])
+        return np.moveaxis(out, -1, 0)
 
     def frame(self, lam) -> Frame:
         lam = np.asarray(lam, dtype=float)
@@ -598,27 +606,59 @@ def extended_plane_derivative_check(V_path, c, U: Frame,
 # Transversality probe
 # ---------------------------------------------------------------------------
 
-def _sublevel_fractions(rows_fn, k, lam0, R, w, deltas, samples, seed,
-                        batch=200_000):
+# Parameters drawn per batch.  Each batch draws its directions and radii
+# in one call each, so the RNG stream, and with it every fraction and
+# exponent, depends on this size.
+SUBLEVEL_BATCH = 200_000
+
+
+def _projection_norms(E, w):
+    """|Pi_{span rows} w| per sample for spanning rows in column layout,
+    E (d, n, B): |Pi w|^2 = |L^{-1} E w|^2 with L L^T the Cholesky factor
+    of the d x d Gram E E^T, unrolled over d on length-B vectors."""
+    d = E.shape[0]
+    L = [[None] * d for _ in range(d)]
+    y = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(d):
+            for i in range(j, d):
+                g = np.einsum("ab,ab->b", E[i], E[j])
+                for q in range(j):
+                    g -= L[i][q] * L[j][q]
+                L[i][j] = np.sqrt(g) if i == j else g / L[j][j]
+            r = w @ E[j]
+            for q in range(j):
+                r -= L[j][q] * y[q]
+            y.append(r / L[j][j])
+    proj2 = y[0] * y[0]
+    for v in y[1:]:
+        proj2 += v * v
+    return np.sqrt(proj2)
+
+
+def _sublevel_fractions(rows_fn, k, lam0, R, w, deltas, samples, seed):
+    """Fractions and counts of the samples lam in the ball B(lam0, R)
+    with |Pi_{V_lam} w| <= delta, for each delta (in the given order)."""
     rng = np.random.default_rng(seed)
     lam0 = np.asarray(lam0, dtype=float)
     w = np.asarray(w, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
+    order = np.argsort(deltas, kind="stable")
+    sorted_deltas = deltas[order]
     counts = np.zeros(len(deltas), dtype=np.int64)
     done = 0
     while done < samples:
-        B = min(batch, samples - done)
+        B = min(SUBLEVEL_BATCH, samples - done)
         g = rng.standard_normal((B, k))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = R * rng.random(B) ** (1.0 / k)
         lam = lam0 + g * radii[:, None]
-        E = rows_fn(lam)  # (B, dim, n)
-        G = E @ np.swapaxes(E, 1, 2)
-        cvec = E @ w
-        sol = np.linalg.solve(G, cvec[..., None])[..., 0]
-        proj2 = np.einsum("bd,bd->b", cvec, sol)
-        vals = np.sqrt(np.maximum(proj2, 0.0))
-        counts += (vals[:, None] <= deltas[None, :]).sum(axis=0)
+        E = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
+        vals = _projection_norms(E, w)
+        # slot of the smallest delta >= val; NaN sorts past every delta
+        slot = np.searchsorted(sorted_deltas, vals, side="left")
+        hits = np.bincount(slot, minlength=len(deltas) + 1)
+        counts[order] += np.cumsum(hits[:len(deltas)])
         done += B
     return counts / samples, counts
 

@@ -84,6 +84,36 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
+class ConfigError(ValueError):
+    """A config cannot run as the requested mode; the message names the
+    field or requirement it fails."""
+
+
+# config fields each grid mode reads beyond the common ones
+_REQUIRED_FIELDS = {"bound_check": ("measure",), "sharpness": ("l", "s")}
+
+
+def check_config(cfg: ExperimentConfig, mode):
+    """Raise ConfigError naming the first requirement cfg fails for a run
+    of the given mode."""
+    if cfg.mode != mode:
+        raise ConfigError(f"field 'mode' is {cfg.mode!r}, this run needs "
+                          f"{mode!r}")
+    missing = [f for f in _REQUIRED_FIELDS.get(mode, ())
+               if getattr(cfg, f) is None]
+    if missing:
+        raise ConfigError(f"mode {mode!r} requires field(s) "
+                          f"{', '.join(repr(f) for f in missing)}")
+    if mode == "transversality":
+        for name in ("mc_samples", "n_directions"):
+            if getattr(cfg, name) < 1:
+                raise ConfigError(f"field {name!r} must be at least 1, got "
+                                  f"{getattr(cfg, name)}")
+        if not all(0 < d < np.inf for d in cfg.deltas):
+            raise ConfigError(f"field 'deltas' must be positive and finite, "
+                              f"got {list(cfg.deltas)}")
+
+
 def resolve_family(family) -> FamilySpec:
     if isinstance(family, FamilySpec):
         return family
@@ -218,6 +248,7 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
     """Project the measure over a parameter grid and compare estimated
     dimensions against the theorem's lower-bound curve evaluated at the
     generator's nominal dimension."""
+    check_config(cfg, "bound_check")
     t0 = time.time()
     spec = resolve_family(cfg.family)
     center = np.zeros(spec.k)
@@ -293,6 +324,7 @@ def sharpness_measure(n, l, p, s, level, N, seed) -> SampledMeasure:
 def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     """Check that the constructed family/measure pair pinches the bound:
     estimated projected dimensions concentrate at l + s."""
+    check_config(cfg, "sharpness")
     t0 = time.time()
     spec = resolve_family(cfg.family)
     n, m, k = spec.n, spec.m, spec.k
@@ -342,6 +374,7 @@ def run_transversality(cfg: ExperimentConfig):
     """Fit sublevel-volume exponents over a panel of kernel directions and
     compare with the target order r = l + 1 + p (or 1 for an unextended
     family at l = 0)."""
+    check_config(cfg, "transversality")
     t0 = time.time()
     spec = resolve_family(cfg.family)
     rng = np.random.default_rng(cfg.seed)

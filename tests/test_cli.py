@@ -70,6 +70,29 @@ def test_transversality_writes_artifacts(tmp_path, fam_path, capsys):
     assert header.startswith("delta,fraction_0")
 
 
+@pytest.mark.parametrize("flags, needs", [
+    (["--extend"], "--extend requires --l"),
+    (["--samples", "0"], "'mc_samples'"),
+    (["--directions", "0"], "'n_directions'"),
+    (["--deltas", "0.1,0,0.01"], "'deltas'"),
+    (["--deltas", "-0.1"], "'deltas'"),
+])
+def test_transversality_rejects_bad_arguments(tmp_path, capsys, flags,
+                                             needs):
+    fam = str(CONFIGS / "family_n4m2k3.json")
+    out = tmp_path / "tr"
+    assert main(["transversality", fam, "--seed", "3", "--samples", "2000",
+                 "--directions", "1", *flags, "--out", str(out)]) == 2
+    assert needs in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transversality_has_no_force_flag(fam_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["transversality", fam_path, "--seed", "1", "--force"])
+    assert exc.value.code == 2
+
+
 def test_project_subcommand(tmp_path, fam_path, capsys):
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({

@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlab.family import (
+    SUBLEVEL_BATCH,
     FamilySpec,
+    _projection_norms,
+    _sublevel_fractions,
     bound_table,
     bracket_ceil,
     disjoint_slot_family,
@@ -26,7 +31,13 @@ from projlab.family import (
     theorem_lower_bound,
     transversality_probe,
 )
-from projlab.grassmann import Frame, span_frame, standard_frame
+from projlab.grassmann import (
+    Frame,
+    complement,
+    span_frame,
+    span_projector,
+    standard_frame,
+)
 from projlab.multivec import gram_norm
 
 
@@ -368,6 +379,236 @@ def test_transversality_probe_deterministic():
                              0.3, w, deltas, samples=50_000, seed=7)
     assert np.array_equal(a["fractions"], b["fractions"])
     assert a["exponent"] == b["exponent"]
+
+
+# --- batched rows and the sublevel kernel against the (B, m, n) loops ------
+#
+# The references below are sample-major oracles: rows built as (B, m, n)
+# arrays one strided slot at a time, |Pi w| from a batched np.linalg.solve
+# on the Gram, and hits from the B x D comparison matrix.
+
+def _ref_family_rows(spec, lam_batch):
+    lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
+    B = lam_batch.shape[0]
+    n, m = spec.n, spec.m
+    ang = np.zeros((B, m, n - m))
+    for (par, i, j, w) in spec.schedule:
+        ang[:, i - 1, j - m - 1] += w * lam_batch[:, par - 1]
+    rows = np.broadcast_to(np.eye(n)[:m], (B, m, n)).copy()
+    for i in range(1, m + 1):
+        for j in range(m + 1, n + 1):
+            beta = ang[:, i - 1, j - m - 1]
+            if not np.any(beta):
+                continue
+            c, s = np.cos(beta), np.sin(beta)
+            xi = rows[:, i - 1, i - 1].copy()
+            xj = rows[:, i - 1, j - 1].copy()
+            rows[:, i - 1, i - 1] = c * xi - s * xj
+            rows[:, i - 1, j - 1] = s * xi + c * xj
+    return rows @ spec.coordinate_matrix()
+
+
+def _ref_extended_rows(ext, lam_batch):
+    lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
+    k, m, t, p = ext.spec.k, ext.spec.m, ext.t, ext.p
+    lam2 = lam_batch[:, k:]
+    B = lam_batch.shape[0]
+    coords = np.zeros((B, p, ext.spec.n - m))
+    for a, i in enumerate(range(t, t + p)):
+        coords[:, a, i] = 1.0
+    for a, i in enumerate(range(t, t + p)):
+        for j in range(t):
+            beta = lam2[:, a * t + j]
+            c, s = np.cos(beta), np.sin(beta)
+            xi = coords[:, a, i].copy()
+            xj = coords[:, a, j].copy()
+            coords[:, a, i] = c * xi - s * xj
+            coords[:, a, j] = s * xi + c * xj
+    return np.concatenate(
+        [_ref_family_rows(ext.spec, lam_batch[:, :k]), coords @ ext.ehat],
+        axis=1)
+
+
+def _solve_norms(E, w):
+    G = E @ np.swapaxes(E, 1, 2)
+    cvec = E @ w
+    sol = np.linalg.solve(G, cvec[..., None])[..., 0]
+    return np.sqrt(np.maximum(np.einsum("bd,bd->b", cvec, sol), 0.0))
+
+
+def _kernel_norms(E, w):
+    return _projection_norms(np.ascontiguousarray(np.moveaxis(E, 0, -1)), w)
+
+
+def _ref_counts(rows_fn, k, lam0, R, w, deltas, samples, seed,
+                norms=_solve_norms):
+    """Hit counts per delta from the same RNG stream, counted as
+    vals <= delta on the values `norms` gives."""
+    rng = np.random.default_rng(seed)
+    deltas = np.asarray(deltas, dtype=float)
+    counts = np.zeros(len(deltas), dtype=np.int64)
+    values = []
+    done = 0
+    while done < samples:
+        B = min(SUBLEVEL_BATCH, samples - done)
+        g = rng.standard_normal((B, k))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        radii = R * rng.random(B) ** (1.0 / k)
+        lam = lam0 + g * radii[:, None]
+        vals = norms(rows_fn(lam), w)
+        counts += (vals[:, None] <= deltas[None, :]).sum(axis=0)
+        values.append(vals)
+        done += B
+    return counts, np.concatenate(values)
+
+
+@pytest.fixture(scope="module")
+def probe_families():
+    """(name, rows_fn, reference rows, k, center, R, frame_at) for the
+    base family of configs/family_n3m2k1.json and the extension of
+    configs/family_n4m2k3.json at l = 1."""
+    from pathlib import Path
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    base = load_family(configs / "family_n3m2k1.json")
+    ext = extend_family(load_family(configs / "family_n4m2k3.json"),
+                        np.zeros(3), 1, seed=2718)
+    return [
+        ("base", lambda lam: family_rows(base, lam),
+         lambda lam: _ref_family_rows(base, lam), base.k, np.zeros(base.k),
+         0.5 * min(base.radii), lambda lam: family_frame(base, lam)),
+        ("ext", ext.rows, lambda lam: _ref_extended_rows(ext, lam),
+         ext.k_total, ext.center(), 0.5 * float(np.min(ext.domain_radii())),
+         ext.frame),
+    ]
+
+
+def _kernel_direction(frame_at, center, R, seed):
+    """A unit vector orthogonal to the plane at a random parameter of the
+    probe ball, as the transversality runner draws them."""
+    rng = np.random.default_rng(seed)
+    lam_star = center + (rng.random(len(center)) - 0.5) * R
+    comp = complement(frame_at(lam_star))
+    w = rng.standard_normal(comp.plane_dim) @ comp.basis
+    return w / np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2718])
+def test_sublevel_counts_equal_solve_reference(probe_families, seed):
+    # 200,001 samples cross one batch boundary; the deltas are unsorted
+    # and repeat one value
+    deltas = np.array([0.05, 0.3, 0.002, 0.05, 0.1, 0.01, 0.02, 0.002])
+    samples = SUBLEVEL_BATCH + 1
+    for name, rows_fn, ref_rows, k, center, R, frame_at in probe_families:
+        w = _kernel_direction(frame_at, center, R, seed)
+        fractions, counts = _sublevel_fractions(
+            rows_fn, k, center, R, w, deltas, samples, seed)
+        ref, _ = _ref_counts(ref_rows, k, center, R, w, deltas, samples,
+                             seed)
+        assert counts.tolist() == ref.tolist(), name
+        assert counts[0] > 0 and counts[2] < samples, name
+        assert np.array_equal(fractions, ref / samples), name
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2718])
+def test_sublevel_counts_at_tied_deltas(probe_families, seed):
+    # deltas equal to sampled values count the sample (vals <= delta).
+    # Solve and Cholesky round differently in the last bits, so the tie
+    # is checked on the values the kernel itself produces.
+    samples = 50_000
+    for name, rows_fn, _, k, center, R, frame_at in probe_families:
+        w = _kernel_direction(frame_at, center, R, seed)
+        _, vals = _ref_counts(rows_fn, k, center, R, w, [1.0], samples,
+                              seed, norms=_kernel_norms)
+        picks = np.sort(vals)[[0, 1, 100, 2_000, 25_000, 25_000, -1]]
+        deltas = np.concatenate([picks, np.nextafter(picks, 0.0)])[::-1]
+        _, counts = _sublevel_fractions(rows_fn, k, center, R, w, deltas,
+                                        samples, seed)
+        ref, _ = _ref_counts(rows_fn, k, center, R, w, deltas, samples,
+                             seed, norms=_kernel_norms)
+        assert counts.tolist() == ref.tolist(), name
+        at_pick, below = counts[len(picks):], counts[:len(picks)]
+        assert np.all(at_pick > below) and at_pick[0] == samples, name
+
+
+def test_sublevel_counts_leave_nan_uncounted():
+    spec = disjoint_slot_family(3, 2, 1)
+
+    def rows_fn(lam):
+        E = family_rows(spec, lam).copy()
+        E[::3, 1, :] = np.nan
+        return E
+
+    w = np.array([0.0, 0.0, 1.0])
+    deltas = np.array([0.01, 0.1, np.inf])
+    _, counts = _sublevel_fractions(rows_fn, 1, np.zeros(1), 0.3, w, deltas,
+                                    3_000, 5)
+    ref, vals = _ref_counts(rows_fn, 1, np.zeros(1), 0.3, w, deltas, 3_000,
+                            5)
+    assert np.isnan(vals).sum() == 1_000
+    assert counts.tolist() == ref.tolist()
+    assert counts[-1] == 2_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_projection_norms_match_span_projector(data):
+    n = data.draw(st.integers(2, 6), label="n")
+    d = data.draw(st.integers(1, min(4, n - 1)), label="d")
+    B = data.draw(st.integers(1, 4), label="B")
+    unit = st.floats(-0.5, 0.5)
+    # a dominant diagonal block keeps every sample's rows independent
+    # (smallest singular value above 0.5), so 1e-12 is a fixed budget
+    A = np.array(data.draw(st.lists(unit, min_size=B * d * n,
+                                    max_size=B * d * n), label="A"))
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    rows = (3.0 * np.eye(d, n) + A.reshape(B, d, n))[:, :, perm]
+    w = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n,
+                                    max_size=n), label="w"))
+    vals = _kernel_norms(rows, w)
+    for b in range(B):
+        expected = np.linalg.norm(span_projector(rows[b]) @ w)
+        assert abs(vals[b] - expected) <= 1e-12
+
+
+def test_rows_equal_sample_major_construction(probe_families):
+    rng = np.random.default_rng(8)
+    base = span_frame(rng.standard_normal((2, 5)))
+    schedule = ((1, 1, 3, 1.0), (2, 2, 4, 0.5), (3, 1, 5, -1.0),
+                (1, 2, 4, 0.25))  # parameters 1 and 2 share slot (2, 4)
+    specs = [disjoint_slot_family(4, 2, 3), disjoint_slot_family(6, 3, 5),
+             FamilySpec(5, 2, 3, base, schedule, (0.2, 0.3, 0.1))]
+    for spec in specs:
+        lam = rng.uniform(-0.2, 0.2, size=(1_001, spec.k))
+        lam[::7, 0] = 0.0  # a zero-angle slot is skipped in both
+        rows = family_rows(spec, lam)
+        assert rows.shape == (1_001, spec.m, spec.n)
+        assert np.array_equal(rows, _ref_family_rows(spec, lam))
+    for name, rows_fn, ref_rows, k, center, R, _ in probe_families:
+        lam = center + rng.uniform(-R, R, size=(1_001, k))
+        rows, ref = rows_fn(lam), ref_rows(lam)
+        assert rows.shape == ref.shape and rows.nbytes == ref.nbytes
+        if name == "base":
+            assert np.array_equal(rows, ref)
+        else:
+            # the one added row's ambient map: the reference multiplies
+            # (B, 1, n-m) by ehat through a gemv kernel, the column layout
+            # through gemm, and the two fuse multiply-adds differently;
+            # the base block and everything before the map are exact
+            m = rows.shape[1] - 1
+            assert np.array_equal(rows[:, :m], ref[:, :m])
+            assert np.max(np.abs(rows - ref)) <= 4 * np.finfo(float).eps
+
+
+def test_extended_rows_equal_sample_major_construction_p2():
+    # p(0) = 2 for (n, m, k) = (6, 2, 3): two added rows go through one
+    # gemm in both constructions, so every entry is exact
+    spec = disjoint_slot_family(6, 2, 3)
+    ext = extend_family(spec, np.zeros(3), 0, seed=1)
+    assert ext.p == 2
+    rng = np.random.default_rng(9)
+    lam = ext.center() + rng.uniform(-0.1, 0.1, size=(999, ext.k_total))
+    assert np.array_equal(ext.rows(lam), _ref_extended_rows(ext, lam))
 
 
 # --- serialization ---------------------------------------------------------

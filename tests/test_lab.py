@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +163,37 @@ def test_run_transversality_base_family(tmp_path):
     med = report["summary"]["median_exponent"]
     assert med == pytest.approx(1.0, abs=0.15)
     assert runtime >= 0.0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_grid_runners_reject_mismatched_or_incomplete_config():
+    sharp = json.loads((CONFIGS / "sharpness_n3m2k1.json").read_text())
+    bound = json.loads((CONFIGS / "bound_check_n3m2k1.json").read_text())
+    with pytest.raises(ValueError, match="'mode'.*'bound_check'"):
+        run_bound_check(ExperimentConfig.from_dict(sharp))
+    with pytest.raises(ValueError, match="'mode'.*'sharpness'"):
+        run_sharpness(ExperimentConfig.from_dict(bound))
+    with pytest.raises(ValueError, match="'measure'"):
+        run_bound_check(ExperimentConfig.from_dict(
+            {**bound, "measure": None}))
+    with pytest.raises(ValueError, match="'s'"):
+        run_sharpness(ExperimentConfig.from_dict({**sharp, "s": None}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mc_samples", 0), ("n_directions", 0), ("deltas", (0.1, 0.0)),
+    ("deltas", (-0.01,)), ("deltas", (float("nan"),)),
+    ("mode", "sharpness"),
+])
+def test_run_transversality_rejects_bad_config(field, value):
+    cfg = ExperimentConfig(mode="transversality",
+                           family=str(CONFIGS / "family_n3m2k1.json"),
+                           seed=1, mc_samples=1000, n_directions=1)
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=repr(field)):
+        run_transversality(cfg)
 
 
 def test_verify_suite_filter():
