@@ -15,7 +15,6 @@ from projlab import (
     disjoint_slot_family,
     extend_family,
     family_jacobian,
-    family_rows_fn,
     find_witness_subspace,
     nondegeneracy_check,
     transversality_probe,
@@ -31,8 +30,8 @@ print(f"n=3 m=2 k=1 family: wedge norm {check['wedge_norm']:.3f}, "
 # shrinks like delta^1 for this family
 w = np.array([0.0, 0.0, 1.0])
 deltas = np.geomspace(1e-3, 0.2, 10)
-probe = transversality_probe(family_rows_fn(spec), 1, np.zeros(1), 0.3,
-                             w, deltas, samples=400_000, seed=0)
+probe = transversality_probe(spec.rows, 1, np.zeros(1), 0.3, w, deltas,
+                             samples=400_000, seed=0)
 print(f"fitted sublevel exponent: {probe['exponent']:.3f} (target 1)")
 
 # richer family: 3 parameters on 2-planes in R^4; at l = 1 the drop is

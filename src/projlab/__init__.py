@@ -23,7 +23,6 @@ from .family import (
     family_frame,
     family_jacobian,
     family_rows,
-    family_rows_fn,
     family_to_dict,
     family_from_dict,
     find_witness_subspace,

@@ -36,14 +36,12 @@ def _cmd_bound(args):
     for l, p in enumerate(tab.p_values):
         print(f"{l},{p}")
     print(f"# absolute-continuity threshold: dim mu > {tab.ac_threshold}")
-    if args.d is not None:
-        print("d,bound")
-        print(f"{args.d!r},{theorem_lower_bound(args.n, args.m, args.k, args.d)!r}")
-    else:
-        print("d,bound")
-        for d in np.linspace(0.0, float(args.n), 4 * args.n + 1):
-            b = theorem_lower_bound(args.n, args.m, args.k, float(d))
-            print(f"{float(d)!r},{b!r}")
+    print("d,bound")
+    ds = ([args.d] if args.d is not None
+          else np.linspace(0.0, float(args.n), 4 * args.n + 1))
+    for d in ds:
+        b = theorem_lower_bound(args.n, args.m, args.k, float(d))
+        print(f"{float(d)!r},{b!r}")
     return 0
 
 
@@ -77,40 +75,34 @@ def _reject(args, source, problem):
 def _cmd_transversality(args):
     if args.extend and args.l is None:
         return _reject(args, args.family, "--extend requires --l")
-    deltas = [float(x) for x in args.deltas.split(",")] if args.deltas else []
+    if args.l is not None and not args.extend:
+        return _reject(args, args.family, "--l requires --extend")
+    deltas = ()
+    if args.deltas:
+        try:
+            deltas = tuple(float(x) for x in args.deltas.split(","))
+        except ValueError:
+            return _reject(args, args.family, f"--deltas must be comma-"
+                           f"separated numbers, got {args.deltas!r}")
     cfg = ExperimentConfig(
         mode="transversality",
         family=args.family,
         seed=args.seed,
-        l=args.l if args.extend else None,
-        deltas=tuple(deltas),
+        l=args.l,
+        deltas=deltas,
         mc_samples=args.samples,
         n_directions=args.directions,
     )
     try:
-        report, runtime = run_transversality(cfg)
+        report = run_transversality(cfg)
     except ConfigError as exc:
         return _reject(args, args.family, exc)
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "transversality.json"), "w") as fh:
-            fh.write(text + "\n")
-        with open(os.path.join(args.out, "loglog.csv"), "w") as fh:
-            fh.write("delta," + ",".join(
-                f"fraction_{i}" for i in range(len(report["panel"]))) + "\n")
-            for di, d in enumerate(report["deltas"]):
-                cells = [repr(d)]
-                for entry in report["panel"]:
-                    fr = entry.get("fractions")
-                    cells.append(repr(fr[di]) if fr else "")
-                fh.write(",".join(cells) + "\n")
+        report.save(args.out)
         print(f"wrote {args.out}/transversality.json "
-              f"(runtime {runtime:.1f}s)", file=sys.stderr)
+              f"(runtime {report.runtime_seconds:.1f}s)", file=sys.stderr)
     else:
-        print(text)
+        print(report.to_json())
     return 0
 
 
@@ -126,8 +118,7 @@ def _run_experiment(args, runner):
         return _reject(args, args.experiment, exc)
     report.save(args.out)
     print(f"wrote {args.out}/report.json", file=sys.stderr)
-    summary = report.summary
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(report.summary, indent=2, sort_keys=True))
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal import SampledMeasure
+from .fractal import SampledMeasure, write_csv
 from .grassmann import Frame, projector
 
 DISTANCE_FLOOR = 1e-12
@@ -47,10 +47,7 @@ class DimensionEstimate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def save_fit_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("scale,count\n")
-            for s, c in zip(self.scales, self.counts):
-                fh.write(f"{s!r},{c!r}\n")
+        write_csv(path, ["scale", "count"], zip(self.scales, self.counts))
 
 
 def project_points(f: Frame, measure: SampledMeasure) -> SampledMeasure:
@@ -110,6 +107,17 @@ def _best_window(x, y, min_len=5, skip_top=2):
             if best is None or r2 > best[0]:
                 best = (r2, lo, hi, slope, stderr)
     return best
+
+
+def _window_estimate(method, count, scales, values, good, x):
+    """The estimate from the best window of log values[good] against x,
+    the log-scale coordinate of scales[good]."""
+    r2, lo, hi, slope, stderr = _best_window(x, np.log(values[good]))
+    window = scales[good][lo:hi]
+    return DimensionEstimate(
+        float(slope), method, (float(window.min()), float(window.max())),
+        float(stderr), float(r2), count, scales, values,
+    )
 
 
 def _count_boxes(cols, span, weights, total, eps, offsets,
@@ -183,16 +191,8 @@ def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
         return DimensionEstimate(0.0, "box_counting", (0.0, 0.0), 0.0, 1.0,
                                  measure.count, scales, counts,
                                  warning="no scaling range")
-    x = np.log(1.0 / scales[good])
-    y = np.log(counts[good])
-    r2, lo, hi, slope, stderr = _best_window(x, y)
-    window_scales = scales[good][lo:hi]
-    return DimensionEstimate(
-        float(slope), "box_counting",
-        (float(window_scales.min()), float(window_scales.max())),
-        float(stderr), float(r2), measure.count,
-        scales, counts,
-    )
+    return _window_estimate("box_counting", measure.count, scales, counts,
+                            good, np.log(1.0 / scales[good]))
 
 
 def _sample_pair_distances(measure, pair_budget, rng):
@@ -225,16 +225,8 @@ def correlation_dim(measure: SampledMeasure, pair_budget=200_000,
     radii = np.geomspace(rmax, rmin, 20)
     frac = np.array([np.count_nonzero(d <= r) for r in radii]) / len(d)
     good = frac * len(d) >= 8  # at least 8 hits per scale
-    x = np.log(radii[good])
-    y = np.log(frac[good])
-    r2, lo, hi, slope, stderr = _best_window(x, y)
-    window = radii[good][lo:hi]
-    return DimensionEstimate(
-        float(slope), "correlation",
-        (float(window.min()), float(window.max())),
-        float(stderr), float(r2), measure.count,
-        radii, frac,
-    )
+    return _window_estimate("correlation", measure.count, radii, frac,
+                            good, np.log(radii[good]))
 
 
 def energy_diagnostic(measure: SampledMeasure, t, subsample=2048, seed=0,

@@ -18,8 +18,11 @@ import numpy as np
 from .grassmann import (
     Frame,
     complement,
+    coordinate_matrix,
+    givens,
     orthonormalize,
     span_frame,
+    span_projector,
     standard_frame,
 )
 from .multivec import gram_norm
@@ -174,17 +177,20 @@ class FamilySpec:
             np.all(np.abs(lam) < np.asarray(self.radii))
         )
 
-    def coordinate_matrix(self):
-        """Rows = (base frame, complement frame)."""
-        return np.vstack([self.base.basis, self.comp.basis])
+    coordinate_matrix = coordinate_matrix  # rows: base, then complement
 
     def angles(self, lam):
-        """Chart angle array (m, n-m) at parameter lam."""
-        lam = np.asarray(lam, dtype=float)
-        a = np.zeros((self.m, self.n - self.m))
+        """Chart angles at lam: (m, n-m) for one parameter (k,), and
+        (m, n-m, B) for a batch (B, k)."""
+        lam_cols = np.asarray(lam, dtype=float).T
+        a = np.zeros((self.m, self.n - self.m) + lam_cols.shape[1:])
         for (par, i, j, w) in self.schedule:
-            a[i - 1, j - self.m - 1] += w * lam[par - 1]
+            a[i - 1, j - self.m - 1] += w * lam_cols[par - 1]
         return a
+
+    def rows(self, lam_batch):
+        """Rows callable for `transversality_probe`: `family_rows(self, .)`."""
+        return family_rows(self, lam_batch)
 
 
 def disjoint_slot_family(n, m, k, base=None, radius=None):
@@ -201,37 +207,20 @@ def disjoint_slot_family(n, m, k, base=None, radius=None):
     return FamilySpec(n, m, k, base, schedule, (radius,) * k)
 
 
-def _rotate_columns(x, i, j, beta):
-    """Rotate coordinate i of a batch of vectors toward coordinate j by
-    the per-sample angles beta, in place; x is (coordinates, B), so each
-    coordinate is one contiguous length-B vector."""
-    c, s = np.cos(beta), np.sin(beta)
-    xi = c * x[i]
-    xi -= s * x[j]
-    x[j] *= c
-    x[j] += s * x[i]
-    x[i] = xi
-
-
 def _ambient_rows(spec: FamilySpec, lam_batch, out):
     """Write the spanning rows of V_lambda, ambient coordinates, into
-    out (m, n, B): row i of sample b is out[i, :, b]."""
-    lam_cols = np.asarray(lam_batch, dtype=float).T
+    out (m, n, B): row i of sample b is out[i, :, b].  Chart coordinates
+    are (n, B) columns, one contiguous length-B vector each."""
     n, m = spec.n, spec.m
-    # angle per (i, j, sample)
-    ang = np.zeros((m, n - m, lam_cols.shape[1]))
-    for (par, i, j, w) in spec.schedule:
-        ang[i - 1, j - m - 1] += w * lam_cols[par - 1]
+    ang = spec.angles(lam_batch)  # (m, n-m, B)
     to_ambient = spec.coordinate_matrix().T
-    chart = np.zeros((n, lam_cols.shape[1]))
-    for i in range(1, m + 1):
+    chart = np.empty((n, ang.shape[-1]))
+    for i in range(m):
         chart[:] = 0.0
-        chart[i - 1] = 1.0
-        for j in range(m + 1, n + 1):
-            beta = ang[i - 1, j - m - 1]
-            if np.any(beta):
-                _rotate_columns(chart, i - 1, j - 1, beta)
-        np.matmul(to_ambient, chart, out=out[i - 1])
+        chart[i] = 1.0
+        for j in range(m, n):
+            givens(chart, i, j, ang[i, j - m])
+        np.matmul(to_ambient, chart, out=out[i])
 
 
 def family_rows(spec: FamilySpec, lam_batch):
@@ -261,59 +250,43 @@ def _rows_and_derivs_chart(spec: FamilySpec, lam):
     """Chart-coordinate spanning rows at lam plus their derivatives with
     respect to each parameter: (rows (m, n), derivs (k, m, n)).
 
-    Derivative of an ordered rotation chain by the product rule; the slot
-    derivative zeroes all coordinates except (i, j), which it rotates by
-    the slot angle plus a quarter turn.
+    Derivative of an ordered rotation chain by the product rule: each slot
+    rotates the state and the derivatives accumulated so far, then adds
+    its own derivative, the weight times the slot's (i, j) components of
+    the rotated state turned a further quarter turn.
     """
     n, m, k = spec.n, spec.m, spec.k
     ang = spec.angles(lam)
-    # weight of parameter a on slot (i, j)
-    wt = np.zeros((k, m, n - m))
-    for (par, i, j, w) in spec.schedule:
-        wt[par - 1, i - 1, j - m - 1] += w
-    rows = np.eye(n)[:m].copy()
-    derivs = np.zeros((k, m, n))
-    for i in range(1, m + 1):
-        x = np.eye(n)[i - 1]
-        dx = np.zeros((k, n))
-        for j in range(m + 1, n + 1):
-            beta = ang[i - 1, j - m - 1]
-            c, s = np.cos(beta), np.sin(beta)
-            # slot derivative applied to the current state
-            slot = np.zeros(n)
-            slot[i - 1] = -s * x[i - 1] - c * x[j - 1]
-            slot[j - 1] = c * x[i - 1] - s * x[j - 1]
-            # rotate accumulated derivatives through this slot
-            di, dj = dx[:, i - 1].copy(), dx[:, j - 1].copy()
-            dx[:, i - 1] = c * di - s * dj
-            dx[:, j - 1] = s * di + c * dj
-            dx += wt[:, i - 1, j - m - 1][:, None] * slot[None, :]
-            # advance the state
-            xi, xj = x[i - 1], x[j - 1]
-            x = x.copy()
-            x[i - 1] = c * xi - s * xj
-            x[j - 1] = s * xi + c * xj
-        rows[i - 1] = x
-        derivs[:, i - 1, :] = dx
+    # weight of parameter a on slot (i, j): the angles are linear in lam
+    wt = spec.angles(np.eye(k))  # (m, n-m, k)
+    rows = np.empty((m, n))
+    derivs = np.empty((k, m, n))
+    for i in range(m):
+        # column 0 is the state, columns 1..k its parameter derivatives
+        x = np.zeros((n, k + 1))
+        x[i, 0] = 1.0
+        for j in range(m, n):
+            givens(x, i, j, ang[i, j - m])
+            w = wt[i, j - m]
+            x[i, 1:] -= w * x[j, 0]
+            x[j, 1:] += w * x[i, 0]
+        rows[i] = x[:, 0]
+        derivs[:, i] = x[:, 1:].T
     return rows, derivs
 
 
-def _projector_and_derivs(rows, derivs):
-    """Projector onto the span of `rows` and its derivatives given row
-    derivatives, via Pi = E (E^T E)^{-1} E^T."""
+def _projector_derivs(spec: FamilySpec, lam):
+    """Chart-coordinate spanning rows at lam, (m, n), and the parameter
+    derivatives of the projector E (E^T E)^{-1} E^T, E = rows^T: (k, n, n)."""
+    rows, derivs = _rows_and_derivs_chart(spec, lam)
     E = rows.T  # (n, m)
-    G = E.T @ E
-    Ginv = np.linalg.inv(G)
-    Epinv = Ginv @ E.T  # (m, n)
-    Pi = E @ Epinv
-    n = rows.shape[1]
-    I = np.eye(n)
+    Epinv = np.linalg.inv(E.T @ E) @ E.T  # (m, n)
+    I_minus_Pi = np.eye(spec.n) - E @ Epinv
     dPis = []
     for dR in derivs:
-        dE = dR.T
-        half = (I - Pi) @ dE @ Epinv
+        half = I_minus_Pi @ dR.T @ Epinv
         dPis.append(half + half.T)
-    return Pi, np.array(dPis)
+    return rows, np.array(dPis)
 
 
 @dataclass(frozen=True)
@@ -349,8 +322,7 @@ def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     lam0 = np.asarray(lam0, dtype=float)
     if not spec.contains(lam0):
         raise ValueError("site outside the family domain")
-    rows, derivs = _rows_and_derivs_chart(spec, lam0)
-    _, dPis = _projector_and_derivs(rows, derivs)
+    rows, dPis = _projector_derivs(spec, lam0)
     g = orthonormalize(rows)  # plane basis, chart coords
     Q = np.linalg.qr(g.T, mode="complete")[0]
     f = Q[:, spec.m:].T  # complement basis, chart coords
@@ -365,9 +337,7 @@ def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
 def projection_derivative_matrix(spec: FamilySpec, lam0, z):
     """The n x k matrix whose columns are d Pi_{V_lambda}(z) / d lambda_a
     at lam0, for an arbitrary ambient z (ambient coordinates)."""
-    lam0 = np.asarray(lam0, dtype=float)
-    rows, derivs = _rows_and_derivs_chart(spec, lam0)
-    _, dPis = _projector_and_derivs(rows, derivs)
+    _, dPis = _projector_derivs(spec, np.asarray(lam0, dtype=float))
     Bcoord = spec.coordinate_matrix()
     zeta = Bcoord @ np.asarray(z, dtype=float)
     cols = dPis @ zeta  # (k, n) in chart coords
@@ -495,7 +465,7 @@ class ExtendedFamily:
             coords[:] = 0.0
             coords[i] = 1.0
             for j in range(t):  # j: witness-direction index
-                _rotate_columns(coords, i, j, lam2_cols[a * t + j])
+                givens(coords, i, j, lam2_cols[a * t + j])
             np.matmul(self.ehat.T, coords, out=out[a])
 
     def rows(self, lam_batch):
@@ -565,8 +535,6 @@ def extended_plane_derivative_check(V_path, c, U: Frame,
     Returns the fitted log-log slope of the projection difference against
     |s - c|; pass means slope >= 1.9.
     """
-    from .grassmann import span_projector
-
     Vc = V_path(c)
     n = Vc.ambient_dim
     if U.ambient_dim != n:
@@ -692,11 +660,6 @@ def transversality_probe(rows_fn, k, lam0, R, w, deltas, samples,
     return {"deltas": deltas, "fractions": fractions,
             "exponent": float(slope), "intercept": float(intercept),
             "used": usable, "diagnostic": None}
-
-
-def family_rows_fn(spec: FamilySpec):
-    """Batched rows callable for transversality_probe."""
-    return lambda lam_batch: family_rows(spec, lam_batch)
 
 
 # ---------------------------------------------------------------------------

@@ -164,15 +164,23 @@ def product_embed(parts, N, seed) -> SampledMeasure:
 # Interchange formats
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header, rows):
+    """Write a CSV of numbers: the header line, then one line per row with
+    each cell written as repr(float(v)), which reads back as the same
+    float; a None cell is left empty."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(float(v))
+                              for v in row) + "\n")
+
+
 def save_csv(measure: SampledMeasure, path):
     """Canonical interchange format: header x_1..x_n, weight; repr-exact
     floats so a round trip preserves values."""
-    n = measure.ambient_dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x_{i + 1}" for i in range(n)] + ["weight"])
-        for p, w in zip(measure.points, measure.weights):
-            writer.writerow([repr(float(v)) for v in p] + [repr(float(w))])
+    header = [f"x_{i + 1}" for i in range(measure.ambient_dim)] + ["weight"]
+    write_csv(path, header, np.column_stack([measure.points,
+                                             measure.weights]))
 
 
 def load_csv(path, nominal_dim=float("nan"), spec=None) -> SampledMeasure:

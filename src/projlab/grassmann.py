@@ -67,12 +67,26 @@ def standard_frame(n, m):
 def complement(f: Frame) -> Frame:
     """Orthonormal frame of the orthogonal complement, from the unused
     columns of a full QR of basis^T."""
-    n = f.ambient_dim
     m = f.plane_dim
     Q, _ = np.linalg.qr(f.basis.T, mode="complete")
     comp = Q[:, m:].T
     # QR may flip orientation; irrelevant, rows are orthonormal by construction
     return Frame(comp)
+
+
+def givens(x, i, j, beta):
+    """Rotate coordinate i toward coordinate j by beta in place, 0-based;
+    x holds coordinates on axis 0 and any batch on the rest, and beta
+    broadcasts against x[i].  A zero angle leaves x as it is.  Every
+    rotation chain of the package is built from this update."""
+    if not np.any(beta):
+        return
+    c, s = np.cos(beta), np.sin(beta)
+    xi = c * x[i]
+    xi -= s * x[j]
+    x[j] *= c
+    x[j] += s * x[i]
+    x[i] = xi
 
 
 def rotate(x, i, j, beta):
@@ -81,11 +95,8 @@ def rotate(x, i, j, beta):
     """
     if i == j:
         raise ValueError("rotation needs two distinct coordinates")
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    c, s = np.cos(beta), np.sin(beta)
-    out[..., i - 1] = c * x[..., i - 1] - s * x[..., j - 1]
-    out[..., j - 1] = s * x[..., i - 1] + c * x[..., j - 1]
+    out = np.array(x, dtype=float)
+    givens(np.moveaxis(out, -1, 0), i - 1, j - 1, beta)
     return out
 
 
@@ -113,9 +124,9 @@ class ChartPoint:
             object.__setattr__(self, "comp", complement(self.base))
 
 
-def _coordinate_matrix(c: ChartPoint):
+def coordinate_matrix(c):
     """Rows = (base frame, complement frame): the working orthonormal
-    coordinate system of the chart."""
+    coordinate system of a chart point or a family."""
     return np.vstack([c.base.basis, c.comp.basis])
 
 
@@ -129,9 +140,9 @@ def chart_rows(c: ChartPoint):
     """
     m, n = c.base.plane_dim, c.base.ambient_dim
     rows = np.eye(n)[:m]
-    for i in range(1, m + 1):
-        for j in range(m + 1, n + 1):
-            rows[i - 1] = rotate(rows[i - 1], i, j, c.angles[i - 1, j - m - 1])
+    for i in range(m):
+        for j in range(m, n):
+            givens(rows[i], i, j, c.angles[i, j - m])
     return rows
 
 
@@ -141,7 +152,7 @@ def chart_point_frame(c: ChartPoint) -> Frame:
     The spanning rows are re-orthonormalized (span-preserving) so the
     result always satisfies the Frame invariants.
     """
-    B = _coordinate_matrix(c)
+    B = coordinate_matrix(c)
     rows = chart_rows(c) @ B
     return span_frame(rows)
 
@@ -169,7 +180,7 @@ def tangent_projection_derivative(c: ChartPoint, i, j, z):
     m, n = c.base.plane_dim, c.base.ambient_dim
     if not (1 <= i <= m and m + 1 <= j <= n):
         raise ValueError(f"slot ({i}, {j}) outside 1..{m} x {m + 1}..{n}")
-    B = _coordinate_matrix(c)
+    B = coordinate_matrix(c)
     zeta = B @ np.asarray(z, dtype=float)
     out = np.zeros(n)
     out[i - 1] = zeta[j - 1]

@@ -10,6 +10,7 @@ across reruns.
 import hashlib
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -19,15 +20,18 @@ from . import __version__
 from .dimest import box_counting_dim, correlation_dim, project_points
 from .family import (
     FamilySpec,
+    disjoint_slot_family,
     extend_family,
+    extended_plane_derivative_check,
     family_frame,
     family_from_dict,
-    family_rows_fn,
-    family_to_dict,
+    family_jacobian,
+    find_witness_subspace,
     load_family,
     nondegeneracy_check,
     p_of_l,
     p_oracle_dots,
+    projection_derivative_matrix,
     theorem_lower_bound,
     transversality_probe,
 )
@@ -38,8 +42,22 @@ from .fractal import (
     lebesgue_ball,
     line_cantor,
     product_embed,
+    write_csv,
 )
-from .grassmann import Frame, complement, projector, span_frame
+from .grassmann import (
+    ChartPoint,
+    Frame,
+    chart_point_frame,
+    chart_rows,
+    complement,
+    coordinate_matrix,
+    projector,
+    span_frame,
+    span_projector,
+    standard_frame,
+    tangent_projection_derivative,
+)
+from .multivec import cauchy_binet_norm, gram_norm, wedge_operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +84,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**d)
@@ -176,49 +193,56 @@ def lambda_grid(spec: FamilySpec, counts, margin=0.9):
 # Reports
 # ---------------------------------------------------------------------------
 
+ROW_FIELDS = ("est_dim", "bound", "margin", "fit_r2")  # after lambda_*
+
+
 @dataclass
 class ExperimentReport:
+    """The deterministic result of one run: one row per grid point (grid
+    modes) or per panel direction (transversality)."""
+
     mode: str
-    rows: list  # dicts with lambda, est_dim, bound, margin, fit_r2
+    rows: list  # grid rows (lambda, ROW_FIELDS) or panel directions
     summary: dict
     provenance: dict
-    fit_data: list = None  # optional per-row (scales, counts)
+    fit_data: list = None  # grid modes: each row's DimensionEstimate
     runtime_seconds: float = None  # excluded from the deterministic files
+    deltas: list = None  # transversality: the probed deltas, descending
 
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "rows": self.rows,
-            "summary": self.summary,
-            "provenance": self.provenance,
-        }
+    def to_json(self):
+        """Text of the deterministic report file."""
+        body = ({"deltas": self.deltas, "panel": self.rows}
+                if self.mode == "transversality" else {"rows": self.rows})
+        return json.dumps({"mode": self.mode, "summary": self.summary,
+                           "provenance": self.provenance, **body},
+                          indent=2, sort_keys=True)
 
     def save(self, outdir):
-        import os
-
+        """Write report.json, per-lambda.csv and fitdata/rowNNNN.csv (grid
+        order) for a grid mode, transversality.json and loglog.csv for
+        transversality, and run_meta.json, the one file with the runtime."""
         os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "report.json"), "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        k = len(self.rows[0]["lambda"]) if self.rows else 0
-        with open(os.path.join(outdir, "per-lambda.csv"), "w") as fh:
-            head = [f"lambda_{a + 1}" for a in range(k)]
-            fh.write(",".join(head + ["est_dim", "bound", "margin",
-                                      "fit_r2"]) + "\n")
-            for row in self.rows:
-                cells = [repr(v) for v in row["lambda"]]
-                cells += [repr(row["est_dim"]), repr(row["bound"]),
-                          repr(row["margin"]), repr(row["fit_r2"])]
-                fh.write(",".join(cells) + "\n")
-        if self.fit_data:
+        if self.mode == "transversality":
+            name = "transversality.json"
+            cols = [e.get("fractions") or [None] * len(self.deltas)
+                    for e in self.rows]
+            write_csv(os.path.join(outdir, "loglog.csv"),
+                      ["delta"] + [f"fraction_{i}" for i in range(len(cols))],
+                      zip(self.deltas, *cols))
+        else:
+            name = "report.json"
+            k = len(self.rows[0]["lambda"]) if self.rows else 0
+            write_csv(os.path.join(outdir, "per-lambda.csv"),
+                      [f"lambda_{a + 1}" for a in range(k)] + list(ROW_FIELDS),
+                      (row["lambda"] + [row[f] for f in ROW_FIELDS]
+                       for row in self.rows))
             fitdir = os.path.join(outdir, "fitdata")
-            os.makedirs(fitdir, exist_ok=True)
-            for idx, (scales, counts) in enumerate(self.fit_data):
-                with open(os.path.join(fitdir, f"row{idx:04d}.csv"),
-                          "w") as fh:
-                    fh.write("scale,count\n")
-                    for sc, ct in zip(scales, counts):
-                        fh.write(f"{sc!r},{ct!r}\n")
+            if self.fit_data:
+                os.makedirs(fitdir, exist_ok=True)
+            for idx, est in enumerate(self.fit_data or ()):
+                est.save_fit_csv(os.path.join(fitdir, f"row{idx:04d}.csv"))
+        with open(os.path.join(outdir, name), "w") as fh:
+            fh.write(self.to_json() + "\n")
         with open(os.path.join(outdir, "run_meta.json"), "w") as fh:
             json.dump({"runtime_seconds": self.runtime_seconds}, fh)
             fh.write("\n")
@@ -244,22 +268,13 @@ def _gate_nondegenerate(spec, lam_center, force):
     return check
 
 
-def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
-    """Project the measure over a parameter grid and compare estimated
-    dimensions against the theorem's lower-bound curve evaluated at the
-    generator's nominal dimension."""
-    check_config(cfg, "bound_check")
-    t0 = time.time()
-    spec = resolve_family(cfg.family)
-    center = np.zeros(spec.k)
-    gate = _gate_nondegenerate(spec, center, cfg.force)
-    measure = build_measure(cfg.measure, cfg.seed)
-    bound = theorem_lower_bound(spec.n, spec.m, spec.k, measure.nominal_dim)
-    grid = lambda_grid(spec, cfg.lambda_grid or (8,))
+def _grid_rows(cfg: ExperimentConfig, spec, measure, bound):
+    """Project the measure onto V_lambda at every grid point and estimate
+    its dimension: the report rows against `bound`, sorted by lambda, and
+    the estimates in grid order."""
     rows, fit_data = [], []
-    for idx, lam in enumerate(grid):
-        frame = family_frame(spec, lam)
-        projected = project_points(frame, measure)
+    for idx, lam in enumerate(lambda_grid(spec, cfg.lambda_grid or (8,))):
+        projected = project_points(family_frame(spec, lam), measure)
         est = _estimate(projected, cfg.estimator, cfg.seed ^ idx)
         rows.append({
             "lambda": [float(v) for v in lam],
@@ -268,8 +283,22 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
             "margin": float(est.value - bound),
             "fit_r2": float(est.r_squared),
         })
-        fit_data.append((est.scales, est.counts))
+        fit_data.append(est)
     rows.sort(key=lambda r: tuple(r["lambda"]))
+    return rows, fit_data
+
+
+def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
+    """Project the measure over a parameter grid and compare estimated
+    dimensions against the theorem's lower-bound curve evaluated at the
+    generator's nominal dimension."""
+    check_config(cfg, "bound_check")
+    t0 = time.time()
+    spec = resolve_family(cfg.family)
+    gate = _gate_nondegenerate(spec, np.zeros(spec.k), cfg.force)
+    measure = build_measure(cfg.measure, cfg.seed)
+    bound = theorem_lower_bound(spec.n, spec.m, spec.k, measure.nominal_dim)
+    rows, fit_data = _grid_rows(cfg, spec, measure, bound)
     violations = sum(r["est_dim"] < bound - cfg.tolerance for r in rows)
     summary = {
         "bound": float(bound),
@@ -287,8 +316,6 @@ def sharpness_family(n, m, k, l, p, radius=np.pi / 8) -> FamilySpec:
     """The rotation schedule of the sharpness construction: fill the first
     l rows over all columns, then the remaining rows restricted to the
     first n-m-p columns, one parameter per dot, column-major in the tail."""
-    from .grassmann import standard_frame
-
     slots = []
     for i in range(1, l + 1):
         for j in range(m + 1, n + 1):
@@ -341,21 +368,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     measure = sharpness_measure(n, l, p, s, cfg.level, cfg.sample_count,
                                 cfg.seed)
     target = l + s
-    grid = lambda_grid(spec, cfg.lambda_grid or (8,))
-    rows, fit_data = [], []
-    for idx, lam in enumerate(grid):
-        frame = family_frame(spec, lam)
-        projected = project_points(frame, measure)
-        est = _estimate(projected, cfg.estimator, cfg.seed ^ idx)
-        rows.append({
-            "lambda": [float(v) for v in lam],
-            "est_dim": float(est.value),
-            "bound": float(target),
-            "margin": float(est.value - target),
-            "fit_r2": float(est.r_squared),
-        })
-        fit_data.append((est.scales, est.counts))
-    rows.sort(key=lambda r: tuple(r["lambda"]))
+    rows, fit_data = _grid_rows(cfg, spec, measure, target)
     in_band = sum(abs(r["est_dim"] - target) <= cfg.tolerance for r in rows)
     summary = {
         "target": float(target),
@@ -370,7 +383,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
                             fit_data, time.time() - t0)
 
 
-def run_transversality(cfg: ExperimentConfig):
+def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit sublevel-volume exponents over a panel of kernel directions and
     compare with the target order r = l + 1 + p (or 1 for an unextended
     family at l = 0)."""
@@ -388,7 +401,7 @@ def run_transversality(cfg: ExperimentConfig):
         frame_at = ext.frame
     else:
         ext = None
-        rows_fn = family_rows_fn(spec)
+        rows_fn = spec.rows
         k_total = spec.k
         center = np.zeros(spec.k)
         radii = np.asarray(spec.radii)
@@ -402,8 +415,7 @@ def run_transversality(cfg: ExperimentConfig):
     while len(panel) < cfg.n_directions and tries < 10 * cfg.n_directions:
         tries += 1
         lam_star = center + (rng.random(k_total) - 0.5) * R
-        frame = frame_at(lam_star)
-        comp = complement(frame)
+        comp = complement(frame_at(lam_star))
         coeff = rng.standard_normal(comp.plane_dim)
         w = coeff @ comp.basis
         w /= np.linalg.norm(w)
@@ -411,17 +423,13 @@ def run_transversality(cfg: ExperimentConfig):
             rows_fn, k_total, center, R, w, deltas, cfg.mc_samples,
             seed=cfg.seed ^ len(panel),
         )
-        if probe["exponent"] is None:
-            panel.append({"w": [float(v) for v in w], "exponent": None,
-                          "diagnostic": probe["diagnostic"]})
-            continue
-        exponents.append(probe["exponent"])
-        panel.append({
-            "w": [float(v) for v in w],
-            "exponent": float(probe["exponent"]),
-            "fractions": [float(v) for v in probe["fractions"]],
-            "diagnostic": None,
-        })
+        entry = {"w": [float(v) for v in w], "exponent": None,
+                 "diagnostic": probe["diagnostic"]}
+        if probe["exponent"] is not None:
+            exponents.append(probe["exponent"])
+            entry["exponent"] = float(probe["exponent"])
+            entry["fractions"] = [float(v) for v in probe["fractions"]]
+        panel.append(entry)
     summary = {
         "target_order": int(target),
         "extended": ext is not None,
@@ -430,194 +438,222 @@ def run_transversality(cfg: ExperimentConfig):
         "max_exponent": float(np.max(exponents)) if exponents else None,
         "directions": len(panel),
     }
-    report = {
-        "mode": "transversality",
-        "deltas": [float(v) for v in deltas],
-        "panel": panel,
-        "summary": summary,
-        "provenance": _provenance(cfg),
-    }
-    return report, time.time() - t0
+    return ExperimentReport("transversality", panel, summary,
+                            _provenance(cfg),
+                            runtime_seconds=time.time() - t0,
+                            deltas=[float(v) for v in deltas])
 
 
 # ---------------------------------------------------------------------------
-# Verification suite
+# Property checks: each measures one claim at a given size and seed and
+# returns the numbers.  `projlab verify` and acceptance criteria 1-7 run
+# them at their own sizes and apply their own thresholds.
 # ---------------------------------------------------------------------------
 
-def _check_multivec_oracle():
-    from .multivec import cauchy_binet_norm, gram_norm, wedge_operator_norm
+def _nmkl_tuples(n_max):
+    """Every admissible (n, m, k, l) with n <= n_max."""
+    for n in range(2, n_max + 1):
+        for m in range(1, n):
+            for k in range(1, m * (n - m)):
+                for l in range(m):
+                    yield n, m, k, l
 
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(500):
-        n = int(rng.integers(2, 7))
+
+def p_dot_oracle_scan(n_max):
+    """Compare p(l) with the dot-filling oracle and with p(l-1) on every
+    tuple up to n_max.  Returns (tuples checked, the tuples where p(l)
+    differs from the oracle or is below p(l-1))."""
+    checked, failures = 0, []
+    for n, m, k, l in _nmkl_tuples(n_max):
+        p = p_of_l(n, m, k, l)
+        if p != p_oracle_dots(n, m, k, l) or (
+                l > 0 and p < p_of_l(n, m, k, l - 1)):
+            failures.append((n, m, k, l))
+        checked += 1
+    return checked, failures
+
+
+def parameter_bracket_scan(n_max):
+    """Check the parameter-count bracket lhs < k <= rhs on every tuple up
+    to n_max.  The strict lower bound is derived under p(l) < n-m, so a
+    clamped tuple (p = n-m) must have k <= l(n-m) instead.  Returns
+    (tuples with p < n-m, clamped tuples, failing tuples)."""
+    checked = clamped = 0
+    failures = []
+    for n, m, k, l in _nmkl_tuples(n_max):
+        p = p_of_l(n, m, k, l)
+        lhs = l * (n - m) + (n - m - p - 1) * (m - l)
+        rhs = l * (n - m) + (n - m - p) * (m - l)
+        if p < n - m:
+            checked += 1
+            ok = lhs < k <= rhs
+        else:
+            clamped += 1
+            ok = k <= rhs and k <= l * (n - m)
+        if not ok:
+            failures.append((n, m, k, l))
+    return checked, clamped, failures
+
+
+def multivec_oracle_gaps(count, seed):
+    """Largest relative gaps over `count` random integer matrices: (Gram
+    vs Cauchy-Binet wedge norm, top wedge norm vs |det| when square)."""
+    rng = np.random.default_rng(seed)
+    worst_gram = worst_det = 0.0
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
         r = int(rng.integers(1, n + 1))
         D = rng.integers(-3, 4, size=(r, n)).astype(float)
-        g, cb = gram_norm(D), cauchy_binet_norm(D)
-        worst = max(worst, abs(g - cb) / (1.0 + g))
+        g = gram_norm(D)
+        cb = cauchy_binet_norm(D)
+        worst_gram = max(worst_gram, abs(g - cb) / (1.0 + g))
         if r == n:
-            det = abs(np.linalg.det(D))
-            worst = max(worst, abs(wedge_operator_norm(D, n) - det)
-                        / (1.0 + det))
-    return worst <= 1e-9, f"max rel gap {worst:.2e}"
+            d = abs(np.linalg.det(D))
+            worst_det = max(worst_det,
+                            abs(wedge_operator_norm(D, n) - d) / (1.0 + d))
+    return worst_gram, worst_det
 
 
-def _check_derivative_order():
-    from .grassmann import (ChartPoint, chart_point_frame,
-                            tangent_projection_derivative)
-    from .grassmann import projector as proj
-
-    rng = np.random.default_rng(11)
-    orders = []
-    for _ in range(25):
-        n = int(rng.integers(3, 6))
+def tangent_derivative_order(count, seed):
+    """Smallest order, over `count` random charts, at which central
+    differences of a -> Pi_{V(a)} z converge to the analytic slot
+    derivative at a = 0 (chart coordinates); 2 when it is right."""
+    rng = np.random.default_rng(seed)
+    hs = np.array([1e-2, 1e-3, 1e-4])
+    worst = np.inf
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
         m = int(rng.integers(1, n))
         base = span_frame(rng.standard_normal((m, n)))
-        cp = ChartPoint(base, np.zeros((m, n - m)))
+        c0 = ChartPoint(base, np.zeros((m, n - m)))
+        B = coordinate_matrix(c0)
         i = int(rng.integers(1, m + 1))
         j = int(rng.integers(m + 1, n + 1))
         z = rng.standard_normal(n)
-        analytic = tangent_projection_derivative(cp, i, j, z)
-        hs = np.array([1e-2, 1e-3, 1e-4])
+        an = B @ tangent_projection_derivative(c0, i, j, z)
+        zeta = B @ z
         errs = []
         for h in hs:
-            ang = np.zeros((m, n - m))
-            ang[i - 1, j - m - 1] = h
-            Pp = proj(chart_point_frame(ChartPoint(base, ang, cp.comp)))
-            Pm = proj(chart_point_frame(ChartPoint(base, -ang, cp.comp)))
-            fd = (Pp - Pm) @ z / (2 * h)
-            errs.append(max(np.linalg.norm(fd - analytic), 1e-16))
-        orders.append(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    worst = min(orders)
-    return worst >= 1.9, f"min empirical order {worst:.3f}"
+            a = np.zeros((m, n - m))
+            a[i - 1, j - m - 1] = h
+            Pp = span_projector(chart_rows(ChartPoint(base, a, c0.comp)))
+            Pm = span_projector(chart_rows(ChartPoint(base, -a, c0.comp)))
+            fd = (Pp - Pm) @ zeta / (2 * h)
+            errs.append(np.linalg.norm(fd - an))
+        errs = np.maximum(errs, 1e-15)
+        worst = min(worst, np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    return worst
 
 
-def _check_p_enumeration():
-    for n in range(2, 9):
-        for m in range(1, n):
-            for k in range(1, m * (n - m)):
-                prev = -1
-                for l in range(m):
-                    p = p_of_l(n, m, k, l)
-                    if p != p_oracle_dots(n, m, k, l):
-                        return False, f"mismatch at {(n, m, k, l)}"
-                    if p < prev:
-                        return False, f"not nondecreasing at {(n, m, k, l)}"
-                    prev = p
-    return True, "exhaustive n <= 8"
-
-
-def _check_parameter_bracket():
-    # the bracket is derived under p(l) < n-m; with k <= l(n-m) the
-    # clamped p equals n-m and the strict lower bound is vacuous
-    for n in range(2, 9):
-        for m in range(1, n):
-            for k in range(1, m * (n - m)):
-                for l in range(m):
-                    p = p_of_l(n, m, k, l)
-                    lhs = l * (n - m) + (n - m - p - 1) * (m - l)
-                    rhs = l * (n - m) + (n - m - p) * (m - l)
-                    if not k <= rhs:
-                        return False, f"upper bound fails at {(n, m, k, l)}"
-                    if p < n - m and not lhs < k:
-                        return False, f"lower bound fails at {(n, m, k, l)}"
-    return True, "exhaustive n <= 8"
-
-
-def _check_wedge_monotonicity():
-    from .family import disjoint_slot_family, projection_derivative_matrix
-    from .multivec import wedge_operator_norm
-
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(3, 6))
-        m = int(rng.integers(1, n))
-        kmax = m * (n - m) - 1
-        if kmax < 1:
-            continue
-        k = int(rng.integers(1, kmax + 1))
-        spec = disjoint_slot_family(n, m, k)
-        lam = (rng.random(k) - 0.5) * 0.3
-        frame = family_frame(spec, lam)
-        P = projector(frame)
-        z = rng.standard_normal(n)
-        z2 = z - P @ z
-        r = int(rng.integers(1, min(m, k) + 1))
-        full = wedge_operator_norm(
-            projection_derivative_matrix(spec, lam, z), r)
-        part = wedge_operator_norm(
-            projection_derivative_matrix(spec, lam, z2), r)
-        worst = max(worst, part - full)
-    return worst <= 1e-9, f"max violation {worst:.2e}"
-
-
-def _check_extended_order():
-    from .family import extended_plane_derivative_check
-
-    rng = np.random.default_rng(303)
-    orders = []
-    for trial in range(8):
+def extended_projection_order(count, seed):
+    """Smallest `extended_plane_derivative_check` slope over `count`
+    random chart paths V_s and planes U inside V_0^perp; 2 when the
+    projections onto V_s and <V_s, U> agree to second order."""
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for trial in range(count):
         n = int(rng.integers(3, 6))
         m = int(rng.integers(1, n - 1))
-        p = int(rng.integers(1, n - m))
-        if m + p >= n:
-            p = n - m - 1
-        if p < 1:
-            continue
+        p = int(rng.integers(1, n - m))  # so m + p < n
         base = span_frame(rng.standard_normal((m, n)))
         comp = complement(base)
         direction = rng.standard_normal((m, n - m))
 
         def path(sv, base=base, comp=comp, direction=direction):
-            from .grassmann import ChartPoint, chart_point_frame
-
             ang = np.clip(sv * direction, -0.7, 0.7)
             return chart_point_frame(ChartPoint(base, ang, comp))
 
         U = Frame(comp.basis[:p])
-        if m + p >= n:
-            continue
-        try:
-            res = extended_plane_derivative_check(path, 0.0, U,
-                                                  seed=trial)
-        except ValueError:
-            continue
-        orders.append(res["order"])
-    worst = min(orders)
-    return worst >= 1.9, f"min slope {worst:.3f} over {len(orders)} paths"
+        res = extended_plane_derivative_check(path, 0.0, U, seed=trial)
+        worst = min(worst, res["order"])
+    return worst
+
+
+def wedge_split_margin(count, seed):
+    """Smallest margin |/\\^r D(z)| - |/\\^r D(z2)| over `count` random
+    families on a random base, where D(z) holds the projection
+    derivatives at a random site and z2 is the V^perp part of z; the
+    margin is never negative beyond round-off."""
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(count):
+        n = int(rng.integers(3, 6))
+        m = int(rng.integers(1, n))
+        k = int(rng.integers(1, m * (n - m)))  # n >= 3, so m(n-m) >= 2
+        base = span_frame(rng.standard_normal((m, n)))
+        spec = disjoint_slot_family(n, m, k, base=base)
+        lam0 = rng.uniform(-0.2, 0.2, size=k)
+        P = projector(family_frame(spec, lam0))
+        z = rng.standard_normal(n)
+        z2 = z - P @ z
+        r = int(rng.integers(1, min(k, m) + 1))
+        full = wedge_operator_norm(
+            projection_derivative_matrix(spec, lam0, z), r)
+        part = wedge_operator_norm(
+            projection_derivative_matrix(spec, lam0, z2), r)
+        worst = min(worst, full - part)
+    return worst
+
+
+def estimator_calibration(level, n_points, seed):
+    """Estimates of known dimensions: (box counting on the four-corner
+    Cantor set at `level`, 1; correlation on the middle-thirds Cantor
+    set, 0.63; box counting on `n_points` uniform points of a square, 2)."""
+    b = box_counting_dim(four_corner_cantor(level)).value
+    c = correlation_dim(line_cantor(np.log(2) / np.log(3), 10)).value
+    pts = np.random.default_rng(seed).random((n_points, 2))
+    sq = SampledMeasure(pts, np.full(n_points, 1.0 / n_points), 2.0, {})
+    u = box_counting_dim(sq).value
+    return b, c, u
+
+
+# ---------------------------------------------------------------------------
+# Verification suite: the property checks at small sizes
+# ---------------------------------------------------------------------------
+
+def _check_multivec_oracle():
+    worst = max(multivec_oracle_gaps(500, seed=101))
+    return worst <= 1e-9, f"max rel gap {worst:.2e}"
+
+
+def _check_derivative_order():
+    worst = tangent_derivative_order(25, seed=11)
+    return worst >= 1.9, f"min empirical order {worst:.3f}"
+
+
+def _check_p_enumeration():
+    bad = p_dot_oracle_scan(8)[-1]
+    return not bad, f"fails at {bad[0]}" if bad else "exhaustive n <= 8"
+
+
+def _check_parameter_bracket():
+    bad = parameter_bracket_scan(8)[-1]
+    return not bad, f"fails at {bad[0]}" if bad else "exhaustive n <= 8"
+
+
+def _check_wedge_monotonicity():
+    worst = wedge_split_margin(50, seed=202)
+    return worst >= -1e-9, f"min wedge-norm margin {worst:.2e}"
+
+
+def _check_extended_order():
+    worst = extended_projection_order(8, seed=303)
+    return worst >= 1.9, f"min slope {worst:.3f} over 8 paths"
 
 
 def _check_estimators():
-    rng = np.random.default_rng(404)
-    fc = four_corner_cantor(7)
-    b = box_counting_dim(fc).value
-    if not 0.9 <= b <= 1.1:
-        return False, f"four-corner box {b:.3f}"
-    lc = line_cantor(np.log(2) / np.log(3), 10)
-    c = correlation_dim(lc).value
-    if not 0.58 <= c <= 0.68:
-        return False, f"line-Cantor correlation {c:.3f}"
-    pts = rng.random((50_000, 2))
-    sq = SampledMeasure(pts, np.full(50_000, 1.0 / 50_000), 2.0,
-                        {"variant": "uniform_square"})
-    u = box_counting_dim(sq).value
-    if not 1.9 <= u <= 2.1:
-        return False, f"uniform square box {u:.3f}"
-    return True, f"box {b:.3f}/{u:.3f}, corr {c:.3f}"
+    b, c, u = estimator_calibration(7, 50_000, seed=404)
+    ok = 0.9 <= b <= 1.1 and 0.58 <= c <= 0.68 and 1.9 <= u <= 2.1
+    return ok, f"box {b:.3f}/{u:.3f}, corr {c:.3f}"
 
 
 def _check_extension_inequality():
     """Key inequality of the extension: wedge volumes of the extended
     Jacobian on witness vectors clear the d'/sqrt(t)^p margin."""
-    from .family import disjoint_slot_family, find_witness_subspace
-    from .multivec import wedge_operator_norm
-    from .family import family_jacobian as fj
-
     spec = disjoint_slot_family(4, 2, 3)
     lam0 = np.zeros(3)
     ext = extend_family(spec, lam0, l=1, seed=0)
-    J = fj(spec, lam0)
+    J = family_jacobian(spec, lam0)
     found = find_witness_subspace(J, ext.t, ext.l, seed=0)
     dprime = found["d_prime_hat"]
     margin = dprime / np.sqrt(ext.t) ** ext.p
@@ -634,8 +670,6 @@ def _check_extension_inequality():
         for a in range(ext.k_total):
             e = np.zeros(ext.k_total)
             e[a] = h
-            from .grassmann import span_projector
-
             Pp = span_projector(ext.rows((center + e)[None, :])[0])
             Pm = span_projector(ext.rows((center - e)[None, :])[0])
             cols.append((Pp - Pm) @ z / (2 * h))

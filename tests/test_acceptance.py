@@ -1,8 +1,10 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 single PASS/FAIL line.
 
-The heavy experiment modes (criteria 8-10) run twice inside module-scoped
-fixtures; criterion 11 compares the two runs' report files byte for byte.
+Criteria 1-7 run the property checks of `projlab.lab` at full size (the
+`projlab verify` suite runs the same checks smaller).  The heavy
+experiment modes (criteria 8-10) run twice inside module-scoped fixtures;
+criterion 11 compares the two runs' report files byte for byte.
 """
 
 import json
@@ -11,37 +13,19 @@ import time
 import numpy as np
 import pytest
 
-from projlab.dimest import box_counting_dim, correlation_dim
-from projlab.family import (
-    disjoint_slot_family,
-    extended_plane_derivative_check,
-    family_jacobian,
-    family_rows,
-    p_of_l,
-    p_oracle_dots,
-    save_family,
-)
-from projlab.fractal import SampledMeasure, four_corner_cantor, line_cantor
-from projlab.grassmann import (
-    ChartPoint,
-    Frame,
-    chart_point_frame,
-    chart_rows,
-    complement,
-    span_frame,
-    span_projector,
-    tangent_projection_derivative,
-)
+from projlab.family import disjoint_slot_family, save_family
 from projlab.lab import (
     ExperimentConfig,
+    estimator_calibration,
+    extended_projection_order,
+    multivec_oracle_gaps,
+    p_dot_oracle_scan,
+    parameter_bracket_scan,
     run_bound_check,
     run_sharpness,
     run_transversality,
-)
-from projlab.multivec import (
-    cauchy_binet_norm,
-    gram_norm,
-    wedge_operator_norm,
+    tangent_derivative_order,
+    wedge_split_margin,
 )
 
 
@@ -50,24 +34,12 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _full_range():
-    for n in range(2, 9):
-        for m in range(1, n):
-            for k in range(1, m * (n - m)):
-                for l in range(m):
-                    yield n, m, k, l
-
-
 # --- criterion 1: p(l) vs the dot-filling oracle ---------------------------
 
 def test_criterion_01_p_correctness():
     t0 = time.time()
-    checked = 0
-    for n, m, k, l in _full_range():
-        assert p_of_l(n, m, k, l) == p_oracle_dots(n, m, k, l), (n, m, k, l)
-        if l > 0:
-            assert p_of_l(n, m, k, l) >= p_of_l(n, m, k, l - 1)
-        checked += 1
+    checked, failures = p_dot_oracle_scan(8)
+    assert not failures, failures
     elapsed = time.time() - t0
     _report(1, elapsed < 1.0,
             f"{checked} tuples agree with the dot oracle, nondecreasing "
@@ -77,23 +49,11 @@ def test_criterion_01_p_correctness():
 # --- criterion 2: parameter-count bracket ----------------------------------
 
 def test_criterion_02_parameter_bracket_scan():
-    # The upper bound holds for every tuple.  The strict lower bound is a
-    # consequence of the standing hypothesis p < n-m; when k <= l(n-m) the
-    # clamp forces p = n-m and the literal lower bound fails, so those
-    # tuples are checked to be exactly the clamped ones and excluded.
+    # the upper bound on every tuple, the strict lower bound where p < n-m,
+    # and k <= l(n-m) on the clamped tuples (p = n-m)
     t0 = time.time()
-    checked = excluded = 0
-    for n, m, k, l in _full_range():
-        p = p_of_l(n, m, k, l)
-        lhs = l * (n - m) + (n - m - p - 1) * (m - l)
-        rhs = l * (n - m) + (n - m - p) * (m - l)
-        assert k <= rhs, (n, m, k, l)
-        if p < n - m:
-            assert lhs < k, (n, m, k, l)
-            checked += 1
-        else:
-            assert k <= l * (n - m), (n, m, k, l)
-            excluded += 1
+    checked, excluded, failures = parameter_bracket_scan(8)
+    assert not failures, failures
     elapsed = time.time() - t0
     _report(2, elapsed < 1.0,
             f"bracket exact on {checked} tuples with p < n-m; "
@@ -105,19 +65,7 @@ def test_criterion_02_parameter_bracket_scan():
 
 def test_criterion_03_multivec_oracle():
     t0 = time.time()
-    rng = np.random.default_rng(2024)
-    worst_gram = worst_det = 0.0
-    for _ in range(10_000):
-        n = int(rng.integers(1, 7))
-        r = int(rng.integers(1, n + 1))
-        D = rng.integers(-3, 4, size=(r, n)).astype(float)
-        g = gram_norm(D)
-        cb = cauchy_binet_norm(D)
-        worst_gram = max(worst_gram, abs(g - cb) / (1.0 + g))
-        if r == n:
-            d = abs(np.linalg.det(D))
-            worst_det = max(worst_det,
-                            abs(wedge_operator_norm(D, n) - d) / (1.0 + d))
+    worst_gram, worst_det = multivec_oracle_gaps(10_000, seed=2024)
     elapsed = time.time() - t0
     ok = worst_gram <= 1e-9 and worst_det <= 1e-9 and elapsed < 10.0
     _report(3, ok,
@@ -129,31 +77,7 @@ def test_criterion_03_multivec_oracle():
 
 def test_criterion_04_derivative_order():
     t0 = time.time()
-    rng = np.random.default_rng(77)
-    hs = np.array([1e-2, 1e-3, 1e-4])
-    worst = np.inf
-    for _ in range(100):
-        n = int(rng.integers(3, 7))
-        m = int(rng.integers(1, n))
-        base = span_frame(rng.standard_normal((m, n)))
-        c0 = ChartPoint(base, np.zeros((m, n - m)))
-        B = np.vstack([c0.base.basis, c0.comp.basis])
-        i = int(rng.integers(1, m + 1))
-        j = int(rng.integers(m + 1, n + 1))
-        z = rng.standard_normal(n)
-        an = B @ tangent_projection_derivative(c0, i, j, z)
-        zeta = B @ z
-        errs = []
-        for h in hs:
-            a = np.zeros((m, n - m))
-            a[i - 1, j - m - 1] = h
-            Pp = span_projector(chart_rows(ChartPoint(base, a, c0.comp)))
-            Pm = span_projector(chart_rows(ChartPoint(base, -a, c0.comp)))
-            fd = (Pp - Pm) @ zeta / (2 * h)
-            errs.append(np.linalg.norm(fd - an))
-        errs = np.maximum(errs, 1e-15)
-        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        worst = min(worst, slope)
+    worst = tangent_derivative_order(100, seed=77)
     elapsed = time.time() - t0
     ok = worst >= 1.9 and elapsed < 5.0
     _report(4, ok,
@@ -165,27 +89,7 @@ def test_criterion_04_derivative_order():
 
 def test_criterion_05_extended_projection_order():
     t0 = time.time()
-    rng = np.random.default_rng(303)
-    orders = []
-    while len(orders) < 20:
-        n = int(rng.integers(3, 6))
-        m = int(rng.integers(1, n - 1))
-        p = int(rng.integers(1, n - m))
-        if m + p >= n:
-            continue
-        base = span_frame(rng.standard_normal((m, n)))
-        comp = complement(base)
-        direction = rng.standard_normal((m, n - m))
-
-        def path(sv, base=base, comp=comp, direction=direction):
-            ang = np.clip(sv * direction, -0.7, 0.7)
-            return chart_point_frame(ChartPoint(base, ang, comp))
-
-        U = Frame(comp.basis[:p])
-        res = extended_plane_derivative_check(path, 0.0, U,
-                                              seed=len(orders))
-        orders.append(res["order"])
-    worst = min(orders)
+    worst = extended_projection_order(20, seed=303)
     elapsed = time.time() - t0
     ok = worst >= 1.9 and elapsed < 5.0
     _report(5, ok,
@@ -196,37 +100,8 @@ def test_criterion_05_extended_projection_order():
 # --- criterion 6: wedge norm can only grow under perpendicular splits ------
 
 def test_criterion_06_wedge_split_inequality():
-    # The derivative columns split into a part inside V (from the V^perp
-    # component z2 of z) and a part inside V^perp (from z1 = z - z2); the
-    # orthogonality makes every wedge norm of the sum dominate that of the
-    # z2 part alone.
-    from projlab.family import projection_derivative_matrix
-    from projlab.grassmann import projector
-    from projlab.family import family_frame
-
     t0 = time.time()
-    rng = np.random.default_rng(555)
-    worst = np.inf
-    for _ in range(100):
-        n = int(rng.integers(3, 6))
-        m = int(rng.integers(1, n))
-        kmax = m * (n - m)
-        if kmax < 2:
-            continue
-        k = int(rng.integers(1, kmax))
-        base = span_frame(rng.standard_normal((m, n)))
-        spec = disjoint_slot_family(n, m, k, base=base)
-        lam0 = rng.uniform(-0.2, 0.2, size=k)
-        frame = family_frame(spec, lam0)
-        P = projector(frame)
-        z = rng.standard_normal(n)
-        z2 = z - P @ z
-        r = int(rng.integers(1, min(k, m) + 1))
-        full = wedge_operator_norm(
-            projection_derivative_matrix(spec, lam0, z), r)
-        part = wedge_operator_norm(
-            projection_derivative_matrix(spec, lam0, z2), r)
-        worst = min(worst, full - part)
+    worst = wedge_split_margin(100, seed=555)
     elapsed = time.time() - t0
     ok = worst >= -1e-9 and elapsed < 10.0
     _report(6, ok,
@@ -238,12 +113,7 @@ def test_criterion_06_wedge_split_inequality():
 
 def test_criterion_07_estimator_calibration():
     t0 = time.time()
-    b = box_counting_dim(four_corner_cantor(8)).value
-    c = correlation_dim(line_cantor(np.log(2) / np.log(3), 10)).value
-    rng = np.random.default_rng(9)
-    pts = rng.random((100_000, 2))
-    sq = SampledMeasure(pts, np.full(100_000, 1e-5), 2.0, {})
-    u = box_counting_dim(sq).value
+    b, c, u = estimator_calibration(8, 100_000, seed=9)
     elapsed = time.time() - t0
     ok = (0.9 <= b <= 1.1 and 0.58 <= c <= 0.68 and 1.9 <= u <= 2.1
           and elapsed < 60.0)
@@ -280,11 +150,10 @@ def transversality_runs(workdir):
                 mc_samples=1_000_000,
                 n_directions=8,
             )
-            report, _ = run_transversality(cfg)
-            path = workdir / f"transversality_{name}_{tag}.json"
-            path.write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n")
-            out[name] = (report, path)
+            report = run_transversality(cfg)
+            outdir = workdir / f"transversality_{name}_{tag}"
+            report.save(outdir)
+            out[name] = (report, outdir / "transversality.json")
         outs.append(out)
     return outs
 
@@ -339,8 +208,8 @@ def sharpness_runs(workdir):
 def test_criterion_08_transversality_exponents(transversality_runs):
     base_report = transversality_runs[0]["base"][0]
     ext_report = transversality_runs[0]["ext"][0]
-    r_base = base_report["summary"]["median_exponent"]
-    r_ext = ext_report["summary"]["median_exponent"]
+    r_base = base_report.summary["median_exponent"]
+    r_ext = ext_report.summary["median_exponent"]
     ok = (r_base is not None and 0.85 <= r_base <= 1.15
           and r_ext is not None and 2.6 <= r_ext <= 3.4)
     _report(8, ok,

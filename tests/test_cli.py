@@ -68,6 +68,8 @@ def test_transversality_writes_artifacts(tmp_path, fam_path, capsys):
                                                                  abs=0.2)
     header = (out / "loglog.csv").read_text().splitlines()[0]
     assert header.startswith("delta,fraction_0")
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["runtime_seconds"] >= 0.0
 
 
 @pytest.mark.parametrize("flags, needs", [
@@ -76,6 +78,8 @@ def test_transversality_writes_artifacts(tmp_path, fam_path, capsys):
     (["--directions", "0"], "'n_directions'"),
     (["--deltas", "0.1,0,0.01"], "'deltas'"),
     (["--deltas", "-0.1"], "'deltas'"),
+    (["--l", "1"], "--l requires --extend"),
+    (["--deltas", "0.1,abc"], "--deltas"),
 ])
 def test_transversality_rejects_bad_arguments(tmp_path, capsys, flags,
                                              needs):

@@ -171,6 +171,8 @@ def test_estimate_serialization(tmp_path):
     est.save_fit_csv(path)
     rows = path.read_text().strip().splitlines()
     assert len(rows) == len(est.scales) + 1  # header + one row per scale
+    cells = [[float(c) for c in row.split(",")] for row in rows[1:]]
+    assert cells == [[s, c] for s, c in zip(est.scales, est.counts)]
 
 
 def test_box_counting_rejects_short_scale_list():

@@ -9,6 +9,7 @@ from projlab.family import (
     SUBLEVEL_BATCH,
     FamilySpec,
     _projection_norms,
+    _rows_and_derivs_chart,
     _sublevel_fractions,
     bound_table,
     bracket_ceil,
@@ -19,7 +20,6 @@ from projlab.family import (
     family_jacobian,
     family_frame,
     family_rows,
-    family_rows_fn,
     family_to_dict,
     find_witness_subspace,
     load_family,
@@ -352,7 +352,7 @@ def test_transversality_probe_known_exponent():
     spec = disjoint_slot_family(3, 2, 1)
     w = np.array([0.0, 0.0, 1.0])  # complement vector at lam = 0
     deltas = np.geomspace(1e-3, 1e-1, 8)
-    res = transversality_probe(family_rows_fn(spec), 1, np.zeros(1),
+    res = transversality_probe(spec.rows, 1, np.zeros(1),
                                0.3, w, deltas, samples=200_000, seed=0)
     assert res["exponent"] is not None
     assert res["exponent"] == pytest.approx(1.0, abs=0.1)
@@ -363,7 +363,7 @@ def test_transversality_probe_never_small():
     spec = disjoint_slot_family(4, 2, 1)
     w = np.array([0.0, 1.0, 0.0, 0.0])  # e2 is fixed by slot (1, 3)
     deltas = np.geomspace(1e-4, 1e-2, 6)
-    res = transversality_probe(family_rows_fn(spec), 1, np.zeros(1),
+    res = transversality_probe(spec.rows, 1, np.zeros(1),
                                0.2, w, deltas, samples=20_000, seed=0)
     assert res["exponent"] is None
     assert res["diagnostic"] == "direction never near kernel"
@@ -373,9 +373,9 @@ def test_transversality_probe_deterministic():
     spec = disjoint_slot_family(3, 2, 1)
     w = np.array([0.0, 0.0, 1.0])
     deltas = np.geomspace(1e-3, 1e-1, 6)
-    a = transversality_probe(family_rows_fn(spec), 1, np.zeros(1),
+    a = transversality_probe(spec.rows, 1, np.zeros(1),
                              0.3, w, deltas, samples=50_000, seed=7)
-    b = transversality_probe(family_rows_fn(spec), 1, np.zeros(1),
+    b = transversality_probe(spec.rows, 1, np.zeros(1),
                              0.3, w, deltas, samples=50_000, seed=7)
     assert np.array_equal(a["fractions"], b["fractions"])
     assert a["exponent"] == b["exponent"]
@@ -609,6 +609,78 @@ def test_extended_rows_equal_sample_major_construction_p2():
     rng = np.random.default_rng(9)
     lam = ext.center() + rng.uniform(-0.1, 0.1, size=(999, ext.k_total))
     assert np.array_equal(ext.rows(lam), _ref_extended_rows(ext, lam))
+
+
+# --- chart rows and parameter derivatives against the pre-merge chain ------
+
+def _ref_rows_and_derivs_chart(spec, lam):
+    """The product-rule chain as written before every rotation chain used
+    `grassmann.givens`: explicit rotation formulas for the state and the
+    derivatives, the slot derivative taken from the state before the
+    rotation, every slot rotated even at angle zero."""
+    n, m, k = spec.n, spec.m, spec.k
+    ang = np.zeros((m, n - m))
+    wt = np.zeros((k, m, n - m))
+    for (par, i, j, w) in spec.schedule:
+        ang[i - 1, j - m - 1] += w * lam[par - 1]
+        wt[par - 1, i - 1, j - m - 1] += w
+    rows = np.eye(n)[:m].copy()
+    derivs = np.zeros((k, m, n))
+    for i in range(1, m + 1):
+        x = np.eye(n)[i - 1]
+        dx = np.zeros((k, n))
+        for j in range(m + 1, n + 1):
+            beta = ang[i - 1, j - m - 1]
+            c, s = np.cos(beta), np.sin(beta)
+            slot = np.zeros(n)
+            slot[i - 1] = -s * x[i - 1] - c * x[j - 1]
+            slot[j - 1] = c * x[i - 1] - s * x[j - 1]
+            di, dj = dx[:, i - 1].copy(), dx[:, j - 1].copy()
+            dx[:, i - 1] = c * di - s * dj
+            dx[:, j - 1] = s * di + c * dj
+            dx += wt[:, i - 1, j - m - 1][:, None] * slot[None, :]
+            xi, xj = x[i - 1], x[j - 1]
+            x = x.copy()
+            x[i - 1] = c * xi - s * xj
+            x[j - 1] = s * xi + c * xj
+        rows[i - 1] = x
+        derivs[:, i - 1, :] = dx
+    return rows, derivs
+
+
+def _random_family(rng):
+    """A family on a random base: each row rotates toward one to three
+    complement directions, each slot driven by a random parameter with a
+    random weight, and a second parameter on one slot when k > 1."""
+    n = int(rng.integers(3, 7))
+    m = int(rng.integers(1, n))
+    k = int(rng.integers(1, m * (n - m)))
+    schedule = []
+    for i in range(1, m + 1):
+        cols = rng.choice(np.arange(m + 1, n + 1), replace=False,
+                          size=min(int(rng.integers(1, 4)), n - m))
+        for j in cols:
+            schedule.append((int(rng.integers(1, k + 1)), i, int(j),
+                             float(rng.uniform(-2.0, 2.0))))
+    if k > 1:
+        par, i, j, _ = schedule[0]
+        schedule.append((par % k + 1, i, j, float(rng.uniform(-2.0, 2.0))))
+    base = span_frame(rng.standard_normal((m, n)))
+    return FamilySpec(n, m, k, base, tuple(schedule), (0.3,) * k)
+
+
+def test_rows_and_derivs_equal_pre_merge_chain():
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        spec = _random_family(rng)
+        if trial % 3 == 0:
+            lam = np.zeros(spec.k)
+        else:
+            lam = rng.uniform(-0.25, 0.25, size=spec.k)
+        rows, derivs = _rows_and_derivs_chart(spec, lam)
+        ref_rows, ref_derivs = _ref_rows_and_derivs_chart(spec, lam)
+        assert np.array_equal(rows, ref_rows), spec
+        assert np.array_equal(derivs, ref_derivs), spec
 
 
 # --- serialization ---------------------------------------------------------

@@ -147,3 +147,45 @@ def test_subspace_distance_symmetry_and_triangle():
     dab = subspace_distance(a, b)
     assert dab == pytest.approx(subspace_distance(b, a), abs=1e-10)
     assert dab <= subspace_distance(a, c) + subspace_distance(c, b) + 1e-10
+
+
+# --- rotate and chart_rows against the pre-merge formulas -------------------
+
+def _ref_rotate(x, i, j, beta):
+    """rotate as written before it used `grassmann.givens`."""
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    c, s = np.cos(beta), np.sin(beta)
+    out[..., i - 1] = c * x[..., i - 1] - s * x[..., j - 1]
+    out[..., j - 1] = s * x[..., i - 1] + c * x[..., j - 1]
+    return out
+
+
+def _ref_chart_rows(c):
+    m, n = c.base.plane_dim, c.base.ambient_dim
+    rows = np.eye(n)[:m]
+    for i in range(1, m + 1):
+        for j in range(m + 1, n + 1):
+            rows[i - 1] = _ref_rotate(rows[i - 1], i, j,
+                                      c.angles[i - 1, j - m - 1])
+    return rows
+
+
+def test_rotate_and_chart_rows_equal_pre_merge_formulas():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n))
+        a = rng.uniform(-0.7, 0.7, size=(m, n - m))
+        a[rng.random((m, n - m)) < 0.3] = 0.0  # zero angles are skipped
+        c = ChartPoint(span_frame(rng.standard_normal((m, n))), a)
+        assert np.array_equal(chart_rows(c), _ref_chart_rows(c))
+        x = rng.standard_normal((4, n))
+        i, j = (int(v) for v in rng.choice(np.arange(1, n + 1), 2,
+                                            replace=False))
+        beta = rng.uniform(-np.pi, np.pi, size=4)
+        beta[0] = 0.0
+        assert np.array_equal(rotate(x, i, j, beta),
+                              _ref_rotate(x, i, j, beta))
+        assert np.array_equal(rotate(x[1], i, j, beta[1]),
+                              _ref_rotate(x[1], i, j, beta[1]))

@@ -100,6 +100,11 @@ def test_report_save_layout_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     fits = sorted(os.listdir(out1 / "fitdata"))
     assert fits == [f"row{i:04d}.csv" for i in range(4)]
+    for name in fits:
+        lines = (out1 / "fitdata" / name).read_text().splitlines()
+        assert lines[0] == "scale,count"
+        for line in lines[1:]:
+            assert [float(cell) for cell in line.split(",")]
     rep = json.loads((out1 / "report.json").read_text())
     assert "runtime_seconds" not in json.dumps(rep)
     meta = json.loads((out1 / "run_meta.json").read_text())
@@ -157,12 +162,12 @@ def test_run_transversality_base_family(tmp_path):
         deltas=tuple(np.geomspace(1e-3, 0.2, 8)),
         mc_samples=60_000, n_directions=3,
     )
-    report, runtime = run_transversality(cfg)
-    assert report["summary"]["target_order"] == 1
-    assert not report["summary"]["extended"]
-    med = report["summary"]["median_exponent"]
+    report = run_transversality(cfg)
+    assert report.summary["target_order"] == 1
+    assert not report.summary["extended"]
+    med = report.summary["median_exponent"]
     assert med == pytest.approx(1.0, abs=0.15)
-    assert runtime >= 0.0
+    assert report.runtime_seconds >= 0.0
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
