@@ -15,7 +15,6 @@ for n, m, k in [(3, 2, 1), (4, 2, 3), (5, 3, 4), (6, 2, 7)]:
     tab = bound_table(n, m, k)
     print(f"\n(n, m, k) = ({n}, {m}, {k})")
     print(f"  p(l) for l = 0..{m - 1}: {tab.p_values}")
-    print(f"  breakpoints of the curve: {tab.breakpoints}")
     print(f"  saturation threshold: d > {tab.ac_threshold} gives bound {m}")
     ds = np.linspace(0.0, n, 2 * n + 1)
     vals = [theorem_lower_bound(n, m, k, float(d)) for d in ds]

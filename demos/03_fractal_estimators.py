@@ -3,8 +3,7 @@
 Three generators with known dimensions (four-corner Cantor set, a Cantor
 measure on a line with adjustable dimension, Lebesgue measure on a ball)
 are fed to the box-counting and correlation estimators to show the
-calibration, plus the truncated-energy diagnostic that brackets the
-dimension from below.
+calibration.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import numpy as np
 from projlab import (
     box_counting_dim,
     correlation_dim,
-    energy_diagnostic,
     four_corner_cantor,
     lebesgue_ball,
     line_cantor,
@@ -35,13 +33,3 @@ ball = lebesgue_ball(2, 60_000, seed=1)
 est = box_counting_dim(ball)
 print(f"uniform disc (box)             2.000    {est.value:7.3f}   "
       f"{est.r_squared:.4f}")
-
-# the t-energy of a d-dimensional measure is finite for t < d and
-# divergent for t > d; the refinement trend detects which side t is on
-print("\nt-energy trend for the middle-thirds Cantor measure "
-      f"(dim {s:.3f}):")
-for t in (0.3, 0.5, 0.8, 0.95):
-    res = energy_diagnostic(lc, t)
-    trend = "finite" if res["finite_trend"] else "divergent"
-    print(f"  t = {t:.2f}: {trend:9s}  annulus ratios "
-          + ", ".join(f"{r:.2f}" for r in res["ratios"]))

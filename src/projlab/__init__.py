@@ -7,7 +7,6 @@ from .dimest import (
     DimensionEstimate,
     box_counting_dim,
     correlation_dim,
-    energy_diagnostic,
     project_points,
 )
 from .family import (
@@ -19,7 +18,6 @@ from .family import (
     bracket_ceil,
     disjoint_slot_family,
     extend_family,
-    extended_plane_derivative_check,
     family_frame,
     family_jacobian,
     family_rows,
@@ -40,11 +38,7 @@ from .fractal import (
     four_corner_cantor,
     lebesgue_ball,
     line_cantor,
-    load_binary,
-    load_csv,
     product_embed,
-    save_binary,
-    save_csv,
 )
 from .grassmann import (
     ChartPoint,
@@ -53,11 +47,9 @@ from .grassmann import (
     chart_rows,
     complement,
     projector,
-    rotate,
     span_frame,
     span_projector,
     standard_frame,
-    subspace_distance,
     tangent_projection_derivative,
 )
 from .lab import (
@@ -65,6 +57,7 @@ from .lab import (
     ExperimentConfig,
     ExperimentReport,
     build_measure,
+    extended_plane_derivative_check,
     lambda_grid,
     run_bound_check,
     run_sharpness,
@@ -76,6 +69,5 @@ from .lab import (
 from .multivec import (
     cauchy_binet_norm,
     gram_norm,
-    perp_factor_check,
     wedge_operator_norm,
 )

@@ -1,6 +1,6 @@
 """Dimension estimators for weighted point clouds: box counting with
-scaling-window selection, Grassberger-Procaccia style correlation
-dimension, and a truncated-energy finiteness diagnostic.
+scaling-window selection and Grassberger-Procaccia style correlation
+dimension.
 
 Both estimators work in intrinsic coordinates (weighted PCA with
 near-zero variance directions dropped), which makes them invariant under
@@ -18,6 +18,10 @@ from .fractal import SampledMeasure, write_csv
 from .grassmann import Frame, projector
 
 DISTANCE_FLOOR = 1e-12
+# a fit window spans at least MIN_WINDOW scales and never touches the
+# NOISE_SCALES finest ones, which sit at the sampling-noise floor
+MIN_WINDOW = 5
+NOISE_SCALES = 2
 
 
 @dataclass(frozen=True)
@@ -89,24 +93,33 @@ def _linfit(x, y):
     return slope, r, stderr
 
 
-def _best_window(x, y, min_len=5, skip_top=2):
+def _best_window(x, y):
     """Sliding-window fit of y against x: the contiguous window of at
-    least min_len points with the highest r^2, never touching the
-    skip_top points of largest x (the sampling-noise floor).
+    least MIN_WINDOW points with the highest r^2, never touching the last
+    NOISE_SCALES points; both estimators order their scales coarse to
+    fine.
 
     Returns (r2, lo, hi, slope, stderr)."""
-    n = len(x) - skip_top
-    if n < min_len:
-        raise ValueError(f"need ≥ {min_len + skip_top} usable scales, "
-                         f"got {len(x)}")
+    n = len(x) - NOISE_SCALES
+    if n < MIN_WINDOW:
+        raise ValueError(f"need ≥ {MIN_WINDOW + NOISE_SCALES} usable "
+                         f"scales, got {len(x)}")
     best = None
-    for lo in range(0, n - min_len + 1):
-        for hi in range(lo + min_len, n + 1):
+    for lo in range(0, n - MIN_WINDOW + 1):
+        for hi in range(lo + MIN_WINDOW, n + 1):
             slope, r, stderr = _linfit(x[lo:hi], y[lo:hi])
             r2 = r ** 2
             if best is None or r2 > best[0]:
                 best = (r2, lo, hi, slope, stderr)
     return best
+
+
+def _zero_estimate(method, count, warning, scales=(), values=()):
+    """The 0.0 estimate of a cloud without a scaling range; warning says
+    why."""
+    return DimensionEstimate(0.0, method, (0.0, 0.0), 0.0, 1.0, count,
+                             np.asarray(scales, dtype=float),
+                             np.asarray(values, dtype=float), warning)
 
 
 def _window_estimate(method, count, scales, values, good, x):
@@ -120,10 +133,10 @@ def _window_estimate(method, count, scales, values, good, x):
     )
 
 
-def _count_boxes(cols, span, weights, total, eps, offsets,
-                 mass_floor_factor=10.0):
+def _count_boxes(cols, span, weights, total, eps, offsets):
     """Occupied-box count at side eps, averaged over grid offsets; a box
-    counts when its mass clears the outlier floor.
+    counts when its mass clears the outlier floor, a tenth of the mean
+    mass per box of the grid.
 
     cols holds the cloud as contiguous per-axis columns shifted to start
     at 0, span the per-axis extent and total the total weight.  Boxes get
@@ -135,7 +148,7 @@ def _count_boxes(cols, span, weights, total, eps, offsets,
     """
     per_axis = np.minimum(np.ceil(span / eps) + 1.0, 1e6)
     possible = float(np.prod(per_axis))
-    floor = total / (mass_floor_factor * max(possible, 1.0))
+    floor = total / (10.0 * max(possible, 1.0))
     dense_limit = 4 * len(weights) + 65536
     counts = []
     for off in offsets:
@@ -168,9 +181,8 @@ def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
     """
     pts = _intrinsic_coords(measure.points, measure.weights)
     if pts.shape[1] == 0:
-        return DimensionEstimate(0.0, "box_counting", (0.0, 0.0), 0.0, 1.0,
-                                 measure.count, np.array([]), np.array([]),
-                                 warning="degenerate cloud")
+        return _zero_estimate("box_counting", measure.count,
+                              "degenerate cloud")
     diam = float(np.max(np.ptp(pts, axis=0)))
     if scales is None:
         scales = np.geomspace(0.4 * diam, 2.5e-3 * diam, 18)
@@ -188,20 +200,10 @@ def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
     good = counts > 0
     if np.ptp(np.log(counts[good])) < 1e-12:
         # atomic cloud: N(eps) never grows
-        return DimensionEstimate(0.0, "box_counting", (0.0, 0.0), 0.0, 1.0,
-                                 measure.count, scales, counts,
-                                 warning="no scaling range")
+        return _zero_estimate("box_counting", measure.count,
+                              "no scaling range", scales, counts)
     return _window_estimate("box_counting", measure.count, scales, counts,
                             good, np.log(1.0 / scales[good]))
-
-
-def _sample_pair_distances(measure, pair_budget, rng):
-    i = rng.choice(measure.count, size=pair_budget, p=measure.weights)
-    j = rng.choice(measure.count, size=pair_budget, p=measure.weights)
-    keep = i != j
-    d = np.linalg.norm(measure.points[i[keep]] - measure.points[j[keep]],
-                       axis=1)
-    return d
 
 
 def correlation_dim(measure: SampledMeasure, pair_budget=200_000,
@@ -213,13 +215,16 @@ def correlation_dim(measure: SampledMeasure, pair_budget=200_000,
     the weighted correlation integral.  Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    d = _sample_pair_distances(measure, pair_budget, rng)
+    i = rng.choice(measure.count, size=pair_budget, p=measure.weights)
+    j = rng.choice(measure.count, size=pair_budget, p=measure.weights)
+    keep = i != j
+    d = np.linalg.norm(measure.points[i[keep]] - measure.points[j[keep]],
+                       axis=1)
     d = d[d > DISTANCE_FLOOR]
     if len(d) == 0 or d.max() / d.min() < 10.0:
         # coincident or atomic cloud: C(r) is constant below separation
-        return DimensionEstimate(0.0, "correlation", (0.0, 0.0), 0.0, 1.0,
-                                 measure.count, np.array([]), np.array([]),
-                                 warning="no scaling range")
+        return _zero_estimate("correlation", measure.count,
+                              "no scaling range")
     rmax = np.quantile(d, 0.5)
     rmin = max(np.quantile(d, 2e-4), rmax * 1e-4)
     radii = np.geomspace(rmax, rmin, 20)
@@ -227,53 +232,3 @@ def correlation_dim(measure: SampledMeasure, pair_budget=200_000,
     good = frac * len(d) >= 8  # at least 8 hits per scale
     return _window_estimate("correlation", measure.count, radii, frac,
                             good, np.log(radii[good]))
-
-
-def energy_diagnostic(measure: SampledMeasure, t, subsample=2048, seed=0,
-                      levels=3, shrink=16.0):
-    """Truncated t-energy refinement: cumulative pair sums down to
-    distance cutoffs diam * shrink^-j.
-
-    finite_trend is True when the annulus increments stop growing (every
-    successive ratio below 1.5), the discrete signature of a finite
-    energy integral and hence of dimension at least t.  Coincident
-    sampled pairs are clipped at the distance floor and counted; more
-    than 0.1% clipped flags the result.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    rng = np.random.default_rng(seed)
-    S = min(subsample, measure.count)
-    if S < measure.count:
-        idx = rng.choice(measure.count, size=S, p=measure.weights)
-        pts = measure.points[idx]
-    else:
-        pts = measure.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=-1))
-    iu = np.triu_indices(S, k=1)
-    d = d[iu]
-    clipped = int(np.count_nonzero(d <= DISTANCE_FLOOR))
-    d = np.maximum(d, DISTANCE_FLOOR)
-    contrib = d ** (-t) * (2.0 / S ** 2)  # both (i,j) orientations
-    diam = float(d.max())
-    cutoffs = diam / shrink ** np.arange(0, levels + 1)
-    values = np.array([contrib[d >= c].sum() for c in cutoffs])
-    increments = np.diff(values)
-    ratios = []
-    for a in range(len(increments) - 1):
-        if increments[a] <= 0:
-            ratios.append(0.0)
-        else:
-            ratios.append(float(increments[a + 1] / increments[a]))
-    finite = all(r < 1.5 for r in ratios)
-    flagged = clipped > 1e-3 * len(d)
-    return {
-        "finite_trend": bool(finite),
-        "values": values,
-        "increments": increments,
-        "ratios": ratios,
-        "total": float(values[-1]),
-        "clipped_pairs": clipped,
-        "flagged": bool(flagged),
-    }

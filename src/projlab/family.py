@@ -22,7 +22,6 @@ from .grassmann import (
     givens,
     orthonormalize,
     span_frame,
-    span_projector,
     standard_frame,
 )
 from .multivec import gram_norm
@@ -86,16 +85,6 @@ class BoundTable:
     k: int
     p_values: tuple  # p(0), ..., p(m-1)
     ac_threshold: int  # p(m-1) + m; above it the bound saturates at m
-
-    @property
-    def breakpoints(self):
-        """Sorted d-values where the curve changes slope."""
-        pts = set()
-        for l, p in enumerate(self.p_values):
-            pts.add(p + l)
-            pts.add(p + l + 1)
-        pts.add(self.ac_threshold)
-        return tuple(sorted(pts))
 
 
 def bound_table(n, m, k):
@@ -193,18 +182,24 @@ class FamilySpec:
         return family_rows(self, lam_batch)
 
 
-def disjoint_slot_family(n, m, k, base=None, radius=None):
-    """Family whose parameters drive the first k distinct slots (row-major
-    over (i, j)); the standard non-degenerate example."""
+def slot_family(n, m, k, slots, radius, base=None):
+    """Family whose parameter a drives slot slots[a - 1] with weight 1, for
+    a = 1..k, each over (-radius, radius), around `base` (the standard
+    frame by default)."""
+    if k > len(slots):
+        raise ValueError(f"k={k} exceeds the {len(slots)} admissible slots")
     if base is None:
         base = standard_frame(n, m)
-    if radius is None:
-        radius = np.pi / 8
-    slots = [(i, j) for i in range(1, m + 1) for j in range(m + 1, n + 1)]
-    schedule = tuple(
-        (a + 1, slots[a][0], slots[a][1], 1.0) for a in range(k)
-    )
+    schedule = tuple((a + 1, i, j, 1.0)
+                     for a, (i, j) in enumerate(slots[:k]))
     return FamilySpec(n, m, k, base, schedule, (radius,) * k)
+
+
+def disjoint_slot_family(n, m, k, base=None, radius=np.pi / 8):
+    """Family whose parameters drive the first k distinct slots (row-major
+    over (i, j)); the standard non-degenerate example."""
+    slots = [(i, j) for i in range(1, m + 1) for j in range(m + 1, n + 1)]
+    return slot_family(n, m, k, slots, radius, base)
 
 
 def _ambient_rows(spec: FamilySpec, lam_batch, out):
@@ -311,11 +306,6 @@ class FamilyJacobian:
         """The k maps as vectors in R^{m(n-m)}."""
         return self.A.reshape(self.k, -1)
 
-    def apply(self, z_perp):
-        """Images A_a(z) for z given in comp_frame coordinates: (k, m)."""
-        z_perp = np.asarray(z_perp, dtype=float)
-        return self.A @ z_perp
-
 
 def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     """Assemble the maps A_a : V^perp -> V at site lam0, analytically."""
@@ -344,12 +334,13 @@ def projection_derivative_matrix(spec: FamilySpec, lam0, z):
     return (cols @ Bcoord).T
 
 
-def nondegeneracy_check(spec: FamilySpec, lam0, tol=1e-8):
+def nondegeneracy_check(spec: FamilySpec, lam0):
     """Wedge volume of the flattened maps A_1, ..., A_k; the family is
-    non-degenerate at lam0 exactly when the volume is positive."""
+    non-degenerate at lam0 exactly when the volume is positive, taken as
+    above 1e-8."""
     J = family_jacobian(spec, lam0)
     norm = gram_norm(J.flattened())
-    return {"wedge_norm": norm, "pass": bool(norm > tol)}
+    return {"wedge_norm": norm, "pass": bool(norm > 1e-8)}
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +369,14 @@ def _witness_score(J: FamilyJacobian, W_rows, l, dirs):
     return float(best.min())
 
 
-def find_witness_subspace(J: FamilyJacobian, t, l, trials=200,
-                          sphere_samples=512, refine_steps=50, seed=0):
+def find_witness_subspace(J: FamilyJacobian, t, l, trials=200, seed=0):
     """Search for a t-dimensional subspace W of the complement on which
     every unit z has l+1 images A_j(z) of uniformly positive wedge volume.
 
-    Random orthonormal t-frame restarts scored on a fixed sphere sample,
-    then local hill-climbing.  The returned margin d_prime_hat is a
-    certificate only for the sampled sphere points.
+    Random orthonormal t-frame restarts scored on a fixed sample of 512
+    sphere points, then 50 steps of local hill-climbing.  The returned
+    margin d_prime_hat is a certificate only for the sampled sphere
+    points.
     """
     nm = J.n - J.m
     if not (1 <= t <= nm and 0 <= l <= J.m - 1):
@@ -396,7 +387,7 @@ def find_witness_subspace(J: FamilyJacobian, t, l, trials=200,
             f"{J.k} <= {J.m * (t - 1) + l * (nm - t + 1)}"
         )
     rng = np.random.default_rng(seed)
-    dirs = _unit_sphere_sample(t, sphere_samples, rng)
+    dirs = _unit_sphere_sample(t, 512, rng)
     best_W, best_score = None, -np.inf
     for _ in range(trials):
         W = orthonormalize(rng.standard_normal((t, nm)))
@@ -404,7 +395,7 @@ def find_witness_subspace(J: FamilyJacobian, t, l, trials=200,
         if score > best_score:
             best_W, best_score = W, score
     step = 0.2
-    for _ in range(refine_steps):
+    for _ in range(50):
         Wtry = orthonormalize(best_W + step * rng.standard_normal((t, nm)))
         score = _witness_score(J, Wtry, l, dirs)
         if score > best_score:
@@ -419,6 +410,10 @@ def find_witness_subspace(J: FamilyJacobian, t, l, trials=200,
 # ---------------------------------------------------------------------------
 # The extension construction
 # ---------------------------------------------------------------------------
+
+# half-width of the box of the added rotation parameters
+EXTRA_RADIUS = 0.4
+
 
 @dataclass(frozen=True)
 class ExtendedFamily:
@@ -436,7 +431,7 @@ class ExtendedFamily:
     t: int
     witness: Frame  # W, ambient
     ehat: np.ndarray  # (n - m, n) ambient rows: W basis then completion
-    extra_radius: float
+    d_prime_hat: float  # the witness search's margin on W
 
     @property
     def k_total(self):
@@ -488,11 +483,10 @@ class ExtendedFamily:
             np.asarray(self.spec.radii),
         )
         return np.concatenate([base, np.full(self.p * self.t,
-                                             self.extra_radius)])
+                                             EXTRA_RADIUS)])
 
 
-def extend_family(spec: FamilySpec, lam0, l, seed=0, extra_radius=0.4,
-                  **witness_kwargs) -> ExtendedFamily:
+def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
     """Build the extended (m+p)-plane family at a site, p = p(l).
 
     Finds a witness subspace W of dimension t = n - m - p, completes its
@@ -510,7 +504,7 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0, extra_radius=0.4,
         )
     t = n - m - p
     J = family_jacobian(spec, lam0)
-    found = find_witness_subspace(J, t, l, seed=seed, **witness_kwargs)
+    found = find_witness_subspace(J, t, l, seed=seed)
     W_coords = found["W_comp_coords"]  # (t, n-m) in comp-frame coords
     full = np.linalg.qr(
         np.vstack([W_coords, np.eye(n - m)]).T[:, : n - m], mode="complete"
@@ -518,56 +512,7 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0, extra_radius=0.4,
     ehat_coords = np.vstack([W_coords, full[t:]])
     ehat = ehat_coords @ J.comp_frame.basis
     return ExtendedFamily(spec, lam0, l, p, t, found["W"], ehat,
-                          extra_radius)
-
-
-# ---------------------------------------------------------------------------
-# Derivative-agreement check for extended planes
-# ---------------------------------------------------------------------------
-
-def extended_plane_derivative_check(V_path, c, U: Frame,
-                                    hs=(1e-1, 1e-2, 1e-3, 1e-4),
-                                    n_z=3, seed=0):
-    """Verify that projections onto V_s and onto the extended plane
-    <V_s, U> agree to second order at s = c, for test vectors z orthogonal
-    to <V_c, U>.
-
-    Returns the fitted log-log slope of the projection difference against
-    |s - c|; pass means slope >= 1.9.
-    """
-    Vc = V_path(c)
-    n = Vc.ambient_dim
-    if U.ambient_dim != n:
-        raise ValueError("U lives in the wrong ambient space")
-    if np.max(np.abs(U.basis @ Vc.basis.T)) > 1e-8:
-        raise ValueError("U must lie inside the complement of V_c")
-    joint = np.vstack([Vc.basis, U.basis])
-    Pjoint = span_projector(joint)
-    rng = np.random.default_rng(seed)
-    zs = []
-    while len(zs) < n_z:
-        z = rng.standard_normal(n)
-        z = z - Pjoint @ z
-        nz = np.linalg.norm(z)
-        if nz > 1e-8:
-            zs.append(z / nz)
-    hs = np.asarray(hs, dtype=float)
-    diffs = np.zeros_like(hs)
-    for a, h in enumerate(hs):
-        acc = 0.0
-        for s in (c - h, c + h):
-            Vs = V_path(s)
-            Pv = span_projector(Vs.basis)
-            Pext = span_projector(np.vstack([Vs.basis, U.basis]))
-            for z in zs:
-                acc += np.linalg.norm(Pv @ z - Pext @ z)
-        diffs[a] = acc / (2 * len(zs))
-    good = diffs > 1e-14
-    if good.sum() < 2:
-        return {"order": np.inf, "pass": True, "h": hs, "diff": diffs}
-    slope = np.polyfit(np.log(hs[good]), np.log(diffs[good]), 1)[0]
-    return {"order": float(slope), "pass": bool(slope >= 1.9),
-            "h": hs, "diff": diffs}
+                          found["d_prime_hat"])
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +576,14 @@ def _sublevel_fractions(rows_fn, k, lam0, R, w, deltas, samples, seed):
     return counts / samples, counts
 
 
-def transversality_probe(rows_fn, k, lam0, R, w, deltas, samples,
-                         seed, min_hits=16, max_fraction=0.5):
+def transversality_probe(rows_fn, k, lam0, R, w, deltas, samples, seed):
     """Monte-Carlo estimate of the sublevel-set volume scaling exponent.
 
     For each delta, estimates the volume fraction of parameters lam in the
     ball B(lam0, R) with |Pi_{V_lam}(w)| <= delta, then fits the slope of
     log fraction against log delta over the resolvable range: deltas with
-    at least min_hits hits and a fraction below max_fraction (saturated
-    scales carry no exponent information).  Deterministic given the seed.
+    at least 16 hits and a fraction of at most 0.5 (saturated scales carry
+    no exponent information).  Deterministic given the seed.
     """
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     fractions, counts = _sublevel_fractions(
@@ -649,7 +593,7 @@ def transversality_probe(rows_fn, k, lam0, R, w, deltas, samples,
         return {"deltas": deltas, "fractions": fractions,
                 "exponent": None,
                 "diagnostic": "direction never near kernel"}
-    usable = (counts >= min_hits) & (fractions <= max_fraction)
+    usable = (counts >= 16) & (fractions <= 0.5)
     if usable.sum() < 2:
         return {"deltas": deltas, "fractions": fractions,
                 "exponent": None,

@@ -8,8 +8,6 @@ iterates; Lebesgue types are seeded uniform samples, so every generator is
 reproducible from (spec, seed).
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +159,7 @@ def product_embed(parts, N, seed) -> SampledMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Interchange formats
+# CSV output
 # ---------------------------------------------------------------------------
 
 def write_csv(path, header, rows):
@@ -173,51 +171,3 @@ def write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join("" if v is None else repr(float(v))
                               for v in row) + "\n")
-
-
-def save_csv(measure: SampledMeasure, path):
-    """Canonical interchange format: header x_1..x_n, weight; repr-exact
-    floats so a round trip preserves values."""
-    header = [f"x_{i + 1}" for i in range(measure.ambient_dim)] + ["weight"]
-    write_csv(path, header, np.column_stack([measure.points,
-                                             measure.weights]))
-
-
-def load_csv(path, nominal_dim=float("nan"), spec=None) -> SampledMeasure:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 1
-        rows = [list(map(float, row)) for row in reader]
-    arr = np.asarray(rows, dtype=float)
-    return SampledMeasure(arr[:, :n], arr[:, n], nominal_dim,
-                          spec or {"variant": "csv", "path": str(path)})
-
-
-def save_binary(measure: SampledMeasure, path):
-    """Raw float64 block (points then weights) plus a JSON sidecar."""
-    path = str(path)
-    block = np.concatenate(
-        [measure.points.ravel(), measure.weights]
-    ).astype(np.float64)
-    block.tofile(path)
-    sidecar = {
-        "N": measure.count,
-        "n": measure.ambient_dim,
-        "nominal_dim": measure.nominal_dim,
-        "spec": measure.spec,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_binary(path) -> SampledMeasure:
-    path = str(path)
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    N, n = sidecar["N"], sidecar["n"]
-    block = np.fromfile(path, dtype=np.float64)
-    pts = block[: N * n].reshape(N, n)
-    w = block[N * n:]
-    return SampledMeasure(pts, w, sidecar["nominal_dim"], sidecar["spec"])

@@ -1,5 +1,5 @@
 """Concrete Grassmannian geometry: orthonormal frames, rotation charts,
-projection operators, analytic tangent maps, and subspace distance.
+projection operators and analytic tangent maps.
 
 A point of G(n, m) is carried as a Frame, an (m, n) array of orthonormal row
 vectors.  Chart computations happen in the orthonormal coordinate system
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FRAME_TOL = 1e-10
 CHART_LIMIT = np.pi / 4
 
 
@@ -87,17 +86,6 @@ def givens(x, i, j, beta):
     x[j] *= c
     x[j] += s * x[i]
     x[i] = xi
-
-
-def rotate(x, i, j, beta):
-    """Rotate coordinate i of x toward coordinate j by angle beta (1-based
-    indices into the working coordinate system); all other coordinates fixed.
-    """
-    if i == j:
-        raise ValueError("rotation needs two distinct coordinates")
-    out = np.array(x, dtype=float)
-    givens(np.moveaxis(out, -1, 0), i - 1, j - 1, beta)
-    return out
 
 
 @dataclass(frozen=True)
@@ -186,16 +174,3 @@ def tangent_projection_derivative(c: ChartPoint, i, j, z):
     out[i - 1] = zeta[j - 1]
     out[j - 1] = zeta[i - 1]
     return B.T @ out
-
-
-def principal_angles(f1: Frame, f2: Frame):
-    """Principal angles between two planes of equal dimension."""
-    if f1.ambient_dim != f2.ambient_dim or f1.plane_dim != f2.plane_dim:
-        raise ValueError("frames must share ambient and plane dimensions")
-    s = np.linalg.svd(f1.basis @ f2.basis.T, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
-
-
-def subspace_distance(f1: Frame, f2: Frame):
-    """Largest principal angle between the two planes; 0 iff equal."""
-    return float(np.max(principal_angles(f1, f2)))

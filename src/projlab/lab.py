@@ -22,16 +22,14 @@ from .family import (
     FamilySpec,
     disjoint_slot_family,
     extend_family,
-    extended_plane_derivative_check,
     family_frame,
     family_from_dict,
-    family_jacobian,
-    find_witness_subspace,
     load_family,
     nondegeneracy_check,
     p_of_l,
     p_oracle_dots,
     projection_derivative_matrix,
+    slot_family,
     theorem_lower_bound,
     transversality_probe,
 )
@@ -54,7 +52,6 @@ from .grassmann import (
     projector,
     span_frame,
     span_projector,
-    standard_frame,
     tangent_projection_derivative,
 )
 from .multivec import cauchy_binet_norm, gram_norm, wedge_operator_norm
@@ -176,15 +173,15 @@ def _estimate(measure, estimator_cfg, seed):
     raise ValueError(f"unknown estimator {method!r}")
 
 
-def lambda_grid(spec: FamilySpec, counts, margin=0.9):
-    """Cartesian grid over the family domain, per-axis counts, kept inside
-    the open box by the margin factor."""
+def lambda_grid(spec: FamilySpec, counts):
+    """Cartesian grid over the family domain, per-axis counts, spanning 0.9
+    of each radius so that it stays inside the open box."""
     counts = list(counts)
     if len(counts) == 1 and spec.k > 1:
         counts = counts * spec.k
     if len(counts) != spec.k:
         raise ValueError("need one grid count per parameter")
-    axes = [np.linspace(-margin * r, margin * r, c)
+    axes = [np.linspace(-0.9 * r, 0.9 * r, c)
             for r, c in zip(spec.radii, counts)]
     return [np.array(pt) for pt in itertools.product(*axes)]
 
@@ -316,22 +313,10 @@ def sharpness_family(n, m, k, l, p, radius=np.pi / 8) -> FamilySpec:
     """The rotation schedule of the sharpness construction: fill the first
     l rows over all columns, then the remaining rows restricted to the
     first n-m-p columns, one parameter per dot, column-major in the tail."""
-    slots = []
-    for i in range(1, l + 1):
-        for j in range(m + 1, n + 1):
-            slots.append((i, j))
-    for j in range(m + 1, n - p + 1):
-        for i in range(l + 1, m + 1):
-            slots.append((i, j))
-    if k > len(slots):
-        raise ValueError(
-            f"k={k} exceeds the {len(slots)} admissible slots for "
-            f"(l={l}, p={p})"
-        )
-    schedule = tuple((a + 1, slots[a][0], slots[a][1], 1.0)
-                     for a in range(k))
-    return FamilySpec(n, m, k, standard_frame(n, m), schedule,
-                      (radius,) * k)
+    slots = [(i, j) for i in range(1, l + 1) for j in range(m + 1, n + 1)]
+    slots += [(i, j) for j in range(m + 1, n - p + 1)
+              for i in range(l + 1, m + 1)]
+    return slot_family(n, m, k, slots, radius)
 
 
 def sharpness_measure(n, l, p, s, level, N, seed) -> SampledMeasure:
@@ -357,8 +342,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     n, m, k = spec.n, spec.m, spec.k
     l, s = cfg.l, cfg.s
     p = p_of_l(n, m, k, l)
-    lhs = l * (n - m) + (n - m - p - 1) * (m - l)
-    rhs = l * (n - m) + (n - m - p) * (m - l)
+    lhs, rhs = parameter_bracket(n, m, l, p)
     if not lhs < k <= rhs:
         raise ValueError(
             f"(l, p, k) violate the parameter-count bracket: "
@@ -473,6 +457,13 @@ def p_dot_oracle_scan(n_max):
     return checked, failures
 
 
+def parameter_bracket(n, m, l, p):
+    """The parameter-count bracket (lhs, rhs) of p = p(l): a k-parameter
+    family has lhs < k <= rhs."""
+    return (l * (n - m) + (n - m - p - 1) * (m - l),
+            l * (n - m) + (n - m - p) * (m - l))
+
+
 def parameter_bracket_scan(n_max):
     """Check the parameter-count bracket lhs < k <= rhs on every tuple up
     to n_max.  The strict lower bound is derived under p(l) < n-m, so a
@@ -482,8 +473,7 @@ def parameter_bracket_scan(n_max):
     failures = []
     for n, m, k, l in _nmkl_tuples(n_max):
         p = p_of_l(n, m, k, l)
-        lhs = l * (n - m) + (n - m - p - 1) * (m - l)
-        rhs = l * (n - m) + (n - m - p) * (m - l)
+        lhs, rhs = parameter_bracket(n, m, l, p)
         if p < n - m:
             checked += 1
             ok = lhs < k <= rhs
@@ -543,6 +533,49 @@ def tangent_derivative_order(count, seed):
         errs = np.maximum(errs, 1e-15)
         worst = min(worst, np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return worst
+
+
+def extended_plane_derivative_check(V_path, c, U: Frame, seed=0):
+    """Verify that projections onto V_s and onto the extended plane
+    <V_s, U> agree to second order at s = c, for test vectors z orthogonal
+    to <V_c, U>: three random unit vectors, steps 1e-1 down to 1e-4.
+
+    Returns the fitted log-log slope of the projection difference against
+    |s - c|; pass means slope >= 1.9.
+    """
+    Vc = V_path(c)
+    n = Vc.ambient_dim
+    if U.ambient_dim != n:
+        raise ValueError("U lives in the wrong ambient space")
+    if np.max(np.abs(U.basis @ Vc.basis.T)) > 1e-8:
+        raise ValueError("U must lie inside the complement of V_c")
+    joint = np.vstack([Vc.basis, U.basis])
+    Pjoint = span_projector(joint)
+    rng = np.random.default_rng(seed)
+    zs = []
+    while len(zs) < 3:
+        z = rng.standard_normal(n)
+        z = z - Pjoint @ z
+        nz = np.linalg.norm(z)
+        if nz > 1e-8:
+            zs.append(z / nz)
+    hs = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    diffs = np.zeros_like(hs)
+    for a, h in enumerate(hs):
+        acc = 0.0
+        for s in (c - h, c + h):
+            Vs = V_path(s)
+            Pv = span_projector(Vs.basis)
+            Pext = span_projector(np.vstack([Vs.basis, U.basis]))
+            for z in zs:
+                acc += np.linalg.norm(Pv @ z - Pext @ z)
+        diffs[a] = acc / (2 * len(zs))
+    good = diffs > 1e-14
+    if good.sum() < 2:
+        return {"order": np.inf, "pass": True, "h": hs, "diff": diffs}
+    slope = np.polyfit(np.log(hs[good]), np.log(diffs[good]), 1)[0]
+    return {"order": float(slope), "pass": bool(slope >= 1.9),
+            "h": hs, "diff": diffs}
 
 
 def extended_projection_order(count, seed):
@@ -649,14 +682,13 @@ def _check_estimators():
 
 def _check_extension_inequality():
     """Key inequality of the extension: wedge volumes of the extended
-    Jacobian on witness vectors clear the d'/sqrt(t)^p margin."""
-    spec = disjoint_slot_family(4, 2, 3)
-    lam0 = np.zeros(3)
-    ext = extend_family(spec, lam0, l=1, seed=0)
-    J = family_jacobian(spec, lam0)
-    found = find_witness_subspace(J, ext.t, ext.l, seed=0)
-    dprime = found["d_prime_hat"]
-    margin = dprime / np.sqrt(ext.t) ** ext.p
+    Jacobian on witness vectors clear the d'/sqrt(t)^p margin.  Run at
+    (n, m, k, l) = (5, 2, 5, 1), where t = 2; at t = 1 the witness sphere
+    is one point and the minimum wedge equals the margin, so the check
+    could show no slack."""
+    spec = disjoint_slot_family(5, 2, 5)
+    ext = extend_family(spec, np.zeros(5), l=1, seed=0)
+    margin = ext.d_prime_hat / np.sqrt(ext.t) ** ext.p
     r = ext.target_order
     h = 1e-5
     center = ext.center()

@@ -10,9 +10,6 @@ import itertools
 
 import numpy as np
 
-DEPENDENCE_RTOL = 1e-10
-ORTHO_RTOL = 1e-9
-
 
 class DimensionMismatchError(ValueError):
     pass
@@ -42,15 +39,6 @@ def gram_norm(vectors):
     return float(np.prod(np.abs(np.diag(R))))
 
 
-def is_dependent(vectors):
-    """Scale-aware dependence test: volume below tol * product of lengths."""
-    D = _as_matrix(vectors)
-    lengths = np.linalg.norm(D, axis=1)
-    if np.any(lengths == 0.0):
-        return True
-    return gram_norm(D) < DEPENDENCE_RTOL * float(np.prod(lengths))
-
-
 def cauchy_binet_norm(vectors):
     """Same norm via the Cauchy-Binet formula: sqrt of the sum of squared
     maximal (r x r) minors of D.
@@ -77,23 +65,3 @@ def wedge_operator_norm(L, r):
         raise ValueError(f"r={r} out of range for a {L.shape} map")
     s = np.linalg.svd(L, compute_uv=False)
     return float(np.prod(s[:r]))
-
-
-def perp_factor_check(v, u, tol=1e-9):
-    """Check the factorization ||v ^ u|| = ||v|| * ||u|| for mutually
-    perpendicular groups of vectors.
-
-    Raises if some v_i is not orthogonal to some u_j (relative tolerance
-    ORTHO_RTOL); returns True when the factorization holds within tol.
-    """
-    V = _as_matrix(v)
-    U = _as_matrix(u)
-    if V.shape[1] != U.shape[1]:
-        raise DimensionMismatchError("v and u live in different spaces")
-    dots = np.abs(V @ U.T)
-    scale = np.outer(np.linalg.norm(V, axis=1), np.linalg.norm(U, axis=1))
-    if np.any(dots > ORTHO_RTOL * np.maximum(scale, 1e-300)):
-        raise ValueError("v and u are not perpendicular groups")
-    combined = gram_norm(np.vstack([V, U]))
-    product = gram_norm(V) * gram_norm(U)
-    return abs(combined - product) <= tol * (1.0 + product)

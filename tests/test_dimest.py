@@ -14,7 +14,6 @@ from projlab.dimest import (
     _linfit,
     box_counting_dim,
     correlation_dim,
-    energy_diagnostic,
     project_points,
 )
 from projlab.family import p_of_l
@@ -127,39 +126,6 @@ def test_project_points():
     assert np.allclose(proj.points[:, 0], me.points[:, 0], atol=1e-12)
     assert np.allclose(proj.points[:, 1:], 0.0, atol=1e-12)
     assert np.array_equal(proj.weights, me.weights)
-
-
-def test_energy_diagnostic_separates_dimensions():
-    # uniform square has dimension 2: t-energy finite for t < 2,
-    # divergent for t > 2
-    m = _uniform_square(3000, 3)
-    fin = energy_diagnostic(m, t=1.5, seed=0)
-    div = energy_diagnostic(m, t=2.5, seed=0)
-    assert fin["finite_trend"]
-    assert not div["finite_trend"]
-
-
-def test_energy_diagnostic_line_cantor():
-    s = np.log(2) / np.log(3)
-    m = line_cantor(s, 12)
-    assert energy_diagnostic(m, t=0.3, seed=0)["finite_trend"]
-    assert not energy_diagnostic(m, t=0.95, seed=0)["finite_trend"]
-
-
-def test_energy_diagnostic_validates_t():
-    m = _uniform_square(100, 4)
-    with pytest.raises(ValueError):
-        energy_diagnostic(m, t=0.0)
-    with pytest.raises(ValueError):
-        energy_diagnostic(m, t=-1.0)
-
-
-def test_energy_diagnostic_flags_coincident_pairs():
-    pts = np.zeros((64, 2))
-    pts[0] = [1.0, 0.0]
-    m = SampledMeasure(pts, np.full(64, 1.0 / 64), 0.0, {})
-    res = energy_diagnostic(m, t=0.5, seed=0)
-    assert res["flagged"]
 
 
 def test_estimate_serialization(tmp_path):

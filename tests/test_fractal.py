@@ -7,11 +7,8 @@ from projlab.fractal import (
     four_corner_cantor,
     lebesgue_ball,
     line_cantor,
-    load_binary,
-    load_csv,
     product_embed,
-    save_binary,
-    save_csv,
+    write_csv,
 )
 from projlab.grassmann import Frame, span_frame
 
@@ -123,18 +120,11 @@ def test_csv_round_trip_exact(tmp_path):
     m = embed(four_corner_cantor(3),
               span_frame(np.array([[1.0, 0.3, 0.1], [0.2, 1.0, 0.4]])))
     path = tmp_path / "m.csv"
-    save_csv(m, path)
-    m2 = load_csv(path, nominal_dim=m.nominal_dim)
-    assert np.array_equal(m.points, m2.points)
-    assert np.array_equal(m.weights, m2.weights)
-
-
-def test_binary_round_trip_exact(tmp_path):
-    m = lebesgue_ball(2, 1000, seed=3)
-    path = tmp_path / "m.bin"
-    save_binary(m, path)
-    m2 = load_binary(path)
-    assert np.array_equal(m.points, m2.points)
-    assert np.array_equal(m.weights, m2.weights)
-    assert m2.nominal_dim == m.nominal_dim
-    assert m2.spec["variant"] == "lebesgue_ball"
+    write_csv(path, ["x_1", "x_2", "x_3", "weight"],
+              np.column_stack([m.points, m.weights]))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x_1,x_2,x_3,weight"
+    back = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    assert np.array_equal(back[:, :3], m.points)
+    assert np.array_equal(back[:, 3], m.weights)

@@ -7,13 +7,11 @@ from projlab.grassmann import (
     chart_point_frame,
     chart_rows,
     complement,
-    principal_angles,
+    givens,
     projector,
-    rotate,
     span_frame,
     span_projector,
     standard_frame,
-    subspace_distance,
     tangent_projection_derivative,
 )
 
@@ -24,12 +22,13 @@ def test_frame_requires_orthonormal_rows():
 
 
 def test_rotate_coordinate_plane():
-    # beta = pi/2 in the (1,3) plane sends e1 to e3
+    # beta = pi/2 in the plane of coordinates 0 and 2 sends e1 to e3
     x = np.array([1.0, 0.0, 0.0])
-    y = rotate(x, 1, 3, np.pi / 2)
-    assert np.allclose(y, [0.0, 0.0, 1.0], atol=1e-12)
+    givens(x, 0, 2, np.pi / 2)
+    assert np.allclose(x, [0.0, 0.0, 1.0], atol=1e-12)
     # untouched coordinate is preserved
-    z = rotate(np.array([0.0, 1.0, 0.0]), 1, 3, 0.7)
+    z = np.array([0.0, 1.0, 0.0])
+    givens(z, 0, 2, 0.7)
     assert np.allclose(z, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -38,9 +37,11 @@ def test_rotate_is_orthogonal_and_invertible():
     for _ in range(50):
         x = rng.standard_normal(5)
         b = rng.uniform(-np.pi, np.pi)
-        y = rotate(x, 2, 4, b)
+        y = x.copy()
+        givens(y, 1, 3, b)
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x))
-        assert np.allclose(rotate(y, 2, 4, -b), x, atol=1e-12)
+        givens(y, 1, 3, -b)
+        assert np.allclose(y, x, atol=1e-12)
 
 
 def test_chart_rows_at_zero_is_base():
@@ -128,31 +129,11 @@ def test_tangent_projection_derivative_matches_finite_difference():
             assert np.allclose(B @ an, fd, atol=1e-6)
 
 
-def test_principal_angles_and_distance():
-    f1 = standard_frame(4, 2)
-    rows = np.array([[np.cos(0.3), 0.0, np.sin(0.3), 0.0],
-                     [0.0, 1.0, 0.0, 0.0]])
-    f2 = Frame(rows)
-    ang = principal_angles(f1, f2)
-    assert ang[0] == pytest.approx(0.0, abs=1e-9)
-    assert ang[-1] == pytest.approx(0.3, abs=1e-9)
-    assert subspace_distance(f1, f2) == pytest.approx(0.3, abs=1e-9)
-    assert subspace_distance(f1, f1) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_subspace_distance_symmetry_and_triangle():
-    rng = np.random.default_rng(5)
-    frames = [span_frame(rng.standard_normal((2, 5))) for _ in range(3)]
-    a, b, c = frames
-    dab = subspace_distance(a, b)
-    assert dab == pytest.approx(subspace_distance(b, a), abs=1e-10)
-    assert dab <= subspace_distance(a, c) + subspace_distance(c, b) + 1e-10
-
-
-# --- rotate and chart_rows against the pre-merge formulas -------------------
+# --- givens and chart_rows against the pre-merge formulas -------------------
 
 def _ref_rotate(x, i, j, beta):
-    """rotate as written before it used `grassmann.givens`."""
+    """The rotation of coordinate i toward j (1-based, coordinates on the
+    last axis) as written before every chain used `grassmann.givens`."""
     x = np.asarray(x, dtype=float)
     out = x.copy()
     c, s = np.cos(beta), np.sin(beta)
@@ -185,7 +166,9 @@ def test_rotate_and_chart_rows_equal_pre_merge_formulas():
                                             replace=False))
         beta = rng.uniform(-np.pi, np.pi, size=4)
         beta[0] = 0.0
-        assert np.array_equal(rotate(x, i, j, beta),
-                              _ref_rotate(x, i, j, beta))
-        assert np.array_equal(rotate(x[1], i, j, beta[1]),
-                              _ref_rotate(x[1], i, j, beta[1]))
+        y = x.T.copy()  # givens takes the coordinates on axis 0
+        givens(y, i - 1, j - 1, beta)
+        assert np.array_equal(y.T, _ref_rotate(x, i, j, beta))
+        y1 = x[1].copy()
+        givens(y1, i - 1, j - 1, beta[1])
+        assert np.array_equal(y1, _ref_rotate(x[1], i, j, beta[1]))

@@ -208,6 +208,17 @@ def test_verify_suite_filter():
     assert ok
 
 
+def test_extension_key_inequality_has_slack():
+    # at t = 1 the minimum wedge equals the margin; the row must run where
+    # the margin sits clearly below the wedge volumes
+    rows, ok = run_verify_suite("extension_key_inequality")
+    assert len(rows) == 1 and ok
+    words = rows[0]["detail"].split()
+    assert words[:2] == ["min", "wedge"] and words[3:5] == ["vs", "margin"]
+    worst, margin = float(words[2]), float(words[5])
+    assert margin < 0.5 * worst
+
+
 def test_resolve_family_accepts_spec_dict_and_path(tmp_path):
     spec = disjoint_slot_family(3, 2, 1)
     assert resolve_family(spec) is spec

@@ -5,8 +5,6 @@ from projlab.multivec import (
     DimensionMismatchError,
     cauchy_binet_norm,
     gram_norm,
-    is_dependent,
-    perp_factor_check,
     wedge_operator_norm,
 )
 
@@ -22,7 +20,6 @@ def test_gram_norm_hand_computed():
 
 def test_gram_norm_dependent_vectors():
     assert gram_norm([[1, 2, 3], [2, 4, 6]]) == pytest.approx(0.0, abs=1e-12)
-    assert is_dependent([[1, 2, 3], [2, 4, 6]])
 
 
 def test_gram_norm_rejects_bad_shapes():
@@ -86,23 +83,3 @@ def test_wedge_operator_norm_bounds_image_volumes():
 def test_wedge_operator_norm_range_check():
     with pytest.raises(ValueError):
         wedge_operator_norm(np.eye(3), 4)
-
-
-def test_perp_factor_trivial_and_scaled():
-    assert perp_factor_check([[1, 0, 0, 0]], [[0, 1, 0, 0]])
-    assert perp_factor_check([[1, 0, 0, 0], [0, 1, 0, 0]],
-                             [[0, 0, 0, 2.0]])
-
-
-def test_perp_factor_rejects_non_orthogonal():
-    with pytest.raises(ValueError):
-        perp_factor_check([[1, 0, 0]], [[1, 0, 0]])
-
-
-def test_perp_factor_random_orthogonal_groups():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        v = (rng.standard_normal((2, 2)) @ Q[:, :2].T)
-        u = (rng.standard_normal((3, 3)) @ Q[:, 2:5].T)
-        assert perp_factor_check(v, u, tol=1e-8)
