@@ -15,7 +15,6 @@ from projlab import (
     projector,
     span_frame,
     span_projector,
-    standard_frame,
     tangent_projection_derivative,
 )
 

@@ -30,8 +30,8 @@ print(f"n=3 m=2 k=1 family: wedge norm {check['wedge_norm']:.3f}, "
 # shrinks like delta^1 for this family
 w = np.array([0.0, 0.0, 1.0])
 deltas = np.geomspace(1e-3, 0.2, 10)
-probe = transversality_probe(spec.rows, 1, np.zeros(1), 0.3, w, deltas,
-                             samples=400_000, seed=0)
+[probe] = transversality_probe(spec.rows, 1, np.zeros(1), 0.3, [w],
+                               deltas, samples=400_000, seed=0)
 print(f"fitted sublevel exponent: {probe['exponent']:.3f} (target 1)")
 
 # richer family: 3 parameters on 2-planes in R^4; at l = 1 the drop is
@@ -47,11 +47,11 @@ print(f"worst-case image volume on the witness sphere: "
 # extending by p*t = 1 parameter raises the vanishing order to l+1+p = 3
 ext = extend_family(spec4, np.zeros(3), l=1, seed=0)
 print(f"\nextended family: {ext.k_total} parameters, "
-      f"{ext.plane_dim}-planes, target order {ext.target_order}")
-probe = transversality_probe(ext.rows, ext.k_total, ext.center(),
-                             0.5 * float(np.min(ext.domain_radii())),
-                             witness['W'].basis[0],
-                             np.geomspace(1e-3, 0.3, 10),
-                             samples=400_000, seed=0)
+      f"{ext.spec.m + ext.p}-planes, target order {ext.target_order}")
+[probe] = transversality_probe(ext.rows, ext.k_total, ext.center(),
+                               0.5 * float(np.min(ext.domain_radii())),
+                               witness['W'].basis,
+                               np.geomspace(1e-3, 0.3, 10),
+                               samples=400_000, seed=0)
 print(f"fitted sublevel exponent: {probe['exponent']:.3f} "
       f"(target {ext.target_order})")

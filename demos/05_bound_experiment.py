@@ -7,8 +7,6 @@ projected dimension >= 1 for almost every parameter, and the estimates
 confirm it across the grid.
 """
 
-import numpy as np
-
 from projlab import (
     ExperimentConfig,
     disjoint_slot_family,

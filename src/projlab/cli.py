@@ -93,10 +93,7 @@ def _cmd_transversality(args):
         mc_samples=args.samples,
         n_directions=args.directions,
     )
-    try:
-        report = run_transversality(cfg)
-    except ConfigError as exc:
-        return _reject(args, args.family, exc)
+    report = run_transversality(cfg)
     if args.out:
         report.save(args.out)
         print(f"wrote {args.out}/transversality.json "
@@ -112,10 +109,7 @@ def _run_experiment(args, runner):
         cfg.seed = args.seed
     if args.force:
         cfg.force = True
-    try:
-        report = runner(cfg)
-    except ConfigError as exc:
-        return _reject(args, args.experiment, exc)
+    report = runner(cfg)
     report.save(args.out)
     print(f"wrote {args.out}/report.json", file=sys.stderr)
     print(json.dumps(report.summary, indent=2, sort_keys=True))
@@ -185,7 +179,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:  # exit 2 naming the input and the field
+        source = (getattr(args, "experiment", None)
+                  or getattr(args, "family", None))
+        return _reject(args, source, exc)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ ambient rotations; projected clouds land in rotated planes, so this is a
 contract, not an optimization.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,20 +34,6 @@ class DimensionEstimate:
     scales: np.ndarray = None  # log-log fit data
     counts: np.ndarray = None
     warning: str = None
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "method": self.method,
-            "fit_window": list(self.fit_window),
-            "slope_stderr": self.slope_stderr,
-            "r_squared": self.r_squared,
-            "point_count": self.point_count,
-            "warning": self.warning,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def save_fit_csv(self, path):
         write_csv(path, ["scale", "count"], zip(self.scales, self.counts))

@@ -10,6 +10,7 @@ base frame.  All chart work happens in the orthonormal coordinates of
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -297,7 +298,6 @@ class FamilyJacobian:
     n: int
     m: int
     k: int
-    lam0: np.ndarray
     A: np.ndarray  # (k, m, n - m)
     plane_frame: Frame
     comp_frame: Frame
@@ -319,7 +319,7 @@ def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     A = np.einsum("rm,amn,cn->arc", g, dPis, f)
     Bcoord = spec.coordinate_matrix()
     return FamilyJacobian(
-        spec.n, spec.m, spec.k, lam0, A,
+        spec.n, spec.m, spec.k, A,
         Frame(g @ Bcoord), Frame(f @ Bcoord),
     )
 
@@ -438,10 +438,6 @@ class ExtendedFamily:
         return self.spec.k + self.p * self.t
 
     @property
-    def plane_dim(self):
-        return self.spec.m + self.p
-
-    @property
     def target_order(self):
         """Transversality order r = l + 1 + p aimed at by the construction."""
         return self.l + 1 + self.p
@@ -519,46 +515,53 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
 # Transversality probe
 # ---------------------------------------------------------------------------
 
-# Parameters drawn per batch.  Each batch draws its directions and radii
+# Parameters drawn per batch.  Each batch draws its unit vectors and radii
 # in one call each, so the RNG stream, and with it every fraction and
 # exponent, depends on this size.
 SUBLEVEL_BATCH = 200_000
 
 
-def _projection_norms(E, w):
-    """|Pi_{span rows} w| per sample for spanning rows in column layout,
-    E (d, n, B): |Pi w|^2 = |L^{-1} E w|^2 with L L^T the Cholesky factor
-    of the d x d Gram E E^T, unrolled over d on length-B vectors."""
+def _projection_norms(E, ws):
+    """Yield |Pi_{span rows} w| per sample for each w in ws, one length-B
+    vector at a time, for spanning rows in column layout, E (d, n, B):
+    |Pi w|^2 = |L^{-1} E w|^2 with L L^T the Cholesky factor of the d x d
+    Gram E E^T.  The factor is unrolled over d on length-B vectors and
+    formed once for all of ws."""
     d = E.shape[0]
     L = [[None] * d for _ in range(d)]
-    y = []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    quiet = {"divide": "ignore", "invalid": "ignore"}  # singular rows: NaN
+    with np.errstate(**quiet):
         for j in range(d):
             for i in range(j, d):
                 g = np.einsum("ab,ab->b", E[i], E[j])
                 for q in range(j):
                     g -= L[i][q] * L[j][q]
                 L[i][j] = np.sqrt(g) if i == j else g / L[j][j]
-            r = w @ E[j]
-            for q in range(j):
-                r -= L[j][q] * y[q]
-            y.append(r / L[j][j])
-    proj2 = y[0] * y[0]
-    for v in y[1:]:
-        proj2 += v * v
-    return np.sqrt(proj2)
+    for w in ws:
+        y = []
+        with np.errstate(**quiet):  # not held across the yield
+            for j in range(d):
+                r = w @ E[j]
+                for q in range(j):
+                    r -= L[j][q] * y[q]
+                y.append(r / L[j][j])
+        proj2 = y[0] * y[0]
+        for v in y[1:]:
+            proj2 += v * v
+        yield np.sqrt(proj2)
 
 
-def _sublevel_fractions(rows_fn, k, lam0, R, w, deltas, samples, seed):
-    """Fractions and counts of the samples lam in the ball B(lam0, R)
-    with |Pi_{V_lam} w| <= delta, for each delta (in the given order)."""
+def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
+    """Fractions and counts, (D, len(deltas)) each, of the samples lam in
+    the ball B(lam0, R) with |Pi_{V_lam} w| <= delta, for each of the D
+    directions w in ws and each delta (in the given order).  Every
+    direction is scored on the same samples."""
     rng = np.random.default_rng(seed)
     lam0 = np.asarray(lam0, dtype=float)
-    w = np.asarray(w, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     order = np.argsort(deltas, kind="stable")
     sorted_deltas = deltas[order]
-    counts = np.zeros(len(deltas), dtype=np.int64)
+    counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
     done = 0
     while done < samples:
         B = min(SUBLEVEL_BATCH, samples - done)
@@ -567,48 +570,112 @@ def _sublevel_fractions(rows_fn, k, lam0, R, w, deltas, samples, seed):
         radii = R * rng.random(B) ** (1.0 / k)
         lam = lam0 + g * radii[:, None]
         E = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
-        vals = _projection_norms(E, w)
-        # slot of the smallest delta >= val; NaN sorts past every delta
-        slot = np.searchsorted(sorted_deltas, vals, side="left")
-        hits = np.bincount(slot, minlength=len(deltas) + 1)
-        counts[order] += np.cumsum(hits[:len(deltas)])
+        for c, vals in zip(counts, _projection_norms(E, ws)):
+            # slot of the smallest delta >= val; NaN sorts past every delta
+            slot = np.searchsorted(sorted_deltas, vals, side="left")
+            hits = np.bincount(slot, minlength=len(deltas) + 1)
+            c[order] += np.cumsum(hits[:len(deltas)])
         done += B
     return counts / samples, counts
 
 
-def transversality_probe(rows_fn, k, lam0, R, w, deltas, samples, seed):
-    """Monte-Carlo estimate of the sublevel-set volume scaling exponent.
+def _fit_exponent(deltas, fractions, counts):
+    """Probe result of one direction: the slope of log fraction against
+    log delta over the deltas with at least 16 hits and a fraction of at
+    most 0.5, or the reason there is none."""
+    result = {"deltas": deltas, "fractions": fractions, "exponent": None}
+    if counts[0] == 0:
+        return {**result, "diagnostic": "direction never near kernel"}
+    usable = (counts >= 16) & (fractions <= 0.5)
+    if usable.sum() < 2:
+        return {**result, "diagnostic": "fewer than two resolvable scales"}
+    slope, intercept = np.polyfit(np.log(deltas[usable]),
+                                  np.log(fractions[usable]), 1)
+    return {**result, "exponent": float(slope),
+            "intercept": float(intercept), "used": usable,
+            "diagnostic": None}
+
+
+def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
+    """Monte-Carlo estimate of the sublevel-set volume scaling exponent of
+    each direction w in ws, (D, n): one result dict per direction.
 
     For each delta, estimates the volume fraction of parameters lam in the
     ball B(lam0, R) with |Pi_{V_lam}(w)| <= delta, then fits the slope of
     log fraction against log delta over the resolvable range: deltas with
     at least 16 hits and a fraction of at most 0.5 (saturated scales carry
-    no exponent information).  Deterministic given the seed.
+    no exponent information).  All directions share one sample cloud drawn
+    from the seed, so a direction's result does not depend on the others.
+    Deterministic given the seed.
     """
+    ws = np.asarray(ws, dtype=float)
+    if ws.ndim != 2:
+        raise ValueError(f"ws must be a (D, n) array of directions, got "
+                         f"shape {ws.shape}")
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     fractions, counts = _sublevel_fractions(
-        rows_fn, k, lam0, R, w, deltas, samples, seed
+        rows_fn, k, lam0, R, ws, deltas, samples, seed
     )
-    if counts[0] == 0:
-        return {"deltas": deltas, "fractions": fractions,
-                "exponent": None,
-                "diagnostic": "direction never near kernel"}
-    usable = (counts >= 16) & (fractions <= 0.5)
-    if usable.sum() < 2:
-        return {"deltas": deltas, "fractions": fractions,
-                "exponent": None,
-                "diagnostic": "fewer than two resolvable scales"}
-    x = np.log(deltas[usable])
-    y = np.log(fractions[usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    return {"deltas": deltas, "fractions": fractions,
-            "exponent": float(slope), "intercept": float(intercept),
-            "used": usable, "diagnostic": None}
+    return [_fit_exponent(deltas, f, c) for f, c in zip(fractions, counts)]
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization and config fields
 # ---------------------------------------------------------------------------
+
+class ConfigError(ValueError):
+    """A config or family file cannot run as asked; the message names the
+    field or requirement it fails."""
+
+
+REQUIRED = object()  # config_field default of a field that must be given
+_KIND_NAMES = {int: "integer", float: "number", str: "string",
+               dict: "object", list: "list", bool: "boolean",
+               type(None): "null"}
+
+
+def _is_kind(v, kind):
+    """Whether a JSON value v is of kind: a type (float takes any number,
+    and neither int nor float takes a bool), a tuple of kinds, or [kind]
+    for a list of that kind."""
+    if isinstance(kind, tuple):
+        return any(_is_kind(v, kd) for kd in kind)
+    if isinstance(kind, list):
+        return isinstance(v, (list, tuple)) and all(_is_kind(x, kind[0])
+                                                    for x in v)
+    if isinstance(v, bool):
+        return kind is bool
+    return isinstance(v, {int: numbers.Integral,
+                          float: numbers.Real}.get(kind, kind))
+
+
+def _kind_name(kind, plural=False):
+    """Phrase naming a kind: 'an integer', 'a list of lists of numbers'."""
+    if isinstance(kind, tuple):
+        return " or ".join(_kind_name(kd, plural) for kd in kind)
+    if isinstance(kind, list):
+        return (f"{'lists' if plural else 'a list'} of "
+                f"{_kind_name(kind[0], True)}")
+    name = _KIND_NAMES[kind]
+    if plural:
+        return name + "s"
+    return ("an " if name[0] in "aeiou" else "a ") + name
+
+
+def config_field(d, key, where, kind, default=REQUIRED):
+    """d[key] once checked to be of kind (see `_is_kind`), or default when
+    d has no key; ConfigError naming `where` and the field otherwise."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    if key not in d:
+        if default is REQUIRED:
+            raise ConfigError(f"{where} field {key!r} is required")
+        return default
+    if not _is_kind(d[key], kind):
+        raise ConfigError(f"{where} field {key!r} must be "
+                          f"{_kind_name(kind)}, got {d[key]!r}")
+    return d[key]
+
 
 def family_to_dict(spec: FamilySpec):
     if np.allclose(spec.base.basis, np.eye(spec.n)[: spec.m], atol=0.0):
@@ -629,18 +696,27 @@ def family_to_dict(spec: FamilySpec):
 
 
 def family_from_dict(d):
-    n, m, k = int(d["n"]), int(d["m"]), int(d["k"])
-    if d["base"] == "standard":
-        base = standard_frame(n, m)
-    else:
-        base = Frame(np.asarray(d["base"], dtype=float))
-    schedule = tuple(
-        (int(e["param"]), int(e["i"]), int(e["j"]),
-         float(e.get("weight", 1.0)))
-        for e in d["schedule"]
-    )
-    radii = tuple(float(r) for r in d["radii"])
-    return FamilySpec(n, m, k, base, schedule, radii)
+    """The FamilySpec of a family dict; ConfigError naming the field when
+    a field is missing or of the wrong kind, or the spec is invalid."""
+    n, m, k = (config_field(d, key, "family", int) for key in "nmk")
+    base = config_field(d, "base", "family", (str, [[float]]))
+    if isinstance(base, str) and base != "standard":
+        raise ConfigError(f"family field 'base' must be 'standard' or a "
+                          f"matrix, got {base!r}")
+    schedule = []
+    for e in config_field(d, "schedule", "family", list):
+        a, i, j = (config_field(e, key, "family schedule entry", int)
+                   for key in ("param", "i", "j"))
+        w = config_field(e, "weight", "family schedule entry", float, 1.0)
+        schedule.append((a, i, j, float(w)))
+    radii = tuple(float(r)
+                  for r in config_field(d, "radii", "family", [float]))
+    try:
+        base = (standard_frame(n, m) if base == "standard"
+                else Frame(np.asarray(base, dtype=float)))
+        return FamilySpec(n, m, k, base, tuple(schedule), radii)
+    except ValueError as exc:
+        raise ConfigError(f"family: {exc}") from None
 
 
 def save_family(spec: FamilySpec, path):

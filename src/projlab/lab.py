@@ -12,18 +12,22 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .dimest import box_counting_dim, correlation_dim, project_points
 from .family import (
+    REQUIRED,
+    ConfigError,
     FamilySpec,
+    config_field,
     disjoint_slot_family,
     extend_family,
     family_frame,
     family_from_dict,
+    family_to_dict,
     load_family,
     nondegeneracy_check,
     p_of_l,
@@ -81,9 +85,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config of a JSON object; ConfigError naming the field when
+        a key is unknown, a required field is missing or a field is of the
+        wrong kind.  A null is accepted where the default is None."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be an object, got {d!r}")
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+            raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        for name, fld in cls.__dataclass_fields__.items():
+            if fld.default is None and d.get(name) is None:
+                continue
+            has_default = (fld.default is not MISSING
+                           or fld.default_factory is not MISSING)
+            config_field(d, name, "config", _FIELD_KINDS[name],
+                         None if has_default else REQUIRED)
         return cls(**d)
 
     @classmethod
@@ -95,12 +111,21 @@ class ExperimentConfig:
         return json.dumps(self.__dict__, sort_keys=True, default=list)
 
     def content_hash(self):
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        """Hash of the config with its family resolved to the family dict,
+        so two family files at one path hash differently."""
+        body = dict(self.__dict__,
+                    family=family_to_dict(resolve_family(self.family)))
+        text = json.dumps(body, sort_keys=True, default=list)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-class ConfigError(ValueError):
-    """A config cannot run as the requested mode; the message names the
-    field or requirement it fails."""
+# JSON kind of each config field, as `config_field` checks it
+_FIELD_KINDS = {
+    "mode": str, "family": (dict, str), "seed": int, "measure": dict,
+    "lambda_grid": [int], "estimator": dict, "tolerance": float, "l": int,
+    "s": float, "level": int, "sample_count": int, "deltas": [float],
+    "mc_samples": int, "n_directions": int, "force": bool,
+}
 
 
 # config fields each grid mode reads beyond the common ones
@@ -137,28 +162,36 @@ def resolve_family(family) -> FamilySpec:
 
 
 def build_measure(spec, seed) -> SampledMeasure:
-    """Instantiate a measure from its config dict."""
-    variant = spec["variant"]
+    """Instantiate a measure from its config dict; ConfigError naming the
+    field when one is missing or of the wrong kind."""
+    def get(d, key, kind, default=REQUIRED):
+        return config_field(d, key, "measure", kind, default)
+
+    def frame_of(d):
+        return span_frame(np.asarray(get(d, "frame", [[float]]),
+                                     dtype=float))
+
+    offset_kind = (type(None), [float])
+    variant = get(spec, "variant", str)
     if variant == "four_corner_cantor":
-        return four_corner_cantor(spec["level"])
+        return four_corner_cantor(get(spec, "level", int))
     if variant == "line_cantor":
-        return line_cantor(spec["s"], spec["level"])
+        return line_cantor(get(spec, "s", float), get(spec, "level", int))
     if variant == "lebesgue_ball":
-        return lebesgue_ball(spec["dim"], spec.get("N", 100_000),
-                             spec.get("seed", seed))
+        return lebesgue_ball(get(spec, "dim", int),
+                             get(spec, "N", int, 100_000),
+                             get(spec, "seed", int, seed))
     if variant == "embedded":
-        inner = build_measure(spec["inner"], seed)
-        frame = span_frame(np.asarray(spec["frame"], dtype=float))
-        return embed(inner, frame, spec.get("offset"))
+        inner = build_measure(get(spec, "inner", dict), seed)
+        return embed(inner, frame_of(spec),
+                     get(spec, "offset", offset_kind, None))
     if variant == "product":
-        parts = []
-        for factor in spec["factors"]:
-            inner = build_measure(factor["measure"], seed)
-            frame = span_frame(np.asarray(factor["frame"], dtype=float))
-            parts.append((inner, frame, factor.get("offset")))
-        return product_embed(parts, spec.get("N", 200_000),
-                             spec.get("seed", seed))
-    raise ValueError(f"unknown measure variant {variant!r}")
+        parts = [(build_measure(get(factor, "measure", dict), seed),
+                  frame_of(factor), get(factor, "offset", offset_kind, None))
+                 for factor in get(spec, "factors", list)]
+        return product_embed(parts, get(spec, "N", int, 200_000),
+                             get(spec, "seed", int, seed))
+    raise ConfigError(f"unknown measure variant {variant!r}")
 
 
 def _estimate(measure, estimator_cfg, seed):
@@ -309,14 +342,14 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
                             fit_data, time.time() - t0)
 
 
-def sharpness_family(n, m, k, l, p, radius=np.pi / 8) -> FamilySpec:
+def sharpness_family(n, m, k, l, p) -> FamilySpec:
     """The rotation schedule of the sharpness construction: fill the first
     l rows over all columns, then the remaining rows restricted to the
     first n-m-p columns, one parameter per dot, column-major in the tail."""
     slots = [(i, j) for i in range(1, l + 1) for j in range(m + 1, n + 1)]
     slots += [(i, j) for j in range(m + 1, n - p + 1)
               for i in range(l + 1, m + 1)]
-    return slot_family(n, m, k, slots, radius)
+    return slot_family(n, m, k, slots, np.pi / 8)
 
 
 def sharpness_measure(n, l, p, s, level, N, seed) -> SampledMeasure:
@@ -394,19 +427,18 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     R = 0.5 * float(np.min(radii))
     deltas = (np.asarray(cfg.deltas, dtype=float) if cfg.deltas
               else np.geomspace(0.3, 1e-3, 10))
-    exponents, panel = [], []
-    tries = 0
-    while len(panel) < cfg.n_directions and tries < 10 * cfg.n_directions:
-        tries += 1
+    # the panel's directions first, then one probe call scores them all
+    # on one parameter cloud drawn from cfg.seed
+    ws = []
+    for _ in range(cfg.n_directions):
         lam_star = center + (rng.random(k_total) - 0.5) * R
         comp = complement(frame_at(lam_star))
-        coeff = rng.standard_normal(comp.plane_dim)
-        w = coeff @ comp.basis
-        w /= np.linalg.norm(w)
-        probe = transversality_probe(
-            rows_fn, k_total, center, R, w, deltas, cfg.mc_samples,
-            seed=cfg.seed ^ len(panel),
-        )
+        w = rng.standard_normal(comp.plane_dim) @ comp.basis
+        ws.append(w / np.linalg.norm(w))
+    probes = transversality_probe(rows_fn, k_total, center, R, ws, deltas,
+                                  cfg.mc_samples, seed=cfg.seed)
+    exponents, panel = [], []
+    for w, probe in zip(ws, probes):
         entry = {"w": [float(v) for v in w], "exponent": None,
                  "diagnostic": probe["diagnostic"]}
         if probe["exponent"] is not None:

@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from projlab.cli import main
@@ -142,6 +141,27 @@ def test_grid_subcommands_reject_mismatched_or_incomplete_config(
     assert main(["project", str(no_measure), "--out", out]) == 2
     assert "'measure'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("radii", lambda cfg: cfg["family"].pop("radii")),
+    ("level", lambda cfg: cfg["measure"]["inner"].pop("level")),
+    ("lambda_grid", lambda cfg: cfg.update(lambda_grid=["a"])),
+    ("seed", lambda cfg: cfg.update(seed="x")),
+], ids=["family_without_radii", "measure_without_level",
+        "lambda_grid_not_integers", "seed_not_integer"])
+def test_project_rejects_malformed_config(tmp_path, capsys, field, edit):
+    cfg = json.loads((CONFIGS / "bound_check_n3m2k1.json").read_text())
+    cfg["lambda_grid"] = [2]
+    edit(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["project", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"projlab project: {bad}: ")
+    assert repr(field) in err
+    assert not out.exists()
 
 
 def test_verify_subcommand(capsys):

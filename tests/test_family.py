@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +35,6 @@ from projlab.grassmann import (
     standard_frame,
 )
 from projlab.lab import extended_plane_derivative_check
-from projlab.multivec import gram_norm
 
 
 # --- arithmetic layer ------------------------------------------------------
@@ -254,7 +251,7 @@ def test_extend_family_shapes_and_center():
     ext = extend_family(spec, np.zeros(3), l=1, seed=0)
     assert (ext.p, ext.t) == (1, 1)
     assert ext.k_total == 4
-    assert ext.plane_dim == 3
+    assert ext.spec.m + ext.p == 3
     assert ext.target_order == 3
     c = ext.center()
     rows = ext.rows(c[None, :])[0]
@@ -329,8 +326,8 @@ def test_transversality_probe_known_exponent():
     spec = disjoint_slot_family(3, 2, 1)
     w = np.array([0.0, 0.0, 1.0])  # complement vector at lam = 0
     deltas = np.geomspace(1e-3, 1e-1, 8)
-    res = transversality_probe(spec.rows, 1, np.zeros(1),
-                               0.3, w, deltas, samples=200_000, seed=0)
+    [res] = transversality_probe(spec.rows, 1, np.zeros(1),
+                                 0.3, [w], deltas, samples=200_000, seed=0)
     assert res["exponent"] is not None
     assert res["exponent"] == pytest.approx(1.0, abs=0.1)
 
@@ -340,22 +337,31 @@ def test_transversality_probe_never_small():
     spec = disjoint_slot_family(4, 2, 1)
     w = np.array([0.0, 1.0, 0.0, 0.0])  # e2 is fixed by slot (1, 3)
     deltas = np.geomspace(1e-4, 1e-2, 6)
-    res = transversality_probe(spec.rows, 1, np.zeros(1),
-                               0.2, w, deltas, samples=20_000, seed=0)
+    [res] = transversality_probe(spec.rows, 1, np.zeros(1),
+                                 0.2, [w], deltas, samples=20_000, seed=0)
     assert res["exponent"] is None
     assert res["diagnostic"] == "direction never near kernel"
 
 
 def test_transversality_probe_deterministic():
     spec = disjoint_slot_family(3, 2, 1)
-    w = np.array([0.0, 0.0, 1.0])
+    ws = [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]]
     deltas = np.geomspace(1e-3, 1e-1, 6)
     a = transversality_probe(spec.rows, 1, np.zeros(1),
-                             0.3, w, deltas, samples=50_000, seed=7)
+                             0.3, ws, deltas, samples=50_000, seed=7)
     b = transversality_probe(spec.rows, 1, np.zeros(1),
-                             0.3, w, deltas, samples=50_000, seed=7)
-    assert np.array_equal(a["fractions"], b["fractions"])
-    assert a["exponent"] == b["exponent"]
+                             0.3, ws, deltas, samples=50_000, seed=7)
+    assert len(a) == len(b) == 2
+    for ra, rb in zip(a, b):
+        assert np.array_equal(ra["fractions"], rb["fractions"])
+        assert ra["exponent"] == rb["exponent"]
+
+
+def test_transversality_probe_rejects_a_single_vector():
+    spec = disjoint_slot_family(3, 2, 1)
+    with pytest.raises(ValueError, match=r"\(D, n\)"):
+        transversality_probe(spec.rows, 1, np.zeros(1), 0.3,
+                             np.array([0.0, 0.0, 1.0]), [0.1], 100, seed=0)
 
 
 # --- batched rows and the sublevel kernel against the (B, m, n) loops ------
@@ -414,7 +420,9 @@ def _solve_norms(E, w):
 
 
 def _kernel_norms(E, w):
-    return _projection_norms(np.ascontiguousarray(np.moveaxis(E, 0, -1)), w)
+    [vals] = _projection_norms(np.ascontiguousarray(np.moveaxis(E, 0, -1)),
+                               [w])
+    return vals
 
 
 def _ref_counts(rows_fn, k, lam0, R, w, deltas, samples, seed,
@@ -470,42 +478,70 @@ def _kernel_direction(frame_at, center, R, seed):
     return w / np.linalg.norm(w)
 
 
+def _panel(frame_at, center, R, seed, count=3):
+    return np.array([_kernel_direction(frame_at, center, R, seed + i)
+                     for i in range(count)])
+
+
 @pytest.mark.parametrize("seed", [3, 17, 2718])
 def test_sublevel_counts_equal_solve_reference(probe_families, seed):
+    # every direction of a panel, scored on the one shared cloud, counts
+    # exactly what the one-direction reference counts on the seed's cloud.
     # 200,001 samples cross one batch boundary; the deltas are unsorted
-    # and repeat one value
+    # and repeat two values
     deltas = np.array([0.05, 0.3, 0.002, 0.05, 0.1, 0.01, 0.02, 0.002])
     samples = SUBLEVEL_BATCH + 1
     for name, rows_fn, ref_rows, k, center, R, frame_at in probe_families:
-        w = _kernel_direction(frame_at, center, R, seed)
+        ws = _panel(frame_at, center, R, seed)
         fractions, counts = _sublevel_fractions(
-            rows_fn, k, center, R, w, deltas, samples, seed)
-        ref, _ = _ref_counts(ref_rows, k, center, R, w, deltas, samples,
-                             seed)
-        assert counts.tolist() == ref.tolist(), name
-        assert counts[0] > 0 and counts[2] < samples, name
-        assert np.array_equal(fractions, ref / samples), name
+            rows_fn, k, center, R, ws, deltas, samples, seed)
+        assert counts.shape == fractions.shape == (len(ws), len(deltas))
+        for i, w in enumerate(ws):
+            ref, _ = _ref_counts(ref_rows, k, center, R, w, deltas, samples,
+                                 seed)
+            assert counts[i].tolist() == ref.tolist(), (name, i)
+            assert counts[i, 0] > 0 and counts[i, 2] < samples, (name, i)
+            assert np.array_equal(fractions[i], ref / samples), (name, i)
 
 
 @pytest.mark.parametrize("seed", [3, 17, 2718])
 def test_sublevel_counts_at_tied_deltas(probe_families, seed):
     # deltas equal to sampled values count the sample (vals <= delta).
     # Solve and Cholesky round differently in the last bits, so the tie
-    # is checked on the values the kernel itself produces.
+    # is checked on the values the kernel itself produces, with deltas
+    # picked from the first direction's values
     samples = 50_000
     for name, rows_fn, _, k, center, R, frame_at in probe_families:
-        w = _kernel_direction(frame_at, center, R, seed)
-        _, vals = _ref_counts(rows_fn, k, center, R, w, [1.0], samples,
+        ws = _panel(frame_at, center, R, seed, count=2)
+        _, vals = _ref_counts(rows_fn, k, center, R, ws[0], [1.0], samples,
                               seed, norms=_kernel_norms)
         picks = np.sort(vals)[[0, 1, 100, 2_000, 25_000, 25_000, -1]]
         deltas = np.concatenate([picks, np.nextafter(picks, 0.0)])[::-1]
-        _, counts = _sublevel_fractions(rows_fn, k, center, R, w, deltas,
+        _, counts = _sublevel_fractions(rows_fn, k, center, R, ws, deltas,
                                         samples, seed)
-        ref, _ = _ref_counts(rows_fn, k, center, R, w, deltas, samples,
-                             seed, norms=_kernel_norms)
-        assert counts.tolist() == ref.tolist(), name
-        at_pick, below = counts[len(picks):], counts[:len(picks)]
+        for i, w in enumerate(ws):
+            ref, _ = _ref_counts(rows_fn, k, center, R, w, deltas, samples,
+                                 seed, norms=_kernel_norms)
+            assert counts[i].tolist() == ref.tolist(), (name, i)
+        at_pick, below = counts[0, len(picks):], counts[0, :len(picks)]
         assert np.all(at_pick > below) and at_pick[0] == samples, name
+
+
+def test_panel_directions_equal_one_direction_probes(probe_families):
+    # the shared cloud is drawn from the seed alone: direction i of a
+    # panel, and direction 0 in particular, equals a probe of w_i alone
+    deltas = np.geomspace(0.3, 1e-3, 10)
+    for name, rows_fn, _, k, center, R, frame_at in probe_families:
+        ws = _panel(frame_at, center, R, 5)
+        panel = transversality_probe(rows_fn, k, center, R, ws, deltas,
+                                     samples=60_000, seed=2718)
+        assert len(panel) == len(ws)
+        for w, res in zip(ws, panel):
+            [alone] = transversality_probe(rows_fn, k, center, R, [w],
+                                           deltas, samples=60_000, seed=2718)
+            assert np.array_equal(res["fractions"], alone["fractions"]), name
+            assert res["exponent"] == alone["exponent"], name
+            assert res["diagnostic"] == alone["diagnostic"], name
 
 
 def test_sublevel_counts_leave_nan_uncounted():
@@ -516,15 +552,16 @@ def test_sublevel_counts_leave_nan_uncounted():
         E[::3, 1, :] = np.nan
         return E
 
-    w = np.array([0.0, 0.0, 1.0])
+    ws = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
     deltas = np.array([0.01, 0.1, np.inf])
-    _, counts = _sublevel_fractions(rows_fn, 1, np.zeros(1), 0.3, w, deltas,
-                                    3_000, 5)
-    ref, vals = _ref_counts(rows_fn, 1, np.zeros(1), 0.3, w, deltas, 3_000,
-                            5)
-    assert np.isnan(vals).sum() == 1_000
-    assert counts.tolist() == ref.tolist()
-    assert counts[-1] == 2_000
+    _, counts = _sublevel_fractions(rows_fn, 1, np.zeros(1), 0.3, ws,
+                                    deltas, 3_000, 5)
+    for i, w in enumerate(ws):
+        ref, vals = _ref_counts(rows_fn, 1, np.zeros(1), 0.3, w, deltas,
+                                3_000, 5)
+        assert np.isnan(vals).sum() == 1_000
+        assert counts[i].tolist() == ref.tolist()
+        assert counts[i, -1] == 2_000
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,6 +570,7 @@ def test_projection_norms_match_span_projector(data):
     n = data.draw(st.integers(2, 6), label="n")
     d = data.draw(st.integers(1, min(4, n - 1)), label="d")
     B = data.draw(st.integers(1, 4), label="B")
+    D = data.draw(st.integers(1, 4), label="D")
     unit = st.floats(-0.5, 0.5)
     # a dominant diagonal block keeps every sample's rows independent
     # (smallest singular value above 0.5), so 1e-12 is a fixed budget
@@ -540,12 +578,16 @@ def test_projection_norms_match_span_projector(data):
                                     max_size=B * d * n), label="A"))
     perm = data.draw(st.permutations(range(n)), label="perm")
     rows = (3.0 * np.eye(d, n) + A.reshape(B, d, n))[:, :, perm]
-    w = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n,
-                                    max_size=n), label="w"))
-    vals = _kernel_norms(rows, w)
-    for b in range(B):
-        expected = np.linalg.norm(span_projector(rows[b]) @ w)
-        assert abs(vals[b] - expected) <= 1e-12
+    ws = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=D * n,
+                                     max_size=D * n), label="ws"))
+    ws = ws.reshape(D, n)
+    E = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+    norms = list(_projection_norms(E, ws))
+    assert len(norms) == D
+    for w, vals in zip(ws, norms):
+        for b in range(B):
+            expected = np.linalg.norm(span_projector(rows[b]) @ w)
+            assert abs(vals[b] - expected) <= 1e-12
 
 
 def test_rows_equal_sample_major_construction(probe_families):

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projlab.family import disjoint_slot_family, p_of_l, save_family
+from projlab.family import disjoint_slot_family, save_family
 from projlab.lab import (
+    ConfigError,
     ExperimentConfig,
     build_measure,
     lambda_grid,
@@ -47,10 +48,61 @@ def test_config_round_trip_and_hash(tmp_path):
     assert cfg2.content_hash() != cfg.content_hash()
 
 
+def test_content_hash_follows_the_family_file(tmp_path):
+    # two different families written in turn to one path hash differently
+    cfg = _tiny_bound_cfg(tmp_path)
+    first = cfg.content_hash()
+    save_family(disjoint_slot_family(3, 2, 1, radius=0.3), cfg.family)
+    second = cfg.content_hash()
+    assert second != first
+    save_family(disjoint_slot_family(3, 2, 1), cfg.family)
+    assert cfg.content_hash() == first
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"mode": "bound_check", "family": {},
                                     "seed": 0, "typo_key": 1})
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"seed": None}, "seed"), ({"seed": True}, "seed"),
+    ({"family": 3}, "family"), ({"deltas": [0.1, "x"]}, "deltas"),
+    ({"tolerance": "0.1"}, "tolerance"), ({"force": 1}, "force"),
+])
+def test_config_from_dict_names_the_bad_field(extra, field):
+    d = {"mode": "bound_check", "family": {}, "seed": 0, **extra}
+    if d["seed"] is None:
+        del d["seed"]
+    with pytest.raises(ConfigError, match=f"config field '{field}'"):
+        ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("n"), "family field 'n' is required"),
+    (lambda d: d.update(k=1.5), "family field 'k' must be an integer"),
+    (lambda d: d.update(base="skew"), "family field 'base' must be"),
+    (lambda d: d["schedule"][0].pop("j"),
+     "family schedule entry field 'j' is required"),
+    (lambda d: d.update(radii=0.2), "family field 'radii' must be a list"),
+    (lambda d: d.update(radii=[2.0]), "family: domain radii"),
+])
+def test_family_from_dict_names_the_bad_field(edit, message):
+    from projlab.family import family_to_dict
+
+    d = family_to_dict(disjoint_slot_family(3, 2, 1))
+    edit(d)
+    with pytest.raises(ConfigError, match=message):
+        resolve_family(d)
+
+
+def test_build_measure_names_the_bad_field():
+    with pytest.raises(ConfigError, match="measure field 'frame'"):
+        build_measure({"variant": "embedded", "frame": [[1.0, "a"]],
+                       "inner": {"variant": "four_corner_cantor",
+                                 "level": 3}}, seed=0)
+    with pytest.raises(ConfigError, match="variant 'cube'"):
+        build_measure({"variant": "cube"}, seed=0)
 
 
 def test_build_measure_variants():
