@@ -1,22 +1,25 @@
-"""Rotation charts on the Grassmannian and analytic projection derivatives.
+"""Rotation charts on the Grassmannian and the projection derivative of a
+family.
 
-A plane near a base m-plane is parametrized by m*(n-m) rotation angles,
-one per (plane direction, complement direction) pair.  The derivative of
-the projected point with respect to an angle has a closed form; here we
-verify it against central differences and look at distances between planes.
+A plane near a base m-plane is given by rotation angles, one per (plane
+direction, complement direction) slot; a rotation-schedule family drives
+those angles linearly from its parameters.  The derivative of the
+projected point with respect to each parameter is what the non-degeneracy
+check is built on; here we compare it with central differences and look
+at distances between planes.
 """
 
 import numpy as np
 
 from projlab import (
-    ChartPoint,
-    chart_point_frame,
-    chart_rows,
+    disjoint_slot_family,
+    family_frame,
+    family_rows,
     projector,
     span_frame,
     span_projector,
-    tangent_projection_derivative,
 )
+from projlab.family import projection_derivative_matrix
 
 
 def plane_distance(f1, f2):
@@ -27,30 +30,27 @@ def plane_distance(f1, f2):
 
 rng = np.random.default_rng(0)
 
-# a chart around a tilted 2-plane in R^4
+# a 3-parameter family around a tilted 2-plane in R^4: parameter a drives
+# the a-th slot (1,3), (1,4), (2,3) in the base's chart
 base = span_frame(rng.standard_normal((2, 4)))
-angles = np.array([[0.2, -0.1], [0.05, 0.3]])
-f = chart_point_frame(ChartPoint(base, angles))
+spec = disjoint_slot_family(4, 2, 3, base=base)
+lam = np.array([0.2, -0.1, 0.3])
+f = family_frame(spec, lam)
 print("base plane rows:\n", np.round(base.basis, 3))
-print("chart point rows:\n", np.round(f.basis, 3))
+print(f"plane rows at lambda = {lam}:\n", np.round(f.basis, 3))
 print(f"distance from base: {plane_distance(base, f):.4f}")
 
-# the analytic derivative of z |-> Pi_V(z) in chart slot (i, j), compared
-# with central differences of the projector along that slot
-c0 = ChartPoint(base, np.zeros((2, 2)))
-B = np.vstack([c0.base.basis, c0.comp.basis])
+# the analytic derivative of lambda |-> Pi_{V_lambda}(z), compared with
+# central differences of the projector along each parameter
 z = rng.standard_normal(4)
-print("\nslot   analytic vs central difference (max abs gap)")
-for i in (1, 2):
-    for j in (3, 4):
-        an = B @ tangent_projection_derivative(c0, i, j, z)
-        h = 1e-6
-        a = np.zeros((2, 2))
-        a[i - 1, j - 3] = h
-        Pp = span_projector(chart_rows(ChartPoint(base, a, c0.comp)))
-        Pm = span_projector(chart_rows(ChartPoint(base, -a, c0.comp)))
-        fd = (Pp - Pm) @ (B @ z) / (2 * h)
-        print(f"({i},{j})  {np.max(np.abs(an - fd)):.2e}")
+D = projection_derivative_matrix(spec, lam, z)
+h = 1e-6
+print("\nparameter   analytic vs central difference (max abs gap)")
+for a, e in enumerate(h * np.eye(3)):
+    Pp = span_projector(family_rows(spec, lam + e)[0])
+    Pm = span_projector(family_rows(spec, lam - e)[0])
+    fd = (Pp - Pm) @ z / (2 * h)
+    print(f"lambda_{a + 1}    {np.max(np.abs(D[:, a] - fd)):.2e}")
 
 # distances respect the metric axioms on a random triple of planes
 f1, f2, f3 = (span_frame(rng.standard_normal((2, 5))) for _ in range(3))

@@ -41,16 +41,12 @@ from .fractal import (
     product_embed,
 )
 from .grassmann import (
-    ChartPoint,
     Frame,
-    chart_point_frame,
-    chart_rows,
     complement,
     projector,
     span_frame,
     span_projector,
     standard_frame,
-    tangent_projection_derivative,
 )
 from .lab import (
     ConfigError,

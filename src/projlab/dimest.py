@@ -45,8 +45,7 @@ def project_points(f: Frame, measure: SampledMeasure) -> SampledMeasure:
     if f.ambient_dim != measure.ambient_dim:
         raise ValueError("frame and measure ambient dimensions differ")
     pts = measure.points @ projector(f).T
-    return SampledMeasure(pts, measure.weights, measure.nominal_dim,
-                          {"variant": "projected", "inner": measure.spec})
+    return SampledMeasure(pts, measure.weights, measure.nominal_dim)
 
 
 def _intrinsic_coords(points, weights):

@@ -19,7 +19,6 @@ import numpy as np
 from .grassmann import (
     Frame,
     complement,
-    coordinate_matrix,
     givens,
     orthonormalize,
     span_frame,
@@ -33,18 +32,9 @@ from .multivec import gram_norm
 # ---------------------------------------------------------------------------
 
 def bracket_ceil(x):
-    """Smallest integer q >= 0 with x <= q (ceiling clamped at zero).
-
-    Accepts floats, ints and Fractions; exact for exact inputs.
-    """
-    if isinstance(x, Fraction):
-        q = -((-x.numerator) // x.denominator)
-    else:
-        xf = float(x)
-        if not np.isfinite(xf):
-            raise ValueError("bracket_ceil needs a finite argument")
-        q = int(np.ceil(xf))
-    return max(0, int(q))
+    """Smallest integer q >= 0 with x <= q (ceiling clamped at zero), for
+    a Fraction or an int x, in exact arithmetic."""
+    return max(0, -((-x.numerator) // x.denominator))
 
 
 def _check_nmk(n, m, k):
@@ -81,9 +71,6 @@ def p_oracle_dots(n, m, k, l):
 class BoundTable:
     """Piecewise data of the lower-bound curve for one (n, m, k)."""
 
-    n: int
-    m: int
-    k: int
     p_values: tuple  # p(0), ..., p(m-1)
     ac_threshold: int  # p(m-1) + m; above it the bound saturates at m
 
@@ -91,7 +78,7 @@ class BoundTable:
 def bound_table(n, m, k):
     _check_nmk(n, m, k)
     pv = tuple(p_of_l(n, m, k, l) for l in range(m))
-    return BoundTable(n, m, k, pv, pv[-1] + m)
+    return BoundTable(pv, pv[-1] + m)
 
 
 def theorem_lower_bound(n, m, k, d):
@@ -167,7 +154,10 @@ class FamilySpec:
             np.all(np.abs(lam) < np.asarray(self.radii))
         )
 
-    coordinate_matrix = coordinate_matrix  # rows: base, then complement
+    def coordinate_matrix(self):
+        """Rows = (base frame, complement frame): the orthonormal chart
+        coordinate system of the family."""
+        return np.vstack([self.base.basis, self.comp.basis])
 
     def angles(self, lam):
         """Chart angles at lam: (m, n-m) for one parameter (k,), and
@@ -290,21 +280,16 @@ class FamilyJacobian:
     """Derivative data of a family at one site.
 
     A[a] is the m x (n-m) matrix of the map z -> d Pi_{V_lambda}(z) /
-    d lambda_a restricted to the complement of V_{lam0}, written in the
-    orthonormal bases (plane_frame rows, comp_frame rows); both frames are
-    in ambient coordinates.
+    d lambda_a restricted to the complement of V_{lam0}, written in an
+    orthonormal basis of V_{lam0} and the basis of comp_frame (ambient
+    coordinates).
     """
 
     n: int
     m: int
     k: int
     A: np.ndarray  # (k, m, n - m)
-    plane_frame: Frame
     comp_frame: Frame
-
-    def flattened(self):
-        """The k maps as vectors in R^{m(n-m)}."""
-        return self.A.reshape(self.k, -1)
 
 
 def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
@@ -317,11 +302,8 @@ def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     Q = np.linalg.qr(g.T, mode="complete")[0]
     f = Q[:, spec.m:].T  # complement basis, chart coords
     A = np.einsum("rm,amn,cn->arc", g, dPis, f)
-    Bcoord = spec.coordinate_matrix()
-    return FamilyJacobian(
-        spec.n, spec.m, spec.k, A,
-        Frame(g @ Bcoord), Frame(f @ Bcoord),
-    )
+    return FamilyJacobian(spec.n, spec.m, spec.k, A,
+                          Frame(f @ spec.coordinate_matrix()))
 
 
 def projection_derivative_matrix(spec: FamilySpec, lam0, z):
@@ -339,7 +321,7 @@ def nondegeneracy_check(spec: FamilySpec, lam0):
     non-degenerate at lam0 exactly when the volume is positive, taken as
     above 1e-8."""
     J = family_jacobian(spec, lam0)
-    norm = gram_norm(J.flattened())
+    norm = gram_norm(J.A.reshape(J.k, -1))
     return {"wedge_norm": norm, "pass": bool(norm > 1e-8)}
 
 
@@ -470,14 +452,10 @@ class ExtendedFamily:
         return np.moveaxis(out, -1, 0)
 
     def frame(self, lam) -> Frame:
-        lam = np.asarray(lam, dtype=float)
-        return span_frame(self.rows(lam[None, :])[0])
+        return span_frame(self.rows(lam)[0])
 
     def domain_radii(self):
-        base = np.minimum(
-            np.asarray(self.spec.radii) - np.abs(self.lam0),
-            np.asarray(self.spec.radii),
-        )
+        base = np.asarray(self.spec.radii) - np.abs(self.lam0)
         return np.concatenate([base, np.full(self.p * self.t,
                                              EXTRA_RADIUS)])
 
@@ -725,6 +703,17 @@ def save_family(spec: FamilySpec, path):
         fh.write("\n")
 
 
+def read_json(path):
+    """The JSON value in the file at path; ConfigError naming the path
+    when the file cannot be read or does not hold JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_family(path) -> FamilySpec:
-    with open(path) as fh:
-        return family_from_dict(json.load(fh))
+    return family_from_dict(read_json(path))

@@ -24,7 +24,6 @@ class SampledMeasure:
     points: np.ndarray  # (N, n)
     weights: np.ndarray  # (N,)
     nominal_dim: float  # the generator's theoretical dimension
-    spec: dict  # provenance
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -66,8 +65,7 @@ def four_corner_cantor(level) -> SampledMeasure:
     offs = [np.array(c) for c in
             [(0.0, 0.0), (0.75, 0.0), (0.0, 0.75), (0.75, 0.75)]]
     pts, w = _ifs_iterate([(0.25, off) for off in offs], level)
-    return SampledMeasure(pts, w, 1.0,
-                          {"variant": "four_corner_cantor", "level": level})
+    return SampledMeasure(pts, w, 1.0)
 
 
 def line_cantor(s, level) -> SampledMeasure:
@@ -81,9 +79,7 @@ def line_cantor(s, level) -> SampledMeasure:
     pts, w = _ifs_iterate(
         [(rho, np.array([0.0])), (rho, np.array([1.0 - rho]))], level
     )
-    return SampledMeasure(pts, w, float(s),
-                          {"variant": "line_cantor", "s": float(s),
-                           "level": level})
+    return SampledMeasure(pts, w, float(s))
 
 
 def lebesgue_ball(dim, N, seed) -> SampledMeasure:
@@ -96,9 +92,7 @@ def lebesgue_ball(dim, N, seed) -> SampledMeasure:
     radii = rng.random(N) ** (1.0 / dim)
     pts = g * radii[:, None]
     w = np.full(N, 1.0 / N)
-    return SampledMeasure(pts, w, float(dim),
-                          {"variant": "lebesgue_ball", "dim": dim,
-                           "N": N, "seed": seed})
+    return SampledMeasure(pts, w, float(dim))
 
 
 def _center_and_scale(pts):
@@ -122,8 +116,7 @@ def embed(measure: SampledMeasure, frame: Frame, offset=None,
     out = pts @ frame.basis
     if offset is not None:
         out = out + np.asarray(offset, dtype=float)
-    return SampledMeasure(out, measure.weights, measure.nominal_dim,
-                          {"variant": "embedded", "inner": measure.spec})
+    return SampledMeasure(out, measure.weights, measure.nominal_dim)
 
 
 def product_embed(parts, N, seed) -> SampledMeasure:
@@ -143,7 +136,6 @@ def product_embed(parts, N, seed) -> SampledMeasure:
     rng = np.random.default_rng(seed)
     out = np.zeros((N, n))
     dim = 0.0
-    specs = []
     for measure, frame, offset in parts:
         idx = rng.choice(measure.count, size=N, p=measure.weights)
         pts = _center_and_scale(measure.points)[idx]
@@ -151,11 +143,7 @@ def product_embed(parts, N, seed) -> SampledMeasure:
         if offset is not None:
             out += np.asarray(offset, dtype=float)
         dim += measure.nominal_dim
-        specs.append(measure.spec)
-    w = np.full(N, 1.0 / N)
-    return SampledMeasure(out, w, dim,
-                          {"variant": "product", "factors": specs,
-                           "N": N, "seed": seed})
+    return SampledMeasure(out, np.full(N, 1.0 / N), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@ from .family import (
     extend_family,
     family_frame,
     family_from_dict,
+    family_rows,
     family_to_dict,
     load_family,
     nondegeneracy_check,
     p_of_l,
     p_oracle_dots,
     projection_derivative_matrix,
+    read_json,
     slot_family,
     theorem_lower_bound,
     transversality_probe,
@@ -47,16 +49,11 @@ from .fractal import (
     write_csv,
 )
 from .grassmann import (
-    ChartPoint,
     Frame,
-    chart_point_frame,
-    chart_rows,
     complement,
-    coordinate_matrix,
     projector,
     span_frame,
     span_projector,
-    tangent_projection_derivative,
 )
 from .multivec import cauchy_binet_norm, gram_norm, wedge_operator_norm
 
@@ -104,11 +101,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def canonical_json(self):
-        return json.dumps(self.__dict__, sort_keys=True, default=list)
+        return cls.from_dict(read_json(path))
 
     def content_hash(self):
         """Hash of the config with its family resolved to the family dict,
@@ -132,9 +125,10 @@ _FIELD_KINDS = {
 _REQUIRED_FIELDS = {"bound_check": ("measure",), "sharpness": ("l", "s")}
 
 
-def check_config(cfg: ExperimentConfig, mode):
-    """Raise ConfigError naming the first requirement cfg fails for a run
-    of the given mode."""
+def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
+    """The family of cfg once cfg is checked for a run of the given mode;
+    ConfigError naming the first requirement it fails otherwise, before
+    any measure is built."""
     if cfg.mode != mode:
         raise ConfigError(f"field 'mode' is {cfg.mode!r}, this run needs "
                           f"{mode!r}")
@@ -151,6 +145,23 @@ def check_config(cfg: ExperimentConfig, mode):
         if not all(0 < d < np.inf for d in cfg.deltas):
             raise ConfigError(f"field 'deltas' must be positive and finite, "
                               f"got {list(cfg.deltas)}")
+    spec = resolve_family(cfg.family)
+    n, m, k, l = spec.n, spec.m, spec.k, cfg.l
+    if l is not None and not 0 <= l <= m - 1:
+        raise ConfigError(f"field 'l' must lie in 0..m-1={m - 1}, got {l}")
+    method = cfg.estimator.get("method", "box_counting")
+    if method not in ("box_counting", "correlation"):
+        raise ConfigError(f"field 'estimator' names the unknown method "
+                          f"{method!r}")
+    if mode == "sharpness":
+        if not 0 <= cfg.s <= 1:
+            raise ConfigError(f"field 's' must lie in [0, 1], got {cfg.s}")
+        lhs, rhs = parameter_bracket(n, m, l, p_of_l(n, m, k, l))
+        if not lhs < k <= rhs:
+            raise ConfigError(f"field 'l'={l} and the family's k={k} violate "
+                              f"the parameter-count bracket {lhs} < k <= "
+                              f"{rhs}")
+    return spec
 
 
 def resolve_family(family) -> FamilySpec:
@@ -195,27 +206,29 @@ def build_measure(spec, seed) -> SampledMeasure:
 
 
 def _estimate(measure, estimator_cfg, seed):
-    method = estimator_cfg.get("method", "box_counting")
-    if method == "box_counting":
-        return box_counting_dim(measure, scales=estimator_cfg.get("scales"),
-                                seed=seed)
-    if method == "correlation":
+    """The estimate of `check_config`'s estimator method."""
+    if estimator_cfg.get("method") == "correlation":
         return correlation_dim(
             measure, pair_budget=estimator_cfg.get("pair_budget", 200_000),
             seed=seed)
-    raise ValueError(f"unknown estimator {method!r}")
+    return box_counting_dim(measure, scales=estimator_cfg.get("scales"),
+                            seed=seed)
 
 
 def lambda_grid(spec: FamilySpec, counts):
-    """Cartesian grid over the family domain, per-axis counts, spanning 0.9
-    of each radius so that it stays inside the open box."""
-    counts = list(counts)
-    if len(counts) == 1 and spec.k > 1:
-        counts = counts * spec.k
-    if len(counts) != spec.k:
-        raise ValueError("need one grid count per parameter")
+    """Cartesian grid over the family domain, per-axis counts (one count
+    serves every axis), spanning 0.9 of each radius so that it stays
+    inside the open box; ConfigError naming the field when the counts do
+    not fit the family."""
+    per_axis = list(counts)
+    if len(per_axis) == 1:
+        per_axis *= spec.k
+    if len(per_axis) != spec.k or min(per_axis) < 1:
+        raise ConfigError(f"field 'lambda_grid' must hold one count or one "
+                          f"per parameter (k={spec.k}), each at least 1, "
+                          f"got {list(counts)}")
     axes = [np.linspace(-0.9 * r, 0.9 * r, c)
-            for r, c in zip(spec.radii, counts)]
+            for r, c in zip(spec.radii, per_axis)]
     return [np.array(pt) for pt in itertools.product(*axes)]
 
 
@@ -298,12 +311,12 @@ def _gate_nondegenerate(spec, lam_center, force):
     return check
 
 
-def _grid_rows(cfg: ExperimentConfig, spec, measure, bound):
-    """Project the measure onto V_lambda at every grid point and estimate
-    its dimension: the report rows against `bound`, sorted by lambda, and
-    the estimates in grid order."""
+def _grid_rows(cfg: ExperimentConfig, spec, grid, measure, bound):
+    """Project the measure onto V_lambda at every point of the grid and
+    estimate its dimension: the report rows against `bound`, sorted by
+    lambda, and the estimates in grid order."""
     rows, fit_data = [], []
-    for idx, lam in enumerate(lambda_grid(spec, cfg.lambda_grid or (8,))):
+    for idx, lam in enumerate(grid):
         projected = project_points(family_frame(spec, lam), measure)
         est = _estimate(projected, cfg.estimator, cfg.seed ^ idx)
         rows.append({
@@ -322,13 +335,13 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
     """Project the measure over a parameter grid and compare estimated
     dimensions against the theorem's lower-bound curve evaluated at the
     generator's nominal dimension."""
-    check_config(cfg, "bound_check")
     t0 = time.time()
-    spec = resolve_family(cfg.family)
+    spec = check_config(cfg, "bound_check")
+    grid = lambda_grid(spec, cfg.lambda_grid or (8,))
     gate = _gate_nondegenerate(spec, np.zeros(spec.k), cfg.force)
     measure = build_measure(cfg.measure, cfg.seed)
     bound = theorem_lower_bound(spec.n, spec.m, spec.k, measure.nominal_dim)
-    rows, fit_data = _grid_rows(cfg, spec, measure, bound)
+    rows, fit_data = _grid_rows(cfg, spec, grid, measure, bound)
     violations = sum(r["est_dim"] < bound - cfg.tolerance for r in rows)
     summary = {
         "bound": float(bound),
@@ -369,23 +382,17 @@ def sharpness_measure(n, l, p, s, level, N, seed) -> SampledMeasure:
 def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     """Check that the constructed family/measure pair pinches the bound:
     estimated projected dimensions concentrate at l + s."""
-    check_config(cfg, "sharpness")
     t0 = time.time()
-    spec = resolve_family(cfg.family)
+    spec = check_config(cfg, "sharpness")
     n, m, k = spec.n, spec.m, spec.k
     l, s = cfg.l, cfg.s
     p = p_of_l(n, m, k, l)
-    lhs, rhs = parameter_bracket(n, m, l, p)
-    if not lhs < k <= rhs:
-        raise ValueError(
-            f"(l, p, k) violate the parameter-count bracket: "
-            f"need {lhs} < k <= {rhs}, got k={k}"
-        )
+    grid = lambda_grid(spec, cfg.lambda_grid or (8,))
     _gate_nondegenerate(spec, np.zeros(k), cfg.force)
     measure = sharpness_measure(n, l, p, s, cfg.level, cfg.sample_count,
                                 cfg.seed)
     target = l + s
-    rows, fit_data = _grid_rows(cfg, spec, measure, target)
+    rows, fit_data = _grid_rows(cfg, spec, grid, measure, target)
     in_band = sum(abs(r["est_dim"] - target) <= cfg.tolerance for r in rows)
     summary = {
         "target": float(target),
@@ -404,9 +411,8 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit sublevel-volume exponents over a panel of kernel directions and
     compare with the target order r = l + 1 + p (or 1 for an unextended
     family at l = 0)."""
-    check_config(cfg, "transversality")
     t0 = time.time()
-    spec = resolve_family(cfg.family)
+    spec = check_config(cfg, "transversality")
     rng = np.random.default_rng(cfg.seed)
     if cfg.l is not None and p_of_l(spec.n, spec.m, spec.k, cfg.l) > 0:
         ext = extend_family(spec, np.zeros(spec.k), cfg.l, seed=cfg.seed)
@@ -537,30 +543,29 @@ def multivec_oracle_gaps(count, seed):
 
 
 def tangent_derivative_order(count, seed):
-    """Smallest order, over `count` random charts, at which central
-    differences of a -> Pi_{V(a)} z converge to the analytic slot
-    derivative at a = 0 (chart coordinates); 2 when it is right."""
+    """Smallest order, over `count` random families at random sites
+    lam0, at which central differences of lam -> Pi_{V_lam} z converge to
+    `projection_derivative_matrix`, the derivative the non-degeneracy
+    gate, the witness search and the extension use; 2 when it is right."""
     rng = np.random.default_rng(seed)
     hs = np.array([1e-2, 1e-3, 1e-4])
     worst = np.inf
     for _ in range(count):
         n = int(rng.integers(3, 7))
         m = int(rng.integers(1, n))
+        k = int(rng.integers(1, m * (n - m)))  # n >= 3, so m(n-m) >= 2
         base = span_frame(rng.standard_normal((m, n)))
-        c0 = ChartPoint(base, np.zeros((m, n - m)))
-        B = coordinate_matrix(c0)
-        i = int(rng.integers(1, m + 1))
-        j = int(rng.integers(m + 1, n + 1))
+        spec = disjoint_slot_family(n, m, k, base=base)
+        lam0 = rng.uniform(-0.2, 0.2, size=k)
         z = rng.standard_normal(n)
-        an = B @ tangent_projection_derivative(c0, i, j, z)
-        zeta = B @ z
+        an = projection_derivative_matrix(spec, lam0, z)
         errs = []
         for h in hs:
-            a = np.zeros((m, n - m))
-            a[i - 1, j - m - 1] = h
-            Pp = span_projector(chart_rows(ChartPoint(base, a, c0.comp)))
-            Pm = span_projector(chart_rows(ChartPoint(base, -a, c0.comp)))
-            fd = (Pp - Pm) @ zeta / (2 * h)
+            fd = np.empty_like(an)
+            for a, e in enumerate(h * np.eye(k)):
+                Pp = span_projector(family_rows(spec, lam0 + e)[0])
+                Pm = span_projector(family_rows(spec, lam0 - e)[0])
+                fd[:, a] = (Pp - Pm) @ z / (2 * h)
             errs.append(np.linalg.norm(fd - an))
         errs = np.maximum(errs, 1e-15)
         worst = min(worst, np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -604,16 +609,16 @@ def extended_plane_derivative_check(V_path, c, U: Frame, seed=0):
         diffs[a] = acc / (2 * len(zs))
     good = diffs > 1e-14
     if good.sum() < 2:
-        return {"order": np.inf, "pass": True, "h": hs, "diff": diffs}
+        return {"order": np.inf, "pass": True}
     slope = np.polyfit(np.log(hs[good]), np.log(diffs[good]), 1)[0]
-    return {"order": float(slope), "pass": bool(slope >= 1.9),
-            "h": hs, "diff": diffs}
+    return {"order": float(slope), "pass": bool(slope >= 1.9)}
 
 
 def extended_projection_order(count, seed):
     """Smallest `extended_plane_derivative_check` slope over `count`
-    random chart paths V_s and planes U inside V_0^perp; 2 when the
-    projections onto V_s and <V_s, U> agree to second order."""
+    random family paths V_s = V_{s * direction} and planes U inside
+    V_0^perp; 2 when the projections onto V_s and <V_s, U> agree to
+    second order."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     for trial in range(count):
@@ -621,14 +626,15 @@ def extended_projection_order(count, seed):
         m = int(rng.integers(1, n - 1))
         p = int(rng.integers(1, n - m))  # so m + p < n
         base = span_frame(rng.standard_normal((m, n)))
-        comp = complement(base)
-        direction = rng.standard_normal((m, n - m))
+        k = m * (n - m) - 1
+        spec = disjoint_slot_family(n, m, k, base, radius=np.pi / 4)
+        direction = rng.standard_normal(k)
 
-        def path(sv, base=base, comp=comp, direction=direction):
-            ang = np.clip(sv * direction, -0.7, 0.7)
-            return chart_point_frame(ChartPoint(base, ang, comp))
+        def path(sv, spec=spec, direction=direction):
+            # the clip keeps the path inside the domain |lam_a| < pi/4
+            return family_frame(spec, np.clip(sv * direction, -0.7, 0.7))
 
-        U = Frame(comp.basis[:p])
+        U = Frame(spec.comp.basis[:p])
         res = extended_plane_derivative_check(path, 0.0, U, seed=trial)
         worst = min(worst, res["order"])
     return worst
@@ -667,7 +673,7 @@ def estimator_calibration(level, n_points, seed):
     b = box_counting_dim(four_corner_cantor(level)).value
     c = correlation_dim(line_cantor(np.log(2) / np.log(3), 10)).value
     pts = np.random.default_rng(seed).random((n_points, 2))
-    sq = SampledMeasure(pts, np.full(n_points, 1.0 / n_points), 2.0, {})
+    sq = SampledMeasure(pts, np.full(n_points, 1.0 / n_points), 2.0)
     u = box_counting_dim(sq).value
     return b, c, u
 

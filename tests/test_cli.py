@@ -4,7 +4,12 @@ from pathlib import Path
 import pytest
 
 from projlab.cli import main
-from projlab.family import FamilySpec, disjoint_slot_family, save_family
+from projlab.family import (
+    FamilySpec,
+    disjoint_slot_family,
+    family_to_dict,
+    save_family,
+)
 from projlab.grassmann import standard_frame
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -79,6 +84,7 @@ def test_transversality_writes_artifacts(tmp_path, fam_path, capsys):
     (["--deltas", "-0.1"], "'deltas'"),
     (["--l", "1"], "--l requires --extend"),
     (["--deltas", "0.1,abc"], "--deltas"),
+    (["--extend", "--l", "5"], "field 'l' must lie in 0..m-1=1, got 5"),
 ])
 def test_transversality_rejects_bad_arguments(tmp_path, capsys, flags,
                                              needs):
@@ -161,6 +167,63 @@ def test_project_rejects_malformed_config(tmp_path, capsys, field, edit):
     err = capsys.readouterr().err
     assert err.startswith(f"projlab project: {bad}: ")
     assert repr(field) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, content", [
+    ("project", "{bad"), ("transversality", None), ("check-family", "{bad"),
+], ids=["project_bad_json", "transversality_missing_path",
+        "check_family_bad_json"])
+def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, command,
+                                                  content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "run"
+    args = {"project": ["--out", str(out)],
+            "transversality": ["--seed", "1", "--out", str(out)],
+            "check-family": []}[command]
+    assert main([command, str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"projlab {command}: {path}: ")
+    assert ("not valid JSON" if content else "cannot read") in err
+    assert not out.exists()
+
+
+def _no_measure(*args, **kwargs):
+    raise AssertionError("a measure was built for a rejected config")
+
+
+@pytest.mark.parametrize("command, name, edit, field", [
+    ("sharpness", "sharpness", lambda cfg: cfg.update(l=3), "'l'"),
+    ("sharpness", "sharpness", lambda cfg: cfg.update(l=-1), "'l'"),
+    ("project", "bound_check", lambda cfg: cfg.update(lambda_grid=[2, 2]),
+     "'lambda_grid'"),
+    ("project", "bound_check", lambda cfg: cfg.update(lambda_grid=[0]),
+     "'lambda_grid'"),
+    ("project", "bound_check",
+     lambda cfg: cfg.update(estimator={"method": "boxes"}), "'estimator'"),
+    ("sharpness", "sharpness", lambda cfg: cfg.update(s=1.5), "'s'"),
+    ("sharpness", "sharpness", lambda cfg: cfg.update(s=-0.5), "'s'"),
+    ("sharpness", "sharpness",
+     lambda cfg: cfg.update(family=family_to_dict(
+         disjoint_slot_family(4, 2, 1))), "parameter-count bracket"),
+], ids=["sharpness_l_3", "sharpness_l_minus_1", "lambda_grid_too_long",
+        "lambda_grid_zero", "unknown_estimator", "sharpness_s_above_1",
+        "sharpness_s_below_0", "sharpness_bracket"])
+def test_out_of_range_config_exits_2_before_any_measure(
+        tmp_path, capsys, monkeypatch, command, name, edit, field):
+    monkeypatch.setattr("projlab.lab.build_measure", _no_measure)
+    monkeypatch.setattr("projlab.lab.sharpness_measure", _no_measure)
+    cfg = json.loads((CONFIGS / f"{name}_n3m2k1.json").read_text())
+    edit(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main([command, str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"projlab {command}: {bad}: ")
+    assert field in err
     assert not out.exists()
 
 

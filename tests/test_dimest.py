@@ -37,8 +37,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def _uniform_square(N, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((N, 2))
-    return SampledMeasure(pts, np.full(N, 1.0 / N), 2.0,
-                          {"variant": "uniform_square"})
+    return SampledMeasure(pts, np.full(N, 1.0 / N), 2.0)
 
 
 def test_box_counting_four_corner():
@@ -57,7 +56,7 @@ def test_box_counting_line_segment_in_r3():
     t = np.linspace(0.0, 1.0, 20_000)
     d = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
     pts = t[:, None] * d[None, :]
-    m = SampledMeasure(pts, np.full(len(t), 1.0 / len(t)), 1.0, {})
+    m = SampledMeasure(pts, np.full(len(t), 1.0 / len(t)), 1.0)
     est = box_counting_dim(m)
     assert est.value == pytest.approx(1.0, abs=0.05)
 
@@ -74,12 +73,12 @@ def test_box_counting_rotation_invariance():
 
 
 def test_box_counting_degenerate_inputs():
-    one = SampledMeasure(np.zeros((1, 2)), np.array([1.0]), 0.0, {})
+    one = SampledMeasure(np.zeros((1, 2)), np.array([1.0]), 0.0)
     est = box_counting_dim(one)
     assert est.value == 0.0
     assert est.warning is not None
     two = SampledMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),
-                         np.array([0.5, 0.5]), 0.0, {})
+                         np.array([0.5, 0.5]), 0.0)
     est2 = box_counting_dim(two)
     assert est2.value == 0.0
     assert est2.warning is not None
@@ -98,7 +97,7 @@ def test_correlation_uniform_ball():
 
 def test_correlation_atoms():
     m = SampledMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]),
-                       0.0, {})
+                       0.0)
     est = correlation_dim(m, seed=0)
     assert est.value == 0.0
     assert est.warning == "no scaling range"
@@ -148,7 +147,7 @@ def test_correlation_rejects_too_few_usable_radii():
     # to give 8 hits, so only the radii above the shortest chord count
     a = 2 * np.pi * np.arange(28) / 28
     pts = np.vstack([np.c_[np.cos(a), np.sin(a)], [[0.0, 0.0], [1e-6, 0.0]]])
-    m = SampledMeasure(pts, np.full(30, 1.0 / 30), 0.0, {})
+    m = SampledMeasure(pts, np.full(30, 1.0 / 30), 0.0)
     with pytest.raises(ValueError, match="need ≥ 7 usable scales"):
         correlation_dim(m, pair_budget=2000, seed=0)
 
@@ -251,7 +250,7 @@ def _weighted_clouds(draw):
 
 # Dense key, ranked key and ranked rows: the three explicit examples take
 # one path each; the strategy draws grids from 1 box to 1e22.
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_weighted_clouds())
 @example((np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]),
           np.array([0.2, 0.3, 0.5]), 0.1, np.array([[0.3, 0.7]])))

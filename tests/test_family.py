@@ -22,6 +22,7 @@ from projlab.family import (
     load_family,
     nondegeneracy_check,
     p_of_l,
+    p_oracle_dots,
     projection_derivative_matrix,
     save_family,
     theorem_lower_bound,
@@ -40,14 +41,27 @@ from projlab.lab import extended_plane_derivative_check
 # --- arithmetic layer ------------------------------------------------------
 
 def test_bracket_ceil():
+    from fractions import Fraction
     assert bracket_ceil(-2) == 0
     assert bracket_ceil(0) == 0
-    assert bracket_ceil(0.5) == 1
+    assert bracket_ceil(Fraction(1, 2)) == 1
     assert bracket_ceil(2) == 2
-    from fractions import Fraction
     assert bracket_ceil(Fraction(7, 3)) == 3
     assert bracket_ceil(Fraction(6, 3)) == 2
     assert bracket_ceil(Fraction(-1, 2)) == 0
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_p_matches_dot_oracle_and_grows_with_l_past_n8(data):
+    # criterion 1 scans every tuple up to n = 8; this samples 9 <= n <= 30
+    # and checks every l of the drawn (n, m, k)
+    n = data.draw(st.integers(9, 30), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    k = data.draw(st.integers(1, m * (n - m) - 1), label="k")
+    ps = [p_of_l(n, m, k, l) for l in range(m)]
+    assert ps == [p_oracle_dots(n, m, k, l) for l in range(m)]
+    assert ps == sorted(ps)
 
 
 def test_p_of_l_hand_values():
@@ -564,7 +578,7 @@ def test_sublevel_counts_leave_nan_uncounted():
         assert counts[i, -1] == 2_000
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_projection_norms_match_span_projector(data):
     n = data.draw(st.integers(2, 6), label="n")

@@ -15,10 +15,10 @@ from projlab.grassmann import Frame, span_frame
 
 def test_sampled_measure_invariants():
     with pytest.raises(ValueError):
-        SampledMeasure(np.zeros((3, 2)), np.array([0.5, 0.5, 0.5]), 1.0, {})
+        SampledMeasure(np.zeros((3, 2)), np.array([0.5, 0.5, 0.5]), 1.0)
     with pytest.raises(ValueError):
-        SampledMeasure(np.zeros((3, 2)), np.array([0.6, 0.5, -0.1]), 1.0, {})
-    m = SampledMeasure(np.zeros((2, 3)), np.array([0.25, 0.75]), 1.0, {})
+        SampledMeasure(np.zeros((3, 2)), np.array([0.6, 0.5, -0.1]), 1.0)
+    m = SampledMeasure(np.zeros((2, 3)), np.array([0.25, 0.75]), 1.0)
     assert m.ambient_dim == 3
     assert m.count == 2
 

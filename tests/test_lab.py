@@ -18,6 +18,7 @@ from projlab.lab import (
     run_verify_suite,
     sharpness_family,
     sharpness_measure,
+    tangent_derivative_order,
 )
 
 
@@ -41,7 +42,7 @@ def _tiny_bound_cfg(tmp_path, seed=11, grid=4):
 def test_config_round_trip_and_hash(tmp_path):
     cfg = _tiny_bound_cfg(tmp_path)
     path = tmp_path / "exp.json"
-    path.write_text(cfg.canonical_json())
+    path.write_text(json.dumps(cfg.__dict__, default=list))
     cfg2 = ExperimentConfig.load(path)
     assert cfg2.content_hash() == cfg.content_hash()
     cfg2.seed += 1
@@ -281,3 +282,17 @@ def test_resolve_family_accepts_spec_dict_and_path(tmp_path):
     save_family(spec, path)
     spec3 = resolve_family(str(path))
     assert spec3.schedule == spec.schedule
+
+
+def test_derivative_order_sees_a_wrong_family_derivative(monkeypatch):
+    # criterion 4 checks the derivative the runs use: scaling the family's
+    # row derivatives by 1.01 must break the second-order convergence
+    from projlab import family
+    exact = family._rows_and_derivs_chart
+
+    def scaled(spec, lam):
+        rows, derivs = exact(spec, lam)
+        return rows, 1.01 * derivs
+
+    monkeypatch.setattr(family, "_rows_and_derivs_chart", scaled)
+    assert tangent_derivative_order(25, seed=11) < 1.9
