@@ -83,29 +83,14 @@ def bound_table(n, m, k):
 
 def theorem_lower_bound(n, m, k, d):
     """Best lower bound for the dimension of almost every projected
-    measure of dimension d, maximized over the l-indexed branches.
-
-    The two branches for each l: d - p(l) on [p(l)+l, p(l)+l+1] and the
-    flat value l+1 on [p(l)+l+1, p(l+1)+l+1].  The last flat branch is
-    closed at p(m-1) + m, above which the bound saturates at m.  The
-    result is clamped into the natural band [max(0, d-(n-m)), min(d, m)].
-    """
+    measure of dimension d: the best over l of min(d - p(l), l + 1),
+    clamped into the natural band [max(0, d-(n-m)), min(d, m)]."""
     _check_nmk(n, m, k)
     d = float(d)
     if not 0.0 <= d <= n:
         raise ValueError(f"d must lie in [0, {n}], got {d}")
-    tab = bound_table(n, m, k)
-    best = max(0.0, d - (n - m))
-    for l in range(m):
-        p = tab.p_values[l]
-        if p + l <= d <= p + l + 1:
-            best = max(best, d - p)
-        top = tab.p_values[l + 1] + l + 1 if l + 1 < m else tab.ac_threshold
-        if p + l + 1 <= d <= top:
-            best = max(best, float(l + 1))
-    if d >= tab.ac_threshold:
-        best = float(m)
-    return min(best, d, float(m))
+    best = max(min(d - p_of_l(n, m, k, l), float(l + 1)) for l in range(m))
+    return min(max(0.0, d - (n - m), best), d, float(m))
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +640,13 @@ def config_field(d, key, where, kind, default=REQUIRED):
     return d[key]
 
 
+def check_keys(d, keys, where):
+    """ConfigError naming the keys of the object d that are not in keys."""
+    extra = set(d) - set(keys)
+    if extra:
+        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
+
+
 def family_to_dict(spec: FamilySpec):
     if np.allclose(spec.base.basis, np.eye(spec.n)[: spec.m], atol=0.0):
         base = "standard"
@@ -675,8 +667,10 @@ def family_to_dict(spec: FamilySpec):
 
 def family_from_dict(d):
     """The FamilySpec of a family dict; ConfigError naming the field when
-    a field is missing or of the wrong kind, or the spec is invalid."""
+    a field is unknown, missing or of the wrong kind, or the spec is
+    invalid."""
     n, m, k = (config_field(d, key, "family", int) for key in "nmk")
+    check_keys(d, ("n", "m", "k", "base", "schedule", "radii"), "family")
     base = config_field(d, "base", "family", (str, [[float]]))
     if isinstance(base, str) and base != "standard":
         raise ConfigError(f"family field 'base' must be 'standard' or a "
@@ -685,6 +679,7 @@ def family_from_dict(d):
     for e in config_field(d, "schedule", "family", list):
         a, i, j = (config_field(e, key, "family schedule entry", int)
                    for key in ("param", "i", "j"))
+        check_keys(e, ("param", "i", "j", "weight"), "family schedule entry")
         w = config_field(e, "weight", "family schedule entry", float, 1.0)
         schedule.append((a, i, j, float(w)))
     radii = tuple(float(r)

@@ -86,6 +86,8 @@ def lebesgue_ball(dim, N, seed) -> SampledMeasure:
     """N uniform samples from the unit ball of R^dim, equal weights."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((N, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -104,28 +106,29 @@ def _center_and_scale(pts):
     return pts
 
 
-def embed(measure: SampledMeasure, frame: Frame, offset=None,
+def embed(measure: SampledMeasure, frame: Frame,
           normalize=True) -> SampledMeasure:
     """Map a measure into R^n along an orthonormal frame: point p goes to
-    offset + sum_i p_i * basis_i.  Requires plane_dim = measure dim."""
+    sum_i p_i * basis_i.  Requires plane_dim = measure dim."""
     if frame.plane_dim != measure.ambient_dim:
         raise ValueError("frame plane dimension must match measure dimension")
     pts = measure.points
     if normalize:
         pts = _center_and_scale(pts)
     out = pts @ frame.basis
-    if offset is not None:
-        out = out + np.asarray(offset, dtype=float)
     return SampledMeasure(out, measure.weights, measure.nominal_dim)
 
 
 def product_embed(parts, N, seed) -> SampledMeasure:
-    """Product measure of factors embedded along pairwise orthogonal
-    frames in a common R^n: draws N independent product samples, each
-    factor resampled by its weights.  Dimension adds across factors."""
+    """Product measure of (measure, frame) factors embedded along pairwise
+    orthogonal frames in a common R^n: draws N independent product
+    samples, each factor resampled by its weights.  Dimension adds across
+    factors."""
     if not parts:
         raise ValueError("need at least one factor")
-    frames = [frame for (_, frame, _) in parts]
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    frames = [frame for (_, frame) in parts]
     n = frames[0].ambient_dim
     for a in range(len(frames)):
         if frames[a].ambient_dim != n:
@@ -136,12 +139,10 @@ def product_embed(parts, N, seed) -> SampledMeasure:
     rng = np.random.default_rng(seed)
     out = np.zeros((N, n))
     dim = 0.0
-    for measure, frame, offset in parts:
+    for measure, frame in parts:
         idx = rng.choice(measure.count, size=N, p=measure.weights)
         pts = _center_and_scale(measure.points)[idx]
         out += pts @ frame.basis
-        if offset is not None:
-            out += np.asarray(offset, dtype=float)
         dim += measure.nominal_dim
     return SampledMeasure(out, np.full(N, 1.0 / N), dim)
 

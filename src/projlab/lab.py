@@ -22,12 +22,12 @@ from .family import (
     REQUIRED,
     ConfigError,
     FamilySpec,
+    check_keys,
     config_field,
     disjoint_slot_family,
     extend_family,
     family_frame,
     family_from_dict,
-    family_rows,
     family_to_dict,
     load_family,
     nondegeneracy_check,
@@ -64,7 +64,7 @@ from .multivec import cauchy_binet_norm, gram_norm, wedge_operator_norm
 
 @dataclass
 class ExperimentConfig:
-    mode: str  # bound_check | sharpness | transversality | verify_suite
+    mode: str  # bound_check | sharpness | transversality
     family: dict
     seed: int
     measure: dict = None
@@ -87,9 +87,7 @@ class ExperimentConfig:
         wrong kind.  A null is accepted where the default is None."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be an object, got {d!r}")
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        check_keys(d, cls.__dataclass_fields__, "config")
         for name, fld in cls.__dataclass_fields__.items():
             if fld.default is None and d.get(name) is None:
                 continue
@@ -137,18 +135,19 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
     if missing:
         raise ConfigError(f"mode {mode!r} requires field(s) "
                           f"{', '.join(repr(f) for f in missing)}")
-    if mode == "transversality":
-        for name in ("mc_samples", "n_directions"):
-            if getattr(cfg, name) < 1:
-                raise ConfigError(f"field {name!r} must be at least 1, got "
-                                  f"{getattr(cfg, name)}")
-        if not all(0 < d < np.inf for d in cfg.deltas):
-            raise ConfigError(f"field 'deltas' must be positive and finite, "
-                              f"got {list(cfg.deltas)}")
+    for name, low in (("seed", 0), ("sample_count", 1), ("mc_samples", 1),
+                      ("n_directions", 1)):
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"field {name!r} must be at least {low}, got "
+                              f"{getattr(cfg, name)}")
+    if not all(0 < d < np.inf for d in cfg.deltas):
+        raise ConfigError(f"field 'deltas' must be positive and finite, "
+                          f"got {list(cfg.deltas)}")
     spec = resolve_family(cfg.family)
     n, m, k, l = spec.n, spec.m, spec.k, cfg.l
     if l is not None and not 0 <= l <= m - 1:
         raise ConfigError(f"field 'l' must lie in 0..m-1={m - 1}, got {l}")
+    check_keys(cfg.estimator, ("method",), "estimator")
     method = cfg.estimator.get("method", "box_counting")
     if method not in ("box_counting", "correlation"):
         raise ConfigError(f"field 'estimator' names the unknown method "
@@ -165,16 +164,24 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
 
 
 def resolve_family(family) -> FamilySpec:
-    if isinstance(family, FamilySpec):
-        return family
     if isinstance(family, str):
         return load_family(family)
     return family_from_dict(family)
 
 
+# keys of each measure variant beside 'variant'
+_MEASURE_KEYS = {
+    "four_corner_cantor": ("level",),
+    "line_cantor": ("s", "level"),
+    "lebesgue_ball": ("dim", "N"),
+    "embedded": ("inner", "frame"),
+    "product": ("factors", "N"),
+}
+
+
 def build_measure(spec, seed) -> SampledMeasure:
     """Instantiate a measure from its config dict; ConfigError naming the
-    field when one is missing or of the wrong kind."""
+    field when one is unknown, missing or of the wrong kind."""
     def get(d, key, kind, default=REQUIRED):
         return config_field(d, key, "measure", kind, default)
 
@@ -182,37 +189,44 @@ def build_measure(spec, seed) -> SampledMeasure:
         return span_frame(np.asarray(get(d, "frame", [[float]]),
                                      dtype=float))
 
-    offset_kind = (type(None), [float])
     variant = get(spec, "variant", str)
+    if variant not in _MEASURE_KEYS:
+        raise ConfigError(f"unknown measure variant {variant!r}")
+    check_keys(spec, ("variant",) + _MEASURE_KEYS[variant], "measure")
     if variant == "four_corner_cantor":
         return four_corner_cantor(get(spec, "level", int))
     if variant == "line_cantor":
         return line_cantor(get(spec, "s", float), get(spec, "level", int))
     if variant == "lebesgue_ball":
         return lebesgue_ball(get(spec, "dim", int),
-                             get(spec, "N", int, 100_000),
-                             get(spec, "seed", int, seed))
+                             get(spec, "N", int, 100_000), seed)
     if variant == "embedded":
         inner = build_measure(get(spec, "inner", dict), seed)
-        return embed(inner, frame_of(spec),
-                     get(spec, "offset", offset_kind, None))
-    if variant == "product":
-        parts = [(build_measure(get(factor, "measure", dict), seed),
-                  frame_of(factor), get(factor, "offset", offset_kind, None))
-                 for factor in get(spec, "factors", list)]
-        return product_embed(parts, get(spec, "N", int, 200_000),
-                             get(spec, "seed", int, seed))
-    raise ConfigError(f"unknown measure variant {variant!r}")
+        return embed(inner, frame_of(spec))
+    parts = []
+    for factor in get(spec, "factors", list):
+        measure = get(factor, "measure", dict)
+        check_keys(factor, ("measure", "frame"), "product factor")
+        parts.append((build_measure(measure, seed), frame_of(factor)))
+    return product_embed(parts, get(spec, "N", int, 200_000), seed)
+
+
+def _build(builder, *args) -> SampledMeasure:
+    """builder(*args), with a generator's ValueError (a level, dimension
+    or frame out of its range) turned into a ConfigError."""
+    try:
+        return builder(*args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"measure: {exc}") from None
 
 
 def _estimate(measure, estimator_cfg, seed):
     """The estimate of `check_config`'s estimator method."""
     if estimator_cfg.get("method") == "correlation":
-        return correlation_dim(
-            measure, pair_budget=estimator_cfg.get("pair_budget", 200_000),
-            seed=seed)
-    return box_counting_dim(measure, scales=estimator_cfg.get("scales"),
-                            seed=seed)
+        return correlation_dim(measure, seed=seed)
+    return box_counting_dim(measure, seed=seed)
 
 
 def lambda_grid(spec: FamilySpec, counts):
@@ -303,11 +317,10 @@ def _provenance(cfg: ExperimentConfig):
 def _gate_nondegenerate(spec, lam_center, force):
     check = nondegeneracy_check(spec, lam_center)
     if not check["pass"] and not force:
-        raise RuntimeError(
-            f"family fails the non-degeneracy check at the grid center "
-            f"(wedge norm {check['wedge_norm']:.3e}); pass force=True to "
-            f"run anyway"
-        )
+        raise ConfigError(
+            f"field 'family' fails the non-degeneracy check at the grid "
+            f"center (wedge norm {check['wedge_norm']:.3e}); set 'force' "
+            f"or pass --force to run anyway")
     return check
 
 
@@ -339,7 +352,7 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
     spec = check_config(cfg, "bound_check")
     grid = lambda_grid(spec, cfg.lambda_grid or (8,))
     gate = _gate_nondegenerate(spec, np.zeros(spec.k), cfg.force)
-    measure = build_measure(cfg.measure, cfg.seed)
+    measure = _build(build_measure, cfg.measure, cfg.seed)
     bound = theorem_lower_bound(spec.n, spec.m, spec.k, measure.nominal_dim)
     rows, fit_data = _grid_rows(cfg, spec, grid, measure, bound)
     violations = sum(r["est_dim"] < bound - cfg.tolerance for r in rows)
@@ -368,14 +381,9 @@ def sharpness_family(n, m, k, l, p) -> FamilySpec:
 def sharpness_measure(n, l, p, s, level, N, seed) -> SampledMeasure:
     """The pinch measure: an s-dimensional Cantor factor on the e_{l+1}
     axis times a uniform ball on <e_1..e_l, e_{n-p+1}..e_n>."""
-    nu1 = line_cantor(s, level) if s > 0 else None
     axes = list(range(l)) + list(range(n - p, n))
-    X_rows = np.eye(n)[axes]
-    nu2 = lebesgue_ball(l + p, N, seed)
-    parts = []
-    if nu1 is not None:
-        parts.append((nu1, Frame(np.eye(n)[[l]]), None))
-    parts.append((nu2, Frame(X_rows), None))
+    parts = [(line_cantor(s, level), Frame(np.eye(n)[[l]]))] if s > 0 else []
+    parts.append((lebesgue_ball(l + p, N, seed), Frame(np.eye(n)[axes])))
     return product_embed(parts, N, seed)
 
 
@@ -389,8 +397,8 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     p = p_of_l(n, m, k, l)
     grid = lambda_grid(spec, cfg.lambda_grid or (8,))
     _gate_nondegenerate(spec, np.zeros(k), cfg.force)
-    measure = sharpness_measure(n, l, p, s, cfg.level, cfg.sample_count,
-                                cfg.seed)
+    measure = _build(sharpness_measure, n, l, p, s, cfg.level,
+                     cfg.sample_count, cfg.seed)
     target = l + s
     rows, fit_data = _grid_rows(cfg, spec, grid, measure, target)
     in_band = sum(abs(r["est_dim"] - target) <= cfg.tolerance for r in rows)
@@ -542,6 +550,28 @@ def multivec_oracle_gaps(count, seed):
     return worst_gram, worst_det
 
 
+def _random_site(rng, n_high):
+    """A random disjoint-slot family (3 <= n < n_high, random m, k and
+    base) and a random site lam0 in [-0.2, 0.2]^k."""
+    n = int(rng.integers(3, n_high))
+    m = int(rng.integers(1, n))
+    k = int(rng.integers(1, m * (n - m)))  # n >= 3, so m(n-m) >= 2
+    base = span_frame(rng.standard_normal((m, n)))
+    lam0 = rng.uniform(-0.2, 0.2, size=k)
+    return disjoint_slot_family(n, m, k, base=base), lam0
+
+
+def _central_differences(rows_fn, lam0, z, h):
+    """n x k central differences, step h, of lam -> Pi_{V_lam} z at lam0,
+    for V_lam spanned by rows_fn(lam)[0]."""
+    cols = []
+    for e in h * np.eye(len(lam0)):
+        Pp = span_projector(rows_fn(lam0 + e)[0])
+        Pm = span_projector(rows_fn(lam0 - e)[0])
+        cols.append((Pp - Pm) @ z / (2 * h))
+    return np.array(cols).T
+
+
 def tangent_derivative_order(count, seed):
     """Smallest order, over `count` random families at random sites
     lam0, at which central differences of lam -> Pi_{V_lam} z converge to
@@ -551,22 +581,11 @@ def tangent_derivative_order(count, seed):
     hs = np.array([1e-2, 1e-3, 1e-4])
     worst = np.inf
     for _ in range(count):
-        n = int(rng.integers(3, 7))
-        m = int(rng.integers(1, n))
-        k = int(rng.integers(1, m * (n - m)))  # n >= 3, so m(n-m) >= 2
-        base = span_frame(rng.standard_normal((m, n)))
-        spec = disjoint_slot_family(n, m, k, base=base)
-        lam0 = rng.uniform(-0.2, 0.2, size=k)
-        z = rng.standard_normal(n)
+        spec, lam0 = _random_site(rng, 7)
+        z = rng.standard_normal(spec.n)
         an = projection_derivative_matrix(spec, lam0, z)
-        errs = []
-        for h in hs:
-            fd = np.empty_like(an)
-            for a, e in enumerate(h * np.eye(k)):
-                Pp = span_projector(family_rows(spec, lam0 + e)[0])
-                Pm = span_projector(family_rows(spec, lam0 - e)[0])
-                fd[:, a] = (Pp - Pm) @ z / (2 * h)
-            errs.append(np.linalg.norm(fd - an))
+        errs = [np.linalg.norm(_central_differences(spec.rows, lam0, z, h)
+                               - an) for h in hs]
         errs = np.maximum(errs, 1e-15)
         worst = min(worst, np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return worst
@@ -648,16 +667,11 @@ def wedge_split_margin(count, seed):
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(count):
-        n = int(rng.integers(3, 6))
-        m = int(rng.integers(1, n))
-        k = int(rng.integers(1, m * (n - m)))  # n >= 3, so m(n-m) >= 2
-        base = span_frame(rng.standard_normal((m, n)))
-        spec = disjoint_slot_family(n, m, k, base=base)
-        lam0 = rng.uniform(-0.2, 0.2, size=k)
+        spec, lam0 = _random_site(rng, 6)
         P = projector(family_frame(spec, lam0))
-        z = rng.standard_normal(n)
+        z = rng.standard_normal(spec.n)
         z2 = z - P @ z
-        r = int(rng.integers(1, min(k, m) + 1))
+        r = int(rng.integers(1, min(spec.k, spec.m) + 1))
         full = wedge_operator_norm(
             projection_derivative_matrix(spec, lam0, z), r)
         part = wedge_operator_norm(
@@ -727,24 +741,14 @@ def _check_extension_inequality():
     spec = disjoint_slot_family(5, 2, 5)
     ext = extend_family(spec, np.zeros(5), l=1, seed=0)
     margin = ext.d_prime_hat / np.sqrt(ext.t) ** ext.p
-    r = ext.target_order
-    h = 1e-5
-    center = ext.center()
     rng = np.random.default_rng(505)
     worst = np.inf
     for _ in range(8):
         coeff = rng.standard_normal(ext.t)
         z = coeff @ ext.witness.basis
         z /= np.linalg.norm(z)
-        cols = []
-        for a in range(ext.k_total):
-            e = np.zeros(ext.k_total)
-            e[a] = h
-            Pp = span_projector(ext.rows((center + e)[None, :])[0])
-            Pm = span_projector(ext.rows((center - e)[None, :])[0])
-            cols.append((Pp - Pm) @ z / (2 * h))
-        M = np.array(cols).T  # n x k_total
-        worst = min(worst, wedge_operator_norm(M, r))
+        M = _central_differences(ext.rows, ext.center(), z, 1e-5)
+        worst = min(worst, wedge_operator_norm(M, ext.target_order))
     ok = worst > margin * 0.999
     return ok, f"min wedge {worst:.3f} vs margin {margin:.3f}"
 

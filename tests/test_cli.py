@@ -208,9 +208,13 @@ def _no_measure(*args, **kwargs):
     ("sharpness", "sharpness",
      lambda cfg: cfg.update(family=family_to_dict(
          disjoint_slot_family(4, 2, 1))), "parameter-count bracket"),
+    ("project", "bound_check", lambda cfg: cfg.update(seed=-3), "'seed'"),
+    ("sharpness", "sharpness", lambda cfg: cfg.update(sample_count=0),
+     "'sample_count'"),
 ], ids=["sharpness_l_3", "sharpness_l_minus_1", "lambda_grid_too_long",
         "lambda_grid_zero", "unknown_estimator", "sharpness_s_above_1",
-        "sharpness_s_below_0", "sharpness_bracket"])
+        "sharpness_s_below_0", "sharpness_bracket", "seed_negative",
+        "sharpness_sample_count_0"])
 def test_out_of_range_config_exits_2_before_any_measure(
         tmp_path, capsys, monkeypatch, command, name, edit, field):
     monkeypatch.setattr("projlab.lab.build_measure", _no_measure)
@@ -225,6 +229,112 @@ def test_out_of_range_config_exits_2_before_any_measure(
     assert err.startswith(f"projlab {command}: {bad}: ")
     assert field in err
     assert not out.exists()
+
+
+def _run_edited(tmp_path, command, name, edit):
+    """Exit code and stderr of `projlab <command>` on an edited copy of
+    configs/<name>_n3m2k1.json with a 2-point grid; asserts that no
+    output directory was written."""
+    cfg = json.loads((CONFIGS / f"{name}_n3m2k1.json").read_text())
+    cfg["lambda_grid"] = [2]
+    edit(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    code = main([command, str(bad), "--out", str(out)])
+    assert not out.exists()
+    return code, bad
+
+
+def _product(factor=None, **extra):
+    """A product measure of two line Cantor factors in R^3; `factor` adds
+    keys to the second factor and `extra` to the measure."""
+    factors = [{"measure": {"variant": "line_cantor", "s": 0.5, "level": 8},
+                "frame": [row]} for row in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
+    factors[1].update(factor or {})
+    return {"variant": "product", "factors": factors, "N": 4000, **extra}
+
+
+@pytest.mark.parametrize("edit, where, key", [
+    (lambda cfg: cfg["estimator"].update(
+        scales=[2.0 ** -i for i in range(1, 11)]), "estimator", "scales"),
+    (lambda cfg: cfg["estimator"].update(pair_budget=1000), "estimator",
+     "pair_budget"),
+    (lambda cfg: cfg.update(measure={"variant": "lebesgue_ball", "dim": 3,
+                                     "N": 4000, "seed": 1}),
+     "measure", "seed"),
+    (lambda cfg: cfg.update(measure=_product(seed=1)), "measure", "seed"),
+    (lambda cfg: cfg["measure"].update(offset=[5.0, -3.0, 2.0]), "measure",
+     "offset"),
+    (lambda cfg: cfg.update(measure=_product(
+        factor={"offset": [0.0, 0.0, 1.0]})), "product factor", "offset"),
+    (lambda cfg: cfg["estimator"].update(pair_budgt=1000), "estimator",
+     "pair_budgt"),
+    (lambda cfg: cfg["measure"]["inner"].update(levle=3), "measure",
+     "levle"),
+    (lambda cfg: cfg.update(measure=_product(factor={"frmae": []})),
+     "product factor", "frmae"),
+    (lambda cfg: cfg["family"].update(radius=0.3), "family", "radius"),
+    (lambda cfg: cfg["family"]["schedule"][0].update(wieght=2.0),
+     "family schedule entry", "wieght"),
+], ids=["estimator_scales", "estimator_pair_budget", "lebesgue_ball_seed",
+        "product_seed", "embedded_offset", "product_factor_offset",
+        "estimator_typo", "measure_typo", "product_factor_typo",
+        "family_typo", "schedule_entry_typo"])
+def test_removed_or_unknown_key_exits_2_naming_it(tmp_path, capsys, edit,
+                                                  where, key):
+    code, bad = _run_edited(tmp_path, "project", "bound_check", edit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"projlab project: {bad}: unknown {where} keys: ['{key}']\n"
+
+
+@pytest.mark.parametrize("command, name, edit, rule", [
+    ("sharpness", "sharpness", lambda cfg: cfg.update(level=30),
+     "level must be in 1..24"),
+    ("sharpness", "sharpness", lambda cfg: cfg.update(level=0),
+     "level must be in 1..24"),
+    ("project", "bound_check",
+     lambda cfg: cfg["measure"]["inner"].update(level=13),
+     "level must be in 1..12"),
+    ("project", "bound_check", lambda cfg: cfg.update(
+        measure={"variant": "line_cantor", "s": 2.0, "level": 6}),
+     "s must lie in (0, 1]"),
+    ("project", "bound_check", lambda cfg: cfg.update(
+        measure={"variant": "lebesgue_ball", "dim": 0}), "dim must be >= 1"),
+    ("project", "bound_check", lambda cfg: cfg.update(
+        measure={"variant": "lebesgue_ball", "dim": 3, "N": 0}),
+     "N must be >= 1"),
+    ("project", "bound_check", lambda cfg: cfg["measure"].update(
+        frame=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     "need 1 <= m < n, got m=3, n=3"),
+], ids=["sharpness_level_30", "sharpness_level_0", "inner_level_13",
+        "line_cantor_s_2", "lebesgue_ball_dim_0", "lebesgue_ball_N_0",
+        "embedded_frame_3_rows"])
+def test_measure_out_of_generator_range_exits_2(tmp_path, capsys, command,
+                                                name, edit, rule):
+    code, bad = _run_edited(tmp_path, command, name, edit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"projlab {command}: {bad}: measure: ")
+    assert rule in err
+
+
+def test_degenerate_family_exits_2_naming_force(tmp_path, capsys):
+    schedule = ((1, 1, 3, 1.0), (2, 1, 3, 2.0))  # parallel parameters
+    family = family_to_dict(FamilySpec(4, 2, 2, standard_frame(4, 2),
+                                       schedule, (0.2, 0.2)))
+
+    def edit(cfg):
+        cfg["family"] = family
+        cfg["measure"]["frame"] = [[1.0, 0.4, 0.2, 0.0],
+                                   [0.1, 1.0, -0.3, 0.2]]
+
+    code, bad = _run_edited(tmp_path, "project", "bound_check", edit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"projlab project: {bad}: field 'family' fails")
+    assert "--force" in err
 
 
 def test_verify_subcommand(capsys):

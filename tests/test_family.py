@@ -142,6 +142,45 @@ def test_theorem_lower_bound_structure():
                                            tab.ac_threshold) == float(m)
 
 
+def _branch_walk_lower_bound(n, m, k, d):
+    """Reference for `theorem_lower_bound`: the walk over the branches
+    d - p(l) on [p(l)+l, p(l)+l+1] and l+1 on [p(l)+l+1, p(l+1)+l+1],
+    saturated at m from p(m-1)+m on, clamped into [max(0, d-(n-m)),
+    min(d, m)]."""
+    pv = [p_of_l(n, m, k, l) for l in range(m)]
+    threshold = pv[-1] + m
+    best = max(0.0, d - (n - m))
+    for l, p in enumerate(pv):
+        if p + l <= d <= p + l + 1:
+            best = max(best, d - p)
+        top = pv[l + 1] + l + 1 if l + 1 < m else threshold
+        if p + l + 1 <= d <= top:
+            best = max(best, float(l + 1))
+    if d >= threshold:
+        best = float(m)
+    return min(best, d, float(m))
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_theorem_lower_bound_equals_branch_walk(data):
+    # d is a breakpoint p(l)+l or p(l)+l+1, or any point of [0, n]
+    n = data.draw(st.integers(3, 30), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    k = data.draw(st.integers(1, m * (n - m) - 1), label="k")
+    breaks = sorted({float(p_of_l(n, m, k, l) + l + e)
+                     for l in range(m) for e in (0, 1)})
+    d = data.draw(st.one_of(st.sampled_from(breaks), st.floats(0.0, n)),
+                  label="d")
+    d2 = min(d + data.draw(st.floats(0.0, n - d), label="step"), float(n))
+    lb, lb2 = (theorem_lower_bound(n, m, k, x) for x in (d, d2))
+    assert lb == _branch_walk_lower_bound(n, m, k, d)
+    assert lb2 == _branch_walk_lower_bound(n, m, k, d2)
+    # nondecreasing and 1-Lipschitz in d, inside the natural band
+    assert 0.0 <= lb2 - lb <= d2 - d + 1e-12
+    assert max(0.0, d - (n - m)) <= lb <= min(d, m)
+
+
 def test_theorem_lower_bound_validates_input():
     with pytest.raises(ValueError):
         theorem_lower_bound(4, 2, 3, -0.1)

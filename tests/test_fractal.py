@@ -98,7 +98,7 @@ def test_product_embed_orthogonality_enforced():
     f1 = Frame(np.array([[1.0, 0.0, 0.0]]))
     f2 = Frame(np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        product_embed([(m1, f1, None), (m1, f2, None)], 100, seed=0)
+        product_embed([(m1, f1), (m1, f2)], 100, seed=0)
 
 
 def test_product_embed_splits_coordinates():
@@ -106,7 +106,7 @@ def test_product_embed_splits_coordinates():
     m2 = line_cantor(0.7, 6)
     f1 = Frame(np.array([[1.0, 0.0, 0.0]]))
     f2 = Frame(np.array([[0.0, 0.0, 1.0]]))
-    prod = product_embed([(m1, f1, None), (m2, f2, None)], 2000, seed=1)
+    prod = product_embed([(m1, f1), (m2, f2)], 2000, seed=1)
     assert prod.ambient_dim == 3
     assert prod.nominal_dim == pytest.approx(1.2)
     # second coordinate untouched by either factor

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from projlab.family import disjoint_slot_family, save_family
+from projlab.fractal import lebesgue_ball, line_cantor, product_embed
+from projlab.grassmann import Frame
 from projlab.lab import (
     ConfigError,
     ExperimentConfig,
@@ -123,6 +125,20 @@ def test_build_measure_variants():
         build_measure({"variant": "nonsense"}, seed=0)
 
 
+def test_build_measure_draws_from_the_run_seed():
+    ball = build_measure({"variant": "lebesgue_ball", "dim": 2, "N": 500},
+                         seed=7)
+    assert np.array_equal(ball.points, lebesgue_ball(2, 500, 7).points)
+    cantor = {"variant": "line_cantor", "s": 0.5, "level": 6}
+    prod = build_measure({"variant": "product", "N": 300, "factors": [
+        {"measure": cantor, "frame": [[1.0, 0.0, 0.0]]},
+        {"measure": cantor, "frame": [[0.0, 0.0, 1.0]]}]}, seed=7)
+    frames = [Frame(np.eye(3)[[0]]), Frame(np.eye(3)[[2]])]
+    ref = product_embed([(line_cantor(0.5, 6), f) for f in frames], 300, 7)
+    assert np.array_equal(prod.points, ref.points)
+    assert prod.nominal_dim == 1.0
+
+
 def test_lambda_grid_shapes():
     spec = disjoint_slot_family(4, 2, 2, radius=0.2)
     grid = lambda_grid(spec, (3,))
@@ -175,7 +191,7 @@ def test_bound_check_gates_degenerate_family(tmp_path):
     cfg = _tiny_bound_cfg(tmp_path)
     cfg.family = str(fam)
     cfg.measure["frame"] = [[1.0, 0.4, 0.2, 0.0], [0.1, 1.0, -0.3, 0.2]]
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ConfigError, match="--force"):
         run_bound_check(cfg)
     cfg.force = True
     report = run_bound_check(cfg)  # runs, but records the tiny wedge norm
@@ -274,7 +290,6 @@ def test_extension_key_inequality_has_slack():
 
 def test_resolve_family_accepts_spec_dict_and_path(tmp_path):
     spec = disjoint_slot_family(3, 2, 1)
-    assert resolve_family(spec) is spec
     from projlab.family import family_to_dict
     spec2 = resolve_family(family_to_dict(spec))
     assert spec2.schedule == spec.schedule
