@@ -28,7 +28,6 @@ from .family import (
     nondegeneracy_check,
     p_of_l,
     p_oracle_dots,
-    save_family,
     theorem_lower_bound,
     transversality_probe,
 )

@@ -30,17 +30,21 @@ from .lab import (
 
 
 def _cmd_bound(args):
-    tab = bound_table(args.n, args.m, args.k)
+    try:  # the library's range checks name the argument
+        tab = bound_table(args.n, args.m, args.k)
+        ds = ([args.d] if args.d is not None
+              else np.linspace(0.0, float(args.n), 4 * args.n + 1))
+        bounds = [theorem_lower_bound(args.n, args.m, args.k, float(d))
+                  for d in ds]
+    except ValueError as exc:
+        return _reject(args, "arguments", exc)
     print(f"# p(l) for n={args.n} m={args.m} k={args.k}")
     print("l,p")
     for l, p in enumerate(tab.p_values):
         print(f"{l},{p}")
     print(f"# absolute-continuity threshold: dim mu > {tab.ac_threshold}")
     print("d,bound")
-    ds = ([args.d] if args.d is not None
-          else np.linspace(0.0, float(args.n), 4 * args.n + 1))
-    for d in ds:
-        b = theorem_lower_bound(args.n, args.m, args.k, float(d))
+    for d, b in zip(ds, bounds):
         print(f"{float(d)!r},{b!r}")
     return 0
 
@@ -56,7 +60,10 @@ def _cmd_check_family(args):
 def _cmd_witness(args):
     spec = load_family(args.family)
     J = family_jacobian(spec, np.zeros(spec.k))
-    res = find_witness_subspace(J, args.t, args.l, seed=args.seed)
+    try:  # the library's range and hypothesis checks name t, l and seed
+        res = find_witness_subspace(J, args.t, args.l, seed=args.seed)
+    except ValueError as exc:
+        return _reject(args, args.family, exc)
     out = {
         "t": args.t,
         "l": args.l,

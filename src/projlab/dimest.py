@@ -155,7 +155,7 @@ def _count_boxes(cols, span, weights, total, eps, offsets):
     return float(np.mean(counts))
 
 
-def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
+def box_counting_dim(measure: SampledMeasure, n_offsets=3,
                      seed=0) -> DimensionEstimate:
     """Box-counting dimension: slope of log N(eps) against log(1/eps)
     over the best scaling window.
@@ -168,9 +168,7 @@ def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
         return _zero_estimate("box_counting", measure.count,
                               "degenerate cloud")
     diam = float(np.max(np.ptp(pts, axis=0)))
-    if scales is None:
-        scales = np.geomspace(0.4 * diam, 2.5e-3 * diam, 18)
-    scales = np.sort(np.asarray(scales, dtype=float))[::-1]
+    scales = np.geomspace(0.4 * diam, 2.5e-3 * diam, 18)
     rng = np.random.default_rng(seed)
     offsets = rng.random((n_offsets, pts.shape[1]))
     lo = pts.min(axis=0)
@@ -190,8 +188,7 @@ def box_counting_dim(measure: SampledMeasure, scales=None, n_offsets=3,
                             good, np.log(1.0 / scales[good]))
 
 
-def correlation_dim(measure: SampledMeasure, pair_budget=200_000,
-                    seed=0) -> DimensionEstimate:
+def correlation_dim(measure: SampledMeasure, seed=0) -> DimensionEstimate:
     """Correlation dimension: slope of the empirical pair-correlation
     integral log C(r) against log r over the best scaling window.
 
@@ -199,8 +196,8 @@ def correlation_dim(measure: SampledMeasure, pair_budget=200_000,
     the weighted correlation integral.  Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    i = rng.choice(measure.count, size=pair_budget, p=measure.weights)
-    j = rng.choice(measure.count, size=pair_budget, p=measure.weights)
+    i = rng.choice(measure.count, size=200_000, p=measure.weights)
+    j = rng.choice(measure.count, size=200_000, p=measure.weights)
     keep = i != j
     d = np.linalg.norm(measure.points[i[keep]] - measure.points[j[keep]],
                        axis=1)

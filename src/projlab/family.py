@@ -336,18 +336,19 @@ def _witness_score(J: FamilyJacobian, W_rows, l, dirs):
     return float(best.min())
 
 
-def find_witness_subspace(J: FamilyJacobian, t, l, trials=200, seed=0):
+def find_witness_subspace(J: FamilyJacobian, t, l, seed=0):
     """Search for a t-dimensional subspace W of the complement on which
     every unit z has l+1 images A_j(z) of uniformly positive wedge volume.
 
-    Random orthonormal t-frame restarts scored on a fixed sample of 512
+    200 random orthonormal t-frame restarts scored on a fixed sample of 512
     sphere points, then 50 steps of local hill-climbing.  The returned
     margin d_prime_hat is a certificate only for the sampled sphere
     points.
     """
     nm = J.n - J.m
-    if not (1 <= t <= nm and 0 <= l <= J.m - 1):
-        raise ValueError(f"need 1 <= t <= {nm} and 0 <= l <= {J.m - 1}")
+    if not (1 <= t <= nm and 0 <= l <= J.m - 1 and seed >= 0):
+        raise ValueError(f"need 1 <= t <= {nm}, 0 <= l <= {J.m - 1} and "
+                         f"seed >= 0, got t={t}, l={l}, seed={seed}")
     if not J.k > J.m * (t - 1) + l * (nm - t + 1):
         raise ValueError(
             f"hypothesis k > m(t-1) + l(n-m-t+1) fails: "
@@ -356,7 +357,7 @@ def find_witness_subspace(J: FamilyJacobian, t, l, trials=200, seed=0):
     rng = np.random.default_rng(seed)
     dirs = _unit_sphere_sample(t, 512, rng)
     best_W, best_score = None, -np.inf
-    for _ in range(trials):
+    for _ in range(200):
         W = orthonormalize(rng.standard_normal((t, nm)))
         score = _witness_score(J, W, l, dirs)
         if score > best_score:
@@ -690,12 +691,6 @@ def family_from_dict(d):
         return FamilySpec(n, m, k, base, tuple(schedule), radii)
     except ValueError as exc:
         raise ConfigError(f"family: {exc}") from None
-
-
-def save_family(spec: FamilySpec, path):
-    with open(path, "w") as fh:
-        json.dump(family_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_json(path):

@@ -106,16 +106,13 @@ def _center_and_scale(pts):
     return pts
 
 
-def embed(measure: SampledMeasure, frame: Frame,
-          normalize=True) -> SampledMeasure:
-    """Map a measure into R^n along an orthonormal frame: point p goes to
-    sum_i p_i * basis_i.  Requires plane_dim = measure dim."""
+def embed(measure: SampledMeasure, frame: Frame) -> SampledMeasure:
+    """Map a measure, centred and scaled into the unit ball, into R^n along
+    an orthonormal frame: point p goes to sum_i p_i * basis_i.  Requires
+    plane_dim = measure dim."""
     if frame.plane_dim != measure.ambient_dim:
         raise ValueError("frame plane dimension must match measure dimension")
-    pts = measure.points
-    if normalize:
-        pts = _center_and_scale(pts)
-    out = pts @ frame.basis
+    out = _center_and_scale(measure.points) @ frame.basis
     return SampledMeasure(out, measure.weights, measure.nominal_dim)
 
 

@@ -106,8 +106,12 @@ class ExperimentConfig:
         so two family files at one path hash differently."""
         body = dict(self.__dict__,
                     family=family_to_dict(resolve_family(self.family)))
-        text = json.dumps(body, sort_keys=True, default=list)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
+
+
+def _canonical(value):
+    """JSON text of a config value, as `content_hash` hashes it."""
+    return json.dumps(value, sort_keys=True, default=list)
 
 
 # JSON kind of each config field, as `config_field` checks it
@@ -119,8 +123,14 @@ _FIELD_KINDS = {
 }
 
 
-# config fields each grid mode reads beyond the common ones
-_REQUIRED_FIELDS = {"bound_check": ("measure",), "sharpness": ("l", "s")}
+# config fields each mode reads beside mode, family and seed: (required,
+# optional); check_config rejects any other field set off its default
+_GRID_FIELDS = ("lambda_grid", "estimator", "tolerance", "force")
+_MODE_FIELDS = {
+    "bound_check": (("measure",), _GRID_FIELDS),
+    "sharpness": (("l", "s"), _GRID_FIELDS + ("level", "sample_count")),
+    "transversality": ((), ("l", "deltas", "mc_samples", "n_directions")),
+}
 
 
 def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
@@ -130,11 +140,18 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
     if cfg.mode != mode:
         raise ConfigError(f"field 'mode' is {cfg.mode!r}, this run needs "
                           f"{mode!r}")
-    missing = [f for f in _REQUIRED_FIELDS.get(mode, ())
-               if getattr(cfg, f) is None]
+    required, optional = _MODE_FIELDS[mode]
+    missing = [f for f in required if getattr(cfg, f) is None]
     if missing:
         raise ConfigError(f"mode {mode!r} requires field(s) "
                           f"{', '.join(repr(f) for f in missing)}")
+    default = ExperimentConfig(mode, cfg.family, cfg.seed)
+    read = ("mode", "family", "seed") + required + optional
+    foreign = [f for f in _FIELD_KINDS if f not in read and
+               _canonical(getattr(cfg, f)) != _canonical(getattr(default, f))]
+    if foreign:
+        raise ConfigError(f"mode {mode!r} does not read field(s) "
+                          f"{', '.join(repr(f) for f in foreign)}")
     for name, low in (("seed", 0), ("sample_count", 1), ("mc_samples", 1),
                       ("n_directions", 1)):
         if getattr(cfg, name) < low:

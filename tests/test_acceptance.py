@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from projlab.family import disjoint_slot_family, save_family
+from conftest import save_family
+from projlab.family import disjoint_slot_family
 from projlab.lab import (
     ExperimentConfig,
     estimator_calibration,

@@ -3,14 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import save_family
 from projlab.cli import main
-from projlab.family import (
-    FamilySpec,
-    disjoint_slot_family,
-    family_to_dict,
-    save_family,
-)
+from projlab.family import FamilySpec, disjoint_slot_family, family_to_dict
 from projlab.grassmann import standard_frame
+from projlab.lab import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -194,6 +191,14 @@ def _no_measure(*args, **kwargs):
     raise AssertionError("a measure was built for a rejected config")
 
 
+def _foreign(name, field, value):
+    """A case of the test below: configs/<name>_n3m2k1.json with a field
+    its mode does not read set off its default."""
+    command = "project" if name == "bound_check" else name
+    return (command, name, lambda cfg: cfg.update({field: value}),
+            f"mode {name!r} does not read field(s) {field!r}")
+
+
 @pytest.mark.parametrize("command, name, edit, field", [
     ("sharpness", "sharpness", lambda cfg: cfg.update(l=3), "'l'"),
     ("sharpness", "sharpness", lambda cfg: cfg.update(l=-1), "'l'"),
@@ -211,10 +216,26 @@ def _no_measure(*args, **kwargs):
     ("project", "bound_check", lambda cfg: cfg.update(seed=-3), "'seed'"),
     ("sharpness", "sharpness", lambda cfg: cfg.update(sample_count=0),
      "'sample_count'"),
+    _foreign("sharpness", "measure", {"variant": "four_corner_cantor",
+                                      "level": 6}),
+    _foreign("sharpness", "deltas", [0.1, 0.01]),
+    _foreign("sharpness", "mc_samples", 1000),
+    _foreign("sharpness", "n_directions", 2),
+    _foreign("bound_check", "l", 1),
+    _foreign("bound_check", "s", 0.5),
+    _foreign("bound_check", "level", 10),
+    _foreign("bound_check", "sample_count", 1000),
+    _foreign("bound_check", "deltas", [0.1, 0.01]),
+    _foreign("bound_check", "mc_samples", 1000),
+    _foreign("bound_check", "n_directions", 2),
 ], ids=["sharpness_l_3", "sharpness_l_minus_1", "lambda_grid_too_long",
         "lambda_grid_zero", "unknown_estimator", "sharpness_s_above_1",
         "sharpness_s_below_0", "sharpness_bracket", "seed_negative",
-        "sharpness_sample_count_0"])
+        "sharpness_sample_count_0", "sharpness_measure", "sharpness_deltas",
+        "sharpness_mc_samples", "sharpness_n_directions", "bound_check_l",
+        "bound_check_s", "bound_check_level", "bound_check_sample_count",
+        "bound_check_deltas", "bound_check_mc_samples",
+        "bound_check_n_directions"])
 def test_out_of_range_config_exits_2_before_any_measure(
         tmp_path, capsys, monkeypatch, command, name, edit, field):
     monkeypatch.setattr("projlab.lab.build_measure", _no_measure)
@@ -229,6 +250,42 @@ def test_out_of_range_config_exits_2_before_any_measure(
     assert err.startswith(f"projlab {command}: {bad}: ")
     assert field in err
     assert not out.exists()
+
+
+def test_foreign_field_at_its_default_runs_with_the_same_hash(tmp_path,
+                                                              capsys):
+    # "level": 12 and "deltas": [] make the same config as omitting them
+    cfg = json.loads((CONFIGS / "bound_check_n3m2k1.json").read_text())
+    cfg["lambda_grid"] = [2]
+    plain = ExperimentConfig.from_dict(cfg)
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({**cfg, "level": 12, "deltas": []}))
+    out = tmp_path / "run"
+    assert main(["project", str(exp), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["provenance"]["config_hash"] == plain.content_hash()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["bound", "--n", "3", "--m", "5", "--k", "1"], "m=5, n=3"),
+    (["bound", "--n", "4", "--m", "2", "--k", "3", "--d", "9"],
+     "d must lie in [0, 4], got 9.0"),
+    (["bound", "--n", "4", "--m", "2", "--k", "0"], "got k=0"),
+    (["witness", "--t", "0", "--l", "1", "--seed", "1"], "got t=0"),
+    (["witness", "--t", "1", "--l", "5", "--seed", "1"], "l=5"),
+    (["witness", "--t", "2", "--l", "1", "--seed", "1"],
+     "hypothesis k > m(t-1) + l(n-m-t+1) fails"),
+    (["witness", "--t", "1", "--l", "1", "--seed", "-3"], "seed=-3"),
+], ids=["bound_m_above_n", "bound_d_above_n", "bound_k_0", "witness_t_0",
+        "witness_l_5", "witness_hypothesis_fails", "witness_seed_negative"])
+def test_bound_and_witness_out_of_range_exit_2(capsys, argv, names):
+    if argv[0] == "witness":
+        argv.insert(1, str(CONFIGS / "family_n4m2k3.json"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"projlab {argv[0]}: ")
+    assert captured.err.count("\n") == 1 and names in captured.err
 
 
 def _run_edited(tmp_path, command, name, edit):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from projlab.dimest import (
+    _best_window,
     _count_boxes,
     _intrinsic_coords,
     _linfit,
@@ -66,7 +67,7 @@ def test_box_counting_rotation_invariance():
     m = four_corner_cantor(8)
     f = span_frame(np.array([[1.0, 0.4, 0.2], [0.1, 1.0, -0.3]]))
     from projlab.fractal import embed
-    me = embed(m, f, normalize=False)
+    me = embed(m, f)
     a = box_counting_dim(m).value
     b = box_counting_dim(me).value
     assert abs(a - b) < 0.02
@@ -115,7 +116,7 @@ def test_project_points():
     m = _uniform_square(500, 2)
     from projlab.fractal import embed
     f3 = span_frame(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    me = embed(m, f3, normalize=False)
+    me = embed(m, f3)
     line = Frame(np.array([[1.0, 0.0, 0.0]]))
     proj = project_points(line, me)
     # ambient coordinates are kept; the points lie in the target plane
@@ -136,20 +137,17 @@ def test_estimate_serialization(tmp_path):
 
 
 def test_box_counting_rejects_short_scale_list():
-    scales = np.geomspace(0.3, 0.01, 6)
+    # the window fit of six box-counting scales, log N against log 1/eps
+    x = np.log(1.0 / np.geomspace(0.3, 0.01, 6))
     with pytest.raises(ValueError, match="need ≥ 7 usable scales, got 6"):
-        box_counting_dim(four_corner_cantor(6), scales=scales)
+        _best_window(x, 1.5 * x)
 
 
 def test_correlation_rejects_too_few_usable_radii():
-    # 28 points on the unit circle plus a near-coincident pair at its
-    # center: the pair sets the smallest radius but is sampled too rarely
-    # to give 8 hits, so only the radii above the shortest chord count
-    a = 2 * np.pi * np.arange(28) / 28
-    pts = np.vstack([np.c_[np.cos(a), np.sin(a)], [[0.0, 0.0], [1e-6, 0.0]]])
-    m = SampledMeasure(pts, np.full(30, 1.0 / 30), 0.0)
+    # the window fit of six usable correlation radii, log C against log r
+    x = np.log(np.geomspace(0.5, 0.005, 6))
     with pytest.raises(ValueError, match="need ≥ 7 usable scales"):
-        correlation_dim(m, pair_budget=2000, seed=0)
+        _best_window(x, 0.6 * x - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_family
 from projlab.family import (
     SUBLEVEL_BATCH,
     FamilySpec,
@@ -24,7 +25,6 @@ from projlab.family import (
     p_of_l,
     p_oracle_dots,
     projection_derivative_matrix,
-    save_family,
     theorem_lower_bound,
     transversality_probe,
 )
@@ -284,7 +284,7 @@ def test_find_witness_subspace_full_parameter_family():
     # k = m(n-m) - 1 = 3, t = 1, l = 1: hypothesis 3 > 2*0 + 1*1 holds
     spec = disjoint_slot_family(4, 2, 3)
     J = family_jacobian(spec, np.zeros(3))
-    found = find_witness_subspace(J, t=1, l=1, trials=40, seed=0)
+    found = find_witness_subspace(J, t=1, l=1, seed=0)
     assert found["W"].basis.shape == (1, 4)
     assert found["d_prime_hat"] > 0.05
     # every witness direction lies in the complement of the plane
@@ -757,14 +757,32 @@ def test_rows_and_derivs_equal_pre_merge_chain():
 
 # --- serialization ---------------------------------------------------------
 
-def test_family_round_trip_dict():
-    spec = disjoint_slot_family(4, 2, 3)
-    d = family_to_dict(spec)
-    spec2 = family_from_dict(d)
-    assert spec2.n == spec.n and spec2.m == spec.m and spec2.k == spec.k
-    assert spec2.schedule == spec.schedule
-    assert spec2.radii == spec.radii
-    assert np.allclose(spec2.base.basis, spec.base.basis)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_family_round_trip_dict(data):
+    n = data.draw(st.integers(3, 7), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    k = data.draw(st.integers(1, m * (n - m) - 1), label="k")
+    slots = [(a, i, j) for a in range(1, k + 1) for i in range(1, m + 1)
+             for j in range(m + 1, n + 1)]
+    entries = data.draw(st.lists(st.sampled_from(slots), unique=True,
+                                 max_size=8), label="slots")
+    weights = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(entries),
+                                 max_size=len(entries)), label="weights")
+    radii = data.draw(st.lists(st.floats(0.0, np.pi / 4, exclude_min=True),
+                               min_size=k, max_size=k), label="radii")
+    if data.draw(st.booleans(), label="standard base"):
+        base = standard_frame(n, m)
+    else:
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="base seed")
+        base = span_frame(np.random.default_rng(seed).standard_normal((m, n)))
+    spec = FamilySpec(n, m, k, base,
+                      tuple(e + (w,) for e, w in zip(entries, weights)),
+                      tuple(radii))
+    spec2 = family_from_dict(family_to_dict(spec))
+    for name in ("n", "m", "k", "schedule", "radii"):
+        assert getattr(spec2, name) == getattr(spec, name), name
+    assert np.array_equal(spec2.base.basis, spec.base.basis)
 
 
 def test_family_round_trip_file(tmp_path):

@@ -76,14 +76,19 @@ def test_lebesgue_ball_support_and_determinism():
 def test_embed_isometry():
     m = four_corner_cantor(4)
     f = span_frame(np.array([[1.0, 0.4, 0.2], [0.1, 1.0, -0.3]]))
-    e = embed(m, f, normalize=False)
+    e = embed(m, f)
     assert e.ambient_dim == 3
-    # embedding along an orthonormal frame preserves pairwise distances
+    # centring, scaling and embedding along an orthonormal frame scale
+    # every pairwise distance by one common factor
     rng = np.random.default_rng(0)
     idx = rng.integers(0, m.count, size=(50, 2))
     d0 = np.linalg.norm(m.points[idx[:, 0]] - m.points[idx[:, 1]], axis=1)
     d1 = np.linalg.norm(e.points[idx[:, 0]] - e.points[idx[:, 1]], axis=1)
-    assert np.allclose(d0, d1, atol=1e-12)
+    keep = d0 > 0
+    ratio = d1[keep] / d0[keep]
+    assert ratio[0] > 0
+    assert np.allclose(ratio, ratio[0], rtol=1e-12)
+    assert np.allclose(d1[~keep], 0.0)
 
 
 def test_embed_dimension_mismatch():

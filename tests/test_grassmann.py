@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlab.grassmann import (
     Frame,
@@ -39,13 +41,22 @@ def test_rotate_is_orthogonal_and_invertible():
         assert np.allclose(y, x, atol=1e-12)
 
 
-def test_projector_properties():
-    rng = np.random.default_rng(2)
-    f = span_frame(rng.standard_normal((3, 6)))
+def _random_frame(data):
+    """A frame spanned by standard normal rows: 1 <= m < n <= 8."""
+    n = data.draw(st.integers(2, 8), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    return span_frame(np.random.default_rng(seed).standard_normal((m, n)))
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_projector_properties(data):
+    f = _random_frame(data)
     P = projector(f)
     assert np.allclose(P, P.T, atol=1e-12)
     assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.trace(P) == pytest.approx(3.0)
+    assert np.trace(P) == pytest.approx(f.plane_dim)
 
 
 def test_span_projector_non_orthonormal_basis():
@@ -54,12 +65,17 @@ def test_span_projector_non_orthonormal_basis():
     assert np.allclose(P1, P2, atol=1e-12)
 
 
-def test_complement_frame():
-    rng = np.random.default_rng(3)
-    f = span_frame(rng.standard_normal((2, 5)))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_complement_frame(data):
+    f = _random_frame(data)
+    n, m = f.ambient_dim, f.plane_dim
     g = complement(f)
-    assert g.basis.shape == (3, 5)
+    assert g.basis.shape == (n - m, n)
     assert np.allclose(f.basis @ g.basis.T, 0.0, atol=1e-12)
+    # the two frames together are an orthonormal basis of R^n
+    both = np.vstack([f.basis, g.basis])
+    assert np.allclose(both @ both.T, np.eye(n), atol=1e-12)
 
 
 # --- givens against the pre-merge formula ----------------------------------

@@ -34,3 +34,56 @@ def test_every_imported_name_is_read():
             unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                        for line, name in _unused_imports(path)]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def _cfg_reads(func):
+    """The fields a function reads as cfg.<field>."""
+    return {node.attr for node in ast.walk(func)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+
+
+def _runner_reads(tree):
+    """Mode -> the config fields its runner reads: the runner is the
+    function of lab.py that calls check_config(cfg, "<mode>"), and its
+    reads include those of the lab.py functions it passes cfg to, but not
+    of check_config and _provenance, which read every field to check or
+    hash it."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reads = {}
+    for func in funcs.values():
+        calls = [c for c in ast.walk(func) if isinstance(c, ast.Call)
+                 and isinstance(c.func, ast.Name) and c.func.id in funcs]
+        modes = [c.args[1].value for c in calls
+                 if c.func.id == "check_config"]
+        if not modes:
+            continue
+        fields = _cfg_reads(func)
+        for c in calls:
+            if (c.func.id not in ("check_config", "_provenance")
+                    and any(isinstance(a, ast.Name) and a.id == "cfg"
+                            for a in c.args)):
+                fields |= _cfg_reads(funcs[c.func.id])
+        reads[modes[0]] = fields
+    return reads
+
+
+def test_every_mode_field_has_a_reader_in_its_mode():
+    from projlab.lab import _MODE_FIELDS, ExperimentConfig
+
+    common = {"mode", "family", "seed"}
+    tree = ast.parse((ROOT / "src/projlab/lab.py").read_text())
+    reads = _runner_reads(tree)
+    assert set(reads) == set(_MODE_FIELDS)
+    problems = []
+    for mode, (required, optional) in _MODE_FIELDS.items():
+        listed = set(required) | set(optional)
+        problems += [f"{mode} reads the unlisted field {f!r}"
+                     for f in sorted(reads[mode] - listed - common)]
+        problems += [f"{mode} lists the unread field {f!r}"
+                     for f in sorted(listed - reads[mode])]
+    listed = set().union(*(set(r) | set(o) for r, o in _MODE_FIELDS.values()))
+    problems += [f"field {f!r} is in no mode's table"
+                 for f in sorted(set(ExperimentConfig.__dataclass_fields__)
+                                 - listed - common)]
+    assert not problems, "\n".join(problems)

@@ -1,16 +1,24 @@
 import json
 import os
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from projlab.family import disjoint_slot_family, save_family
+from conftest import save_family
+from projlab.family import disjoint_slot_family
 from projlab.fractal import lebesgue_ball, line_cantor, product_embed
 from projlab.grassmann import Frame
 from projlab.lab import (
+    _FIELD_KINDS,
+    _MODE_FIELDS,
     ConfigError,
     ExperimentConfig,
+    _canonical,
     build_measure,
     lambda_grid,
     resolve_family,
@@ -268,6 +276,65 @@ def test_run_transversality_rejects_bad_config(field, value):
     setattr(cfg, field, value)
     with pytest.raises(ValueError, match=repr(field)):
         run_transversality(cfg)
+
+
+def _value_of(kind):
+    """Strategy for a JSON value of a `_FIELD_KINDS` kind."""
+    if isinstance(kind, list):
+        return st.lists(_value_of(kind[0]), max_size=3)
+    return {int: st.integers(-3, 10 ** 6), float: st.floats(-10.0, 10.0),
+            bool: st.booleans(),
+            dict: st.dictionaries(st.sampled_from("ab"), st.integers(),
+                                  max_size=2)}[kind]
+
+
+def _no_measure(*args, **kwargs):
+    raise AssertionError("a measure was built for a rejected config")
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_runner_rejects_a_foreign_field_before_any_measure(data):
+    runners = {"bound_check": run_bound_check, "sharpness": run_sharpness,
+               "transversality": run_transversality}
+    mode = data.draw(st.sampled_from(sorted(runners)), label="mode")
+    required, optional = _MODE_FIELDS[mode]
+    foreign = [f for f in _FIELD_KINDS if f not in
+               ("mode", "family", "seed") + required + optional]
+    name = data.draw(st.sampled_from(foreign), label="field")
+    value = data.draw(_value_of(_FIELD_KINDS[name]), label="value")
+    if mode == "transversality":
+        cfg = ExperimentConfig(mode, str(CONFIGS / "family_n3m2k1.json"), 1)
+    else:
+        cfg = ExperimentConfig.load(CONFIGS / f"{mode}_n3m2k1.json")
+    assume(_canonical(value) != _canonical(getattr(cfg, name)))
+    setattr(cfg, name, value)
+    with mock.patch("projlab.lab.build_measure", _no_measure), \
+            mock.patch("projlab.lab.sharpness_measure", _no_measure):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"mode {mode!r} does not read field(s) {name!r}")):
+            runners[mode](cfg)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_config_dict_round_trip(data):
+    # any values of a mode's own fields survive JSON and from_dict, with
+    # the same content hash
+    mode = data.draw(st.sampled_from(sorted(_MODE_FIELDS)), label="mode")
+    required, optional = _MODE_FIELDS[mode]
+    d = {"mode": mode, "family": str(CONFIGS / "family_n3m2k1.json"),
+         "seed": data.draw(st.integers(0, 10 ** 6), label="seed")}
+    for name in required + optional:
+        if name in required or data.draw(st.booleans(), label=name):
+            d[name] = data.draw(_value_of(_FIELD_KINDS[name]), label=name)
+    cfg = ExperimentConfig.from_dict(d)
+    cfg2 = ExperimentConfig.from_dict(json.loads(json.dumps(
+        cfg.__dict__, default=list)))
+    for name in _FIELD_KINDS:
+        assert _canonical(getattr(cfg2, name)) == _canonical(
+            getattr(cfg, name)), name
+    assert cfg2.content_hash() == cfg.content_hash()
 
 
 def test_verify_suite_filter():
