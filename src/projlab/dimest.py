@@ -123,32 +123,40 @@ def _count_boxes(cols, span, weights, total, eps, offsets):
     mass per box of the grid.
 
     cols holds the cloud as contiguous per-axis columns shifted to start
-    at 0, span the per-axis extent and total the total weight.  Boxes get
-    a mixed-radix key that bincount sums directly when the grid has at
-    most 4N + 65536 boxes; sparser grids rank the occupied keys (or, past
-    int64, the occupied index rows) with np.unique first.  Every path sums
-    each box's weights in input order, so the count does not depend on
-    the path taken.
+    at 0, span the per-axis extent (each column's maximum, exactly) and
+    total the total weight.  The columns are nonnegative and the offsets
+    lie in [0, 1), so every box index is nonnegative, truncation equals
+    floor, and each axis's extent comes from its span without a pass over
+    the data: every rounding step is monotone, so the largest index is
+    the span's.  Boxes get a mixed-radix key that bincount sums directly
+    when the grid has at most 4N + 65536 boxes; sparser grids rank the
+    occupied keys (or, past int64, the occupied index rows) with np.unique
+    first.  Every path sums each box's weights in input order, so the
+    count does not depend on the path taken.
     """
     per_axis = np.minimum(np.ceil(span / eps) + 1.0, 1e6)
     possible = float(np.prod(per_axis))
     floor = total / (10.0 * max(possible, 1.0))
     dense_limit = 4 * len(weights) + 65536
+    buf = np.empty(len(weights))
     counts = []
     for off in offsets:
-        idx = [np.floor((c + o * eps) / eps).astype(np.int64)
-               for c, o in zip(cols, off)]
-        idx = [i - i.min() for i in idx]
-        extents = [int(i.max()) + 1 for i in idx]
+        # an extent past int64, or not finite where eps underflows to 0,
+        # sends the grid to the index-row path
+        extents = [int(t) + 1 if t < 2.0 ** 63 else 2 ** 63
+                   for t in (span + off * eps) / eps]
         size = math.prod(extents)
+        idx = (np.divide(np.add(c, o * eps, out=buf), eps, out=buf)
+               .astype(np.int64) for c, o in zip(cols, off))
         if size < 2 ** 63:
-            key = idx[0]
-            for i, e in zip(idx[1:], extents[1:]):
-                key = key * e + i
+            key = next(idx)
+            for i, e in zip(idx, extents[1:]):
+                key *= e
+                key += i
             if size > dense_limit:
                 _, key = np.unique(key, return_inverse=True)
         else:
-            _, key = np.unique(np.column_stack(idx), axis=0,
+            _, key = np.unique(np.column_stack(list(idx)), axis=0,
                                return_inverse=True)
         mass = np.bincount(key.ravel(), weights=weights)
         counts.append(int(np.count_nonzero(mass >= floor)))
@@ -167,13 +175,16 @@ def box_counting_dim(measure: SampledMeasure, n_offsets=3,
     if pts.shape[1] == 0:
         return _zero_estimate("box_counting", measure.count,
                               "degenerate cloud")
-    diam = float(np.max(np.ptp(pts, axis=0)))
+    # one contiguous row per axis: its bounds are row reductions, and pts
+    # is a fresh array, so shifting a view of it in place is safe
+    cols = np.ascontiguousarray(pts.T)
+    lo = cols.min(axis=1)
+    span = cols.max(axis=1) - lo
+    cols -= lo[:, None]
+    diam = float(np.max(span))
     scales = np.geomspace(0.4 * diam, 2.5e-3 * diam, 18)
     rng = np.random.default_rng(seed)
     offsets = rng.random((n_offsets, pts.shape[1]))
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
-    cols = np.ascontiguousarray((pts - lo).T)
     total = measure.weights.sum()
     counts = np.array([
         _count_boxes(cols, span, measure.weights, total, eps, offsets)

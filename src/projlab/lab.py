@@ -365,7 +365,7 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
     """Project the measure over a parameter grid and compare estimated
     dimensions against the theorem's lower-bound curve evaluated at the
     generator's nominal dimension."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = check_config(cfg, "bound_check")
     grid = lambda_grid(spec, cfg.lambda_grid or (8,))
     gate = _gate_nondegenerate(spec, np.zeros(spec.k), cfg.force)
@@ -382,7 +382,7 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
         "rows": len(rows),
     }
     return ExperimentReport("bound_check", rows, summary, _provenance(cfg),
-                            fit_data, time.time() - t0)
+                            fit_data, time.perf_counter() - t0)
 
 
 def sharpness_family(n, m, k, l, p) -> FamilySpec:
@@ -407,7 +407,7 @@ def sharpness_measure(n, l, p, s, level, N, seed) -> SampledMeasure:
 def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     """Check that the constructed family/measure pair pinches the bound:
     estimated projected dimensions concentrate at l + s."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = check_config(cfg, "sharpness")
     n, m, k = spec.n, spec.m, spec.k
     l, s = cfg.l, cfg.s
@@ -429,14 +429,14 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
         "rows": len(rows),
     }
     return ExperimentReport("sharpness", rows, summary, _provenance(cfg),
-                            fit_data, time.time() - t0)
+                            fit_data, time.perf_counter() - t0)
 
 
 def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit sublevel-volume exponents over a panel of kernel directions and
     compare with the target order r = l + 1 + p (or 1 for an unextended
     family at l = 0)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = check_config(cfg, "transversality")
     rng = np.random.default_rng(cfg.seed)
     if cfg.l is not None and p_of_l(spec.n, spec.m, spec.k, cfg.l) > 0:
@@ -487,7 +487,7 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport("transversality", panel, summary,
                             _provenance(cfg),
-                            runtime_seconds=time.time() - t0,
+                            runtime_seconds=time.perf_counter() - t0,
                             deltas=[float(v) for v in deltas])
 
 
@@ -788,11 +788,11 @@ def run_verify_suite(filter_pattern=None):
     for name, fn in VERIFY_CHECKS:
         if filter_pattern and filter_pattern not in name:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failing row
             ok, detail = False, f"error: {exc}"
         rows.append({"check": name, "pass": bool(ok), "detail": detail,
-                     "seconds": round(time.time() - t0, 2)})
+                     "seconds": round(time.perf_counter() - t0, 2)})
     return rows, all(r["pass"] for r in rows)

@@ -85,6 +85,26 @@ def test_box_counting_degenerate_inputs():
     assert est2.warning is not None
 
 
+@pytest.mark.parametrize("axes", [1, 2, 3])
+def test_box_counting_leaves_its_input_unchanged(axes):
+    # the counter shifts its columns in place; with one intrinsic axis
+    # they are a view of the PCA coordinates, not a copy
+    rng = np.random.default_rng(axes)
+    pts = np.zeros((5000, 3))
+    pts[:, :axes] = rng.random((5000, axes)) @ rng.normal(size=(axes, axes))
+    w = rng.random(5000)
+    m = SampledMeasure(pts, w / w.sum(), float(axes))
+    assert _intrinsic_coords(m.points, m.weights).shape[1] == axes
+    points, weights = m.points.tobytes(), m.weights.tobytes()
+    first = box_counting_dim(m)
+    assert m.points.tobytes() == points
+    assert m.weights.tobytes() == weights
+    second = box_counting_dim(m)
+    assert second.value == first.value
+    assert second.fit_window == first.fit_window
+    assert second.counts.tobytes() == first.counts.tobytes()
+
+
 def test_correlation_line_cantor():
     s = np.log(2) / np.log(3)
     est = correlation_dim(line_cantor(s, 12), seed=0)
@@ -246,8 +266,14 @@ def _weighted_clouds(draw):
     return pts, w, eps, offsets
 
 
-# Dense key, ranked key and ranked rows: the three explicit examples take
-# one path each; the strategy draws grids from 1 box to 1e22.
+# Dense key, ranked key and ranked rows: the first three explicit examples
+# take one path each; the strategy draws grids from 1 box to 1e22.  The
+# last three pin the extent formula int((span + o*eps)/eps) + 1: the
+# largest offset below 1 (the top indices round up to 5), a span that is
+# an exact multiple of eps (the last point on a box edge, where an extent
+# one short merges box (0, 4) into (1, 0)), a subnormal eps at which
+# 0.9*eps rounds up to eps, so the smallest index is 1, and an eps that
+# underflows to 0 on a subnormal span, where no extent is finite.
 @settings(max_examples=200)
 @given(_weighted_clouds())
 @example((np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]),
@@ -256,6 +282,15 @@ def _weighted_clouds(draw):
           1e-7, np.array([[0.5]])))
 @example((np.array([[0.0, 0.0, 0.0], [0.5, 0.2, 0.1], [1.0, 1.0, 1.0]]),
           np.array([0.2, 0.3, 0.5]), 1e-7, np.array([[0.1, 0.2, 0.3]])))
+@example((np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]]),
+          np.array([0.2, 0.3, 0.5]), 0.25, np.array([[1 - 2 ** -53] * 2])))
+@example((np.array([[0.0, 0.0], [0.0, 1.0], [0.25, 0.0]]),
+          np.array([0.2, 0.3, 0.5]), 0.25, np.array([[0.0, 0.0]])))
+@example((np.array([[0.0, 0.0], [4.0, 2.0], [2.0, 6.0]]) * 2.0 ** -1074,
+          np.array([0.2, 0.3, 0.5]), 3 * 2.0 ** -1074,
+          np.array([[0.9, 0.9]])))
+@example((np.array([[0.0], [2.0 ** -1074]]), np.array([0.5, 0.5]), 0.0,
+          np.array([[0.3]])))
 def test_count_boxes_matches_reference_on_random_clouds(cloud):
     pts, w, eps, offsets = cloud
     assert (_new_count_boxes(pts, w, eps, offsets)
