@@ -38,10 +38,10 @@ def _report(num, ok, detail):
 # --- criterion 1: p(l) vs the dot-filling oracle ---------------------------
 
 def test_criterion_01_p_correctness():
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked, failures = p_dot_oracle_scan(8)
     assert not failures, failures
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(1, elapsed < 1.0,
             f"{checked} tuples agree with the dot oracle, nondecreasing "
             f"in l ({elapsed:.2f}s)")
@@ -52,10 +52,10 @@ def test_criterion_01_p_correctness():
 def test_criterion_02_parameter_bracket_scan():
     # the upper bound on every tuple, the strict lower bound where p < n-m,
     # and k <= l(n-m) on the clamped tuples (p = n-m)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked, excluded, failures = parameter_bracket_scan(8)
     assert not failures, failures
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(2, elapsed < 1.0,
             f"bracket exact on {checked} tuples with p < n-m; "
             f"{excluded} clamped tuples (p = n-m) verified degenerate "
@@ -65,9 +65,9 @@ def test_criterion_02_parameter_bracket_scan():
 # --- criterion 3: exterior-algebra oracle ----------------------------------
 
 def test_criterion_03_multivec_oracle():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_gram, worst_det = multivec_oracle_gaps(10_000, seed=2024)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst_gram <= 1e-9 and worst_det <= 1e-9 and elapsed < 10.0
     _report(3, ok,
             f"10000 matrices: max gram/Cauchy-Binet gap {worst_gram:.2e}, "
@@ -77,9 +77,9 @@ def test_criterion_03_multivec_oracle():
 # --- criterion 4: analytic tangent map vs central differences --------------
 
 def test_criterion_04_derivative_order():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = tangent_derivative_order(100, seed=77)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst >= 1.9 and elapsed < 5.0
     _report(4, ok,
             f"100 cases: min central-difference convergence order "
@@ -89,9 +89,9 @@ def test_criterion_04_derivative_order():
 # --- criterion 5: second-order agreement of extended projections -----------
 
 def test_criterion_05_extended_projection_order():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = extended_projection_order(20, seed=303)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst >= 1.9 and elapsed < 5.0
     _report(5, ok,
             f"20 random paths: min log-log slope {worst:.2f} >= 1.9 "
@@ -101,9 +101,9 @@ def test_criterion_05_extended_projection_order():
 # --- criterion 6: wedge norm can only grow under perpendicular splits ------
 
 def test_criterion_06_wedge_split_inequality():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = wedge_split_margin(100, seed=555)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst >= -1e-9 and elapsed < 10.0
     _report(6, ok,
             f"100 random splits: min wedge-norm margin {worst:.2e} "
@@ -113,9 +113,9 @@ def test_criterion_06_wedge_split_inequality():
 # --- criterion 7: estimator calibration ------------------------------------
 
 def test_criterion_07_estimator_calibration():
-    t0 = time.time()
+    t0 = time.perf_counter()
     b, c, u = estimator_calibration(8, 100_000, seed=9)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (0.9 <= b <= 1.1 and 0.58 <= c <= 0.68 and 1.9 <= u <= 2.1
           and elapsed < 60.0)
     _report(7, ok,

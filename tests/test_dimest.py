@@ -1,8 +1,12 @@
+import os
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -71,6 +75,18 @@ def test_box_counting_rotation_invariance():
     a = box_counting_dim(m).value
     b = box_counting_dim(me).value
     assert abs(a - b) < 0.02
+
+
+def test_box_counting_subnormal_cloud_is_degenerate_without_warnings():
+    # a span of one subnormal unit has zero variance in double precision:
+    # the estimate stops at the PCA, before any box size could underflow
+    m = SampledMeasure(np.array([[0.0], [5e-324]]), np.array([0.5, 0.5]),
+                       0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = box_counting_dim(m)
+    assert est.value == 0.0
+    assert est.warning == "degenerate cloud"
 
 
 def test_box_counting_degenerate_inputs():
@@ -237,22 +253,81 @@ def test_count_boxes_matches_reference_on_bound_check_rows():
     assert dims == [3, 2, 3, 2, 2, 2, 3, 2]
 
 
-def test_count_boxes_matches_reference_on_sharpness_row():
+@pytest.fixture(scope="module")
+def sharpness_cloud():
+    """The configured sharpness experiment and its measure."""
     cfg = ExperimentConfig.load(CONFIGS / "sharpness_n3m2k1.json")
     spec = resolve_family(cfg.family)
     p = p_of_l(spec.n, spec.m, spec.k, cfg.l)
-    measure = sharpness_measure(spec.n, cfg.l, p, cfg.s, cfg.level,
-                                cfg.sample_count, cfg.seed)
+    return cfg, sharpness_measure(spec.n, cfg.l, p, cfg.s, cfg.level,
+                                  cfg.sample_count, cfg.seed)
+
+
+def _round_off_row(cfg, measure):
+    """Row 2 of the configured sharpness grid, projected: its intrinsic
+    coordinates keep a third axis of span below 1e-15, so that axis has
+    extent 1 at almost every scale and offset."""
+    spec = resolve_family(cfg.family)
+    lam = list(lambda_grid(spec, cfg.lambda_grid))[2]
+    return project_points(family_frame(spec, lam), measure)
+
+
+def test_count_boxes_matches_reference_on_sharpness_row(sharpness_cloud):
+    cfg, measure = sharpness_cloud
     pts, weights, seed = next(_projected_rows(cfg, measure, 8))
     assert pts.shape == (cfg.sample_count, 2)
     _assert_counts_match(pts, weights, seed)
+
+
+def test_box_counting_counts_scales_as_the_serial_loop(sharpness_cloud):
+    # the thread pool returns each scale's count in scale order, bit for
+    # bit the count of one _count_boxes call after another
+    row = _round_off_row(*sharpness_cloud)
+    pts = _intrinsic_coords(row.points, row.weights)
+    assert pts.shape[1] == 3 and np.ptp(pts[:, 2]) < 1e-15
+    est = box_counting_dim(row, seed=5)
+    offsets = np.random.default_rng(5).random((3, 3))
+    serial = [_new_count_boxes(pts, row.weights, eps, offsets)
+              for eps in est.scales]
+    assert est.counts.tobytes() == np.array(serial).tobytes()
+
+
+def _same_estimate(a, b):
+    assert (a.value, a.fit_window, a.slope_stderr, a.r_squared,
+            a.warning) == (b.value, b.fit_window, b.slope_stderr,
+                           b.r_squared, b.warning)
+    assert a.scales.tobytes() == b.scales.tobytes()
+    assert a.counts.tobytes() == b.counts.tobytes()
+
+
+def test_concurrent_box_counting_matches_one_cpu_runs(sharpness_cloud,
+                                                      monkeypatch):
+    clouds = [_round_off_row(*sharpness_cloud), four_corner_cantor(8)]
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+        one_cpu.setattr(os, "cpu_count", lambda: 1)
+        serial = [box_counting_dim(m, seed=3) for m in clouds]
+    start = threading.Barrier(len(clouds))
+
+    def estimate(m):
+        start.wait()
+        return box_counting_dim(m, seed=3)
+
+    with ThreadPoolExecutor(len(clouds)) as pool:
+        for a, b in zip(pool.map(estimate, clouds), serial):
+            _same_estimate(a, b)
 
 
 @st.composite
 def _weighted_clouds(draw):
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 40))
-    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    # no subnormal coordinates: eps = span * 10^-x would underflow on a
+    # span of a few subnormal units, and then both counters compare
+    # platform-defined int64 casts of inf and NaN instead of counts
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False,
+                      allow_subnormal=False)
     pts = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
                                  min_size=n, max_size=n)))
     w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
@@ -260,6 +335,9 @@ def _weighted_clouds(draw):
     w = (w + 1e-3) / (w + 1e-3).sum()
     span = float(np.max(np.ptp(pts, axis=0))) or 1.0
     eps = span * 10.0 ** -draw(st.floats(-0.5, 7.5))
+    # two normal coordinates next to 2^-1022 can still differ by a
+    # subnormal span
+    assume(eps > 0.0)
     offsets = np.array(draw(st.lists(
         st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=d,
                  max_size=d), min_size=1, max_size=3)))
@@ -268,12 +346,14 @@ def _weighted_clouds(draw):
 
 # Dense key, ranked key and ranked rows: the first three explicit examples
 # take one path each; the strategy draws grids from 1 box to 1e22.  The
-# last three pin the extent formula int((span + o*eps)/eps) + 1: the
+# next three pin the extent formula int((span + o*eps)/eps) + 1: the
 # largest offset below 1 (the top indices round up to 5), a span that is
 # an exact multiple of eps (the last point on a box edge, where an extent
-# one short merges box (0, 4) into (1, 0)), a subnormal eps at which
-# 0.9*eps rounds up to eps, so the smallest index is 1, and an eps that
-# underflows to 0 on a subnormal span, where no extent is finite.
+# one short merges box (0, 4) into (1, 0)), and a subnormal eps at which
+# 0.9*eps rounds up to eps, so the smallest index is 1.  The last two
+# leave extent-1 axes out of the key: a unit axis beside one of span
+# 1e-15 (extent 1 at every offset), and a first axis of extent 1 before
+# one that is not.
 @settings(max_examples=200)
 @given(_weighted_clouds())
 @example((np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]),
@@ -289,8 +369,10 @@ def _weighted_clouds(draw):
 @example((np.array([[0.0, 0.0], [4.0, 2.0], [2.0, 6.0]]) * 2.0 ** -1074,
           np.array([0.2, 0.3, 0.5]), 3 * 2.0 ** -1074,
           np.array([[0.9, 0.9]])))
-@example((np.array([[0.0], [2.0 ** -1074]]), np.array([0.5, 0.5]), 0.0,
-          np.array([[0.3]])))
+@example((np.array([[0.0, 0.0], [0.5, 1e-15], [1.0, 5e-16]]),
+          np.array([0.2, 0.3, 0.5]), 0.1, np.array([[0.3, 0.7]])))
+@example((np.array([[0.0, 0.0], [1e-15, 0.5], [0.0, 1.0]]),
+          np.array([0.2, 0.3, 0.5]), 0.25, np.array([[0.6, 0.2]])))
 def test_count_boxes_matches_reference_on_random_clouds(cloud):
     pts, w, eps, offsets = cloud
     assert (_new_count_boxes(pts, w, eps, offsets)

@@ -1,6 +1,10 @@
-"""Static checks on the source tree."""
+"""Static checks on the source tree, and the modules that importing the
+CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +38,19 @@ def test_every_imported_name_is_read():
             unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                        for line, name in _unused_imports(path)]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def test_cli_import_loads_no_heavy_module():
+    # scipy is a test dependency only; box counting imports its thread
+    # pool on first use, since concurrent.futures pulls in logging
+    heavy = ("scipy", "concurrent.futures", "logging")
+    code = ("import sys, projlab.cli; "
+            f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def _cfg_reads(func):
