@@ -13,13 +13,13 @@ thread per CPU.  The counts are bitwise those of a one-CPU run (`taskset
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fractal import SampledMeasure, write_csv
 from .grassmann import Frame, projector
+from .threads import cpu_map
 
 DISTANCE_FLOOR = 1e-12
 # a fit window spans at least MIN_WINDOW scales and never touches the
@@ -199,16 +199,10 @@ def box_counting_dim(measure: SampledMeasure, n_offsets=3,
     offsets = rng.random((n_offsets, pts.shape[1]))
     total = measure.weights.sum()
     # scales are independent and numpy releases the GIL on the columns;
-    # each call keeps its own buffers, so the counts are the serial ones.
-    # Imported here: concurrent.futures loads logging, which importing the
-    # CLI should not pay for.
-    from concurrent.futures import ThreadPoolExecutor
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    with ThreadPoolExecutor(min(cpus, len(scales))) as pool:
-        counts = np.array(list(pool.map(
-            lambda eps: _count_boxes(cols, span, measure.weights, total,
-                                     eps, offsets), scales)))
+    # each call keeps its own buffers, so the counts are the serial ones
+    counts = np.array(cpu_map(
+        lambda eps: _count_boxes(cols, span, measure.weights, total, eps,
+                                 offsets), scales))
     good = counts > 0
     if np.ptp(np.log(counts[good])) < 1e-12:
         # atomic cloud: N(eps) never grows

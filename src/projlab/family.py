@@ -25,6 +25,7 @@ from .grassmann import (
     standard_frame,
 )
 from .multivec import gram_norm
+from .threads import cpu_map
 
 
 # ---------------------------------------------------------------------------
@@ -481,65 +482,83 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
 
 # Parameters drawn per batch.  Each batch draws its unit vectors and radii
 # in one call each, so the RNG stream, and with it every fraction and
-# exponent, depends on this size.
+# exponent, depends on this size.  A batch's rows, their Gram factor and
+# each direction thread's d+1 length-B vectors are freed before the next
+# batch is drawn.
 SUBLEVEL_BATCH = 200_000
 
 
-def _projection_norms(E, ws):
-    """Yield |Pi_{span rows} w| per sample for each w in ws, one length-B
-    vector at a time, for spanning rows in column layout, E (d, n, B):
-    |Pi w|^2 = |L^{-1} E w|^2 with L L^T the Cholesky factor of the d x d
-    Gram E E^T.  The factor is unrolled over d on length-B vectors and
-    formed once for all of ws."""
+def _gram_cholesky(E):
+    """Lower Cholesky factor L of the d x d Gram E E^T of every sample, for
+    spanning rows in column layout, E (d, n, B): L[i][j], j <= i, is a
+    length-B vector, unrolled over d.  Singular rows give NaN."""
     d = E.shape[0]
     L = [[None] * d for _ in range(d)]
-    quiet = {"divide": "ignore", "invalid": "ignore"}  # singular rows: NaN
-    with np.errstate(**quiet):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(d):
             for i in range(j, d):
                 g = np.einsum("ab,ab->b", E[i], E[j])
                 for q in range(j):
                     g -= L[i][q] * L[j][q]
                 L[i][j] = np.sqrt(g) if i == j else g / L[j][j]
-    for w in ws:
-        y = []
-        with np.errstate(**quiet):  # not held across the yield
-            for j in range(d):
-                r = w @ E[j]
-                for q in range(j):
-                    r -= L[j][q] * y[q]
-                y.append(r / L[j][j])
-        proj2 = y[0] * y[0]
-        for v in y[1:]:
-            proj2 += v * v
-        yield np.sqrt(proj2)
+    return L
+
+
+def _projection_norm(E, L, w):
+    """|Pi_{span rows} w| per sample, a length-B vector, from the rows E
+    (d, n, B) and their Gram factor L (`_gram_cholesky`): |Pi w|^2 =
+    |L^{-1} E w|^2 by forward substitution.  Works in d+1 length-B
+    buffers and writes nothing shared, so threads may call it at once."""
+    y = []
+    tmp = np.empty(E.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular: NaN
+        for j in range(E.shape[0]):
+            r = w @ E[j]
+            for q in range(j):
+                r -= np.multiply(L[j][q], y[q], out=tmp)
+            r /= L[j][j]
+            y.append(r)
+    proj2 = np.multiply(y[0], y[0], out=y[0])
+    for v in y[1:]:
+        proj2 += np.multiply(v, v, out=v)
+    return np.sqrt(proj2, out=proj2)
 
 
 def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     """Fractions and counts, (D, len(deltas)) each, of the samples lam in
     the ball B(lam0, R) with |Pi_{V_lam} w| <= delta, for each of the D
     directions w in ws and each delta (in the given order).  Every
-    direction is scored on the same samples."""
+    direction is scored on the same samples.
+
+    The RNG and rows_fn run on the calling thread, the directions of a
+    batch on `cpu_map`'s threads; counts are per-direction integers, so
+    they equal a one-CPU run's."""
     rng = np.random.default_rng(seed)
     lam0 = np.asarray(lam0, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
-    order = np.argsort(deltas, kind="stable")
-    sorted_deltas = deltas[order]
-    counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
-    done = 0
-    while done < samples:
-        B = min(SUBLEVEL_BATCH, samples - done)
+
+    def draw(B):
         g = rng.standard_normal((B, k))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = R * rng.random(B) ** (1.0 / k)
-        lam = lam0 + g * radii[:, None]
-        E = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
-        for c, vals in zip(counts, _projection_norms(E, ws)):
-            # slot of the smallest delta >= val; NaN sorts past every delta
-            slot = np.searchsorted(sorted_deltas, vals, side="left")
-            hits = np.bincount(slot, minlength=len(deltas) + 1)
-            c[order] += np.cumsum(hits[:len(deltas)])
-        done += B
+        return lam0 + g * radii[:, None]
+
+    def batch_counts(B):
+        E = np.ascontiguousarray(np.moveaxis(rows_fn(draw(B)), 0, -1))
+        L = _gram_cholesky(E)
+
+        def direction_counts(w):
+            vals = _projection_norm(E, L, w)
+            # NaN lies below no delta, so a singular sample is never a hit
+            return [np.count_nonzero(vals <= d) for d in deltas]
+
+        return cpu_map(direction_counts, ws)
+
+    counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
+    for done in range(0, samples, SUBLEVEL_BATCH):
+        batch = batch_counts(min(SUBLEVEL_BATCH, samples - done))
+        for c, b in zip(counts, batch):
+            c += b
     return counts / samples, counts
 
 
@@ -570,6 +589,8 @@ def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     at least 16 hits and a fraction of at most 0.5 (saturated scales carry
     no exponent information).  All directions share one sample cloud drawn
     from the seed, so a direction's result does not depend on the others.
+    The directions of each batch are scored on the usable CPUs
+    (`cpu_map`); the results are bitwise those of a one-CPU run.
     Deterministic given the seed.
     """
     ws = np.asarray(ws, dtype=float)

@@ -1,3 +1,8 @@
+import os
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +12,8 @@ from conftest import save_family
 from projlab.family import (
     SUBLEVEL_BATCH,
     FamilySpec,
-    _projection_norms,
+    _gram_cholesky,
+    _projection_norm,
     _rows_and_derivs_chart,
     _sublevel_fractions,
     bound_table,
@@ -417,6 +423,12 @@ def test_transversality_probe_rejects_a_single_vector():
                              np.array([0.0, 0.0, 1.0]), [0.1], 100, seed=0)
 
 
+def test_transversality_probe_empty_panel():
+    spec = disjoint_slot_family(3, 2, 1)
+    assert transversality_probe(spec.rows, 1, np.zeros(1), 0.3,
+                                np.zeros((0, 3)), [0.1], 100, seed=0) == []
+
+
 # --- batched rows and the sublevel kernel against the (B, m, n) loops ------
 #
 # The references below are sample-major oracles: rows built as (B, m, n)
@@ -473,9 +485,8 @@ def _solve_norms(E, w):
 
 
 def _kernel_norms(E, w):
-    [vals] = _projection_norms(np.ascontiguousarray(np.moveaxis(E, 0, -1)),
-                               [w])
-    return vals
+    E = np.ascontiguousarray(np.moveaxis(E, 0, -1))
+    return _projection_norm(E, _gram_cholesky(E), w)
 
 
 def _ref_counts(rows_fn, k, lam0, R, w, deltas, samples, seed,
@@ -617,6 +628,54 @@ def test_sublevel_counts_leave_nan_uncounted():
         assert counts[i, -1] == 2_000
 
 
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
+    # probes of the base and the extended family run at once from two
+    # threads, each spreading its directions over the usable CPUs, and
+    # count exactly what one-CPU runs count
+    deltas = np.geomspace(0.3, 1e-3, 10)
+    args = [(rows_fn, k, center, R, _panel(frame_at, center, R, 11, count=5),
+             deltas, SUBLEVEL_BATCH + 1, 9)
+            for _, rows_fn, _, k, center, R, frame_at in probe_families]
+    with monkeypatch.context() as one_cpu:
+        _one_cpu(one_cpu)
+        serial = [_sublevel_fractions(*a)[1] for a in args]
+    start = threading.Barrier(len(args))
+
+    def probe(a):
+        start.wait(timeout=60)
+        return _sublevel_fractions(*a)[1]
+
+    with ThreadPoolExecutor(len(args)) as pool:
+        for got, want in zip(pool.map(probe, args), serial):
+            assert np.array_equal(got, want)
+
+
+def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
+    # a batch's rows, Gram factor and solve buffers are freed before the
+    # next batch is drawn, so three batches peak no higher than one (one
+    # CPU: the peak of several direction threads depends on their timing)
+    _, rows_fn, _, k, center, R, frame_at = probe_families[1]
+    ws = _panel(frame_at, center, R, 4)
+    deltas = np.geomspace(0.3, 1e-3, 10)
+    _one_cpu(monkeypatch)
+    peaks = []
+    for batches in (1, 3):
+        tracemalloc.start()
+        try:
+            _sublevel_fractions(rows_fn, k, center, R, ws, deltas,
+                                batches * SUBLEVEL_BATCH, 2718)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 20, peaks
+
+
 @settings(max_examples=60)
 @given(data=st.data())
 def test_projection_norms_match_span_projector(data):
@@ -635,9 +694,9 @@ def test_projection_norms_match_span_projector(data):
                                      max_size=D * n), label="ws"))
     ws = ws.reshape(D, n)
     E = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
-    norms = list(_projection_norms(E, ws))
-    assert len(norms) == D
-    for w, vals in zip(ws, norms):
+    L = _gram_cholesky(E)
+    for w in ws:
+        vals = _projection_norm(E, L, w)
         for b in range(B):
             expected = np.linalg.norm(span_projector(rows[b]) @ w)
             assert abs(vals[b] - expected) <= 1e-12

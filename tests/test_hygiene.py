@@ -41,7 +41,7 @@ def test_every_imported_name_is_read():
 
 
 def test_cli_import_loads_no_heavy_module():
-    # scipy is a test dependency only; box counting imports its thread
+    # scipy is a test dependency only; threads.cpu_map imports its thread
     # pool on first use, since concurrent.futures pulls in logging
     heavy = ("scipy", "concurrent.futures", "logging")
     code = ("import sys, projlab.cli; "
