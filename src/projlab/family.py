@@ -482,10 +482,15 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
 
 # Parameters drawn per batch.  Each batch draws its unit vectors and radii
 # in one call each, so the RNG stream, and with it every fraction and
-# exponent, depends on this size.  A batch's rows, their Gram factor and
-# each direction thread's d+1 length-B vectors are freed before the next
-# batch is drawn.
+# exponent, depends on this size.  The draws are the only per-batch buffers
+# of the calling thread, and they are freed before the next batch is drawn.
 SUBLEVEL_BATCH = 200_000
+
+# Samples per `cpu_map` task.  Every step after the draw works sample by
+# sample, so the counts do not depend on this size; it only trades the
+# per-slice Python overhead against how evenly the slices of a batch
+# spread over the CPUs.
+SUBLEVEL_SLICE = 32_768
 
 
 def _gram_cholesky(E):
@@ -530,35 +535,42 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     directions w in ws and each delta (in the given order).  Every
     direction is scored on the same samples.
 
-    The RNG and rows_fn run on the calling thread, the directions of a
-    batch on `cpu_map`'s threads; counts are per-direction integers, so
-    they equal a one-CPU run's."""
+    Only the RNG runs on the calling thread.  Each batch's draws are cut
+    into slices of SUBLEVEL_SLICE samples, and `cpu_map`'s threads turn a
+    slice into parameters, rows, their Gram factor and every direction's
+    counts; counts are integers summed per slice, so they equal a one-CPU
+    run's."""
     rng = np.random.default_rng(seed)
     lam0 = np.asarray(lam0, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
 
-    def draw(B):
-        g = rng.standard_normal((B, k))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radii = R * rng.random(B) ** (1.0 / k)
-        return lam0 + g * radii[:, None]
-
-    def batch_counts(B):
-        E = np.ascontiguousarray(np.moveaxis(rows_fn(draw(B)), 0, -1))
+    def slice_counts(draws):
+        # out of place: the slice is a view of the batch's draws, which
+        # other threads read
+        g, u = draws
+        g = g / np.linalg.norm(g, axis=1, keepdims=True)
+        radii = R * u ** (1.0 / k)
+        lam = lam0 + g * radii[:, None]
+        E = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
         L = _gram_cholesky(E)
-
-        def direction_counts(w):
+        counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
+        for c, w in zip(counts, ws):
             vals = _projection_norm(E, L, w)
             # NaN lies below no delta, so a singular sample is never a hit
-            return [np.count_nonzero(vals <= d) for d in deltas]
+            c[:] = [np.count_nonzero(vals <= d) for d in deltas]
+        return counts
 
-        return cpu_map(direction_counts, ws)
+    def batch_counts(B):
+        g = rng.standard_normal((B, k))
+        u = rng.random(B)
+        return cpu_map(slice_counts,
+                       [(g[a:a + SUBLEVEL_SLICE], u[a:a + SUBLEVEL_SLICE])
+                        for a in range(0, B, SUBLEVEL_SLICE)])
 
     counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
     for done in range(0, samples, SUBLEVEL_BATCH):
-        batch = batch_counts(min(SUBLEVEL_BATCH, samples - done))
-        for c, b in zip(counts, batch):
-            c += b
+        for c in batch_counts(min(SUBLEVEL_BATCH, samples - done)):
+            counts += c
     return counts / samples, counts
 
 
@@ -589,15 +601,35 @@ def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     at least 16 hits and a fraction of at most 0.5 (saturated scales carry
     no exponent information).  All directions share one sample cloud drawn
     from the seed, so a direction's result does not depend on the others.
-    The directions of each batch are scored on the usable CPUs
-    (`cpu_map`); the results are bitwise those of a one-CPU run.
-    Deterministic given the seed.
+    The calling thread draws the samples; slices of each batch are turned
+    into rows and scored against every direction on the usable CPUs
+    (`cpu_map`), and the results are bitwise those of a one-CPU run.
+    Deterministic given the seed.  ValueError naming the argument when ws
+    is not (D, n) with n the rows' width, lam0 does not have k entries, R
+    or samples is not positive, or deltas is empty or not positive.
     """
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 2:
         raise ValueError(f"ws must be a (D, n) array of directions, got "
                          f"shape {ws.shape}")
-    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
+    lam0 = np.asarray(lam0, dtype=float)
+    if lam0.shape != (k,):
+        raise ValueError(f"lam0 must have k={k} entries, got shape "
+                         f"{lam0.shape}")
+    if not R > 0:
+        raise ValueError(f"R must be positive, got {R}")
+    if not (isinstance(samples, numbers.Integral) and samples > 0):
+        raise ValueError(f"samples must be a positive integer, got "
+                         f"{samples!r}")
+    deltas = np.asarray(deltas, dtype=float)
+    if not (deltas.ndim == 1 and deltas.size and np.all(deltas > 0)):
+        raise ValueError(f"deltas must be a non-empty list of positive "
+                         f"numbers, got {deltas.tolist()}")
+    n = rows_fn(lam0[None, :]).shape[-1]
+    if ws.shape[1] != n:
+        raise ValueError(f"ws must have n={n} columns, the width of the "
+                         f"rows, got shape {ws.shape}")
+    deltas = np.sort(deltas)[::-1]
     fractions, counts = _sublevel_fractions(
         rows_fn, k, lam0, R, ws, deltas, samples, seed
     )

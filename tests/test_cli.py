@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -71,6 +72,40 @@ def test_transversality_writes_artifacts(tmp_path, fam_path, capsys):
     assert header.startswith("delta,fraction_0")
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["runtime_seconds"] >= 0.0
+
+
+# SHA-256 of the files each call writes.  Reruns of one commit are checked
+# by criterion 11; these pins hold the bytes across commits, so a change to
+# the probe's RNG stream, batching or arithmetic shows here.  The report
+# carries the package version, so a version bump moves the pins.
+TRANSVERSALITY_PINS = {
+    "base": ("family_n3m2k1.json", [], {
+        "transversality.json": "4fb3459252ff2f2be44442560fc49d33"
+                               "df3311aeda8daf72683fba706e4cbed8",
+        "loglog.csv": "08d2e36a816ede6fc69b2b50fc7f52ea"
+                      "9ffe98c601d741158e9877ae24596d02",
+    }),
+    "ext": ("family_n4m2k3.json", ["--extend", "--l", "1"], {
+        "transversality.json": "6562f0b53d6c101aae239ce9a1a77667"
+                               "96a403a8e8e0a3b2d793acbfd3bcb554",
+        "loglog.csv": "17125de2f33a4bf587ea95e4759aacf5"
+                      "8df4d266429e41889ef688a0843fdbb4",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSVERSALITY_PINS))
+def test_transversality_bytes_are_pinned(tmp_path, name):
+    # the two benchmark calls at a reduced size: 200,001 samples cross a
+    # batch boundary
+    fam, flags, pins = TRANSVERSALITY_PINS[name]
+    out = tmp_path / name
+    assert main(["transversality", str(CONFIGS / fam), *flags,
+                 "--seed", "2718", "--samples", "200001",
+                 "--directions", "3", "--out", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in pins}
+    assert got == pins
 
 
 @pytest.mark.parametrize("flags, needs", [

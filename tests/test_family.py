@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import save_family
+from projlab import family
 from projlab.family import (
     SUBLEVEL_BATCH,
     FamilySpec,
+    _fit_exponent,
     _gram_cholesky,
     _projection_norm,
     _rows_and_derivs_chart,
@@ -429,6 +431,25 @@ def test_transversality_probe_empty_panel():
                                 np.zeros((0, 3)), [0.1], 100, seed=0) == []
 
 
+@pytest.mark.parametrize("argument, edit", [
+    ("samples", dict(samples=0)),
+    ("ws", dict(ws=[[0.0, 0.0, 0.0, 1.0]])),
+    ("deltas", dict(deltas=[0.1, -0.01])),
+    ("deltas", dict(deltas=[])),
+    ("R", dict(R=0.0)),
+    ("R", dict(R=-0.3)),
+    ("lam0", dict(lam0=np.zeros(2))),
+], ids=["samples_0", "ws_width", "delta_negative", "deltas_empty", "R_0",
+        "R_negative", "lam0_length"])
+def test_transversality_probe_rejects_bad_arguments(argument, edit):
+    spec = disjoint_slot_family(3, 2, 1)
+    args = dict(rows_fn=spec.rows, k=1, lam0=np.zeros(1), R=0.3,
+                ws=[[0.0, 0.0, 1.0]], deltas=[0.1, 0.01], samples=100,
+                seed=0)
+    with pytest.raises(ValueError, match=rf"^{argument} must"):
+        transversality_probe(**{**args, **edit})
+
+
 # --- batched rows and the sublevel kernel against the (B, m, n) loops ------
 #
 # The references below are sample-major oracles: rows built as (B, m, n)
@@ -628,10 +649,10 @@ def test_sublevel_counts_leave_nan_uncounted():
         assert counts[i, -1] == 2_000
 
 
-def _one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
@@ -643,7 +664,7 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
              deltas, SUBLEVEL_BATCH + 1, 9)
             for _, rows_fn, _, k, center, R, frame_at in probe_families]
     with monkeypatch.context() as one_cpu:
-        _one_cpu(one_cpu)
+        _usable_cpus(one_cpu, 1)
         serial = [_sublevel_fractions(*a)[1] for a in args]
     start = threading.Barrier(len(args))
 
@@ -657,13 +678,14 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
 
 
 def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
-    # a batch's rows, Gram factor and solve buffers are freed before the
-    # next batch is drawn, so three batches peak no higher than one (one
-    # CPU: the peak of several direction threads depends on their timing)
+    # a batch's draws, and each slice's rows, Gram factor and solve
+    # buffers, are freed before the next batch is drawn, so three batches
+    # peak no higher than one (one CPU: the peak of several slice threads
+    # depends on their timing)
     _, rows_fn, _, k, center, R, frame_at = probe_families[1]
     ws = _panel(frame_at, center, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
-    _one_cpu(monkeypatch)
+    _usable_cpus(monkeypatch, 1)
     peaks = []
     for batches in (1, 3):
         tracemalloc.start()
@@ -674,6 +696,38 @@ def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2 ** 20, peaks
+    # only the batch's draws and one slice's buffers are alive at a time:
+    # about 16 MiB, where rows of a whole batch at once took 42.7 MiB
+    assert peaks[0] < 24 * 2 ** 20, peaks
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sublevel_slice_size_leaves_results_unchanged(probe_families,
+                                                      monkeypatch, cpus):
+    # slices of 7, 4,096 and a whole batch give the same counts, fractions
+    # and exponents.  A batch of 5,000 keeps the 7-sample slices quick; the
+    # sample count crosses two batch boundaries and leaves a ragged last
+    # slice at every size
+    monkeypatch.setattr(family, "SUBLEVEL_BATCH", 5_000)
+    _usable_cpus(monkeypatch, cpus)
+    samples = 2 * 5_000 + 4_099
+    deltas = np.geomspace(0.3, 1e-3, 10)
+    for name, rows_fn, _, k, center, R, frame_at in probe_families:
+        ws = _panel(frame_at, center, R, 6)
+        results = []
+        for size in (7, 4_096, 5_000):
+            monkeypatch.setattr(family, "SUBLEVEL_SLICE", size)
+            fractions, counts = _sublevel_fractions(
+                rows_fn, k, center, R, ws, deltas, samples, 2718)
+            exponents = [_fit_exponent(deltas, f, c)["exponent"]
+                         for f, c in zip(fractions, counts)]
+            results.append((counts, fractions, exponents))
+        (counts, fractions, exponents), *others = results
+        assert counts.sum() > 0 and None not in exponents, name
+        for c, f, e in others:
+            assert np.array_equal(c, counts), name
+            assert np.array_equal(f, fractions), name
+            assert e == exponents, name
 
 
 @settings(max_examples=60)
