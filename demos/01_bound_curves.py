@@ -9,13 +9,13 @@ table and samples the curve for a few (n, m, k).
 
 import numpy as np
 
-from projlab import bound_table, theorem_lower_bound
+from projlab import p_of_l, theorem_lower_bound
 
 for n, m, k in [(3, 2, 1), (4, 2, 3), (5, 3, 4), (6, 2, 7)]:
-    tab = bound_table(n, m, k)
+    ps = tuple(p_of_l(n, m, k, l) for l in range(m))
     print(f"\n(n, m, k) = ({n}, {m}, {k})")
-    print(f"  p(l) for l = 0..{m - 1}: {tab.p_values}")
-    print(f"  saturation threshold: d > {tab.ac_threshold} gives bound {m}")
+    print(f"  p(l) for l = 0..{m - 1}: {ps}")
+    print(f"  saturation threshold: d > {ps[-1] + m} gives bound {m}")
     ds = np.linspace(0.0, n, 2 * n + 1)
     vals = [theorem_lower_bound(n, m, k, float(d)) for d in ds]
     for d, v in zip(ds, vals):

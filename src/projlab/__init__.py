@@ -10,11 +10,9 @@ from .dimest import (
     project_points,
 )
 from .family import (
-    BoundTable,
     ExtendedFamily,
     FamilyJacobian,
     FamilySpec,
-    bound_table,
     bracket_ceil,
     disjoint_slot_family,
     extend_family,

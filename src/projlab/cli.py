@@ -12,11 +12,11 @@ import sys
 import numpy as np
 
 from .family import (
-    bound_table,
     family_jacobian,
     find_witness_subspace,
     load_family,
     nondegeneracy_check,
+    p_of_l,
     theorem_lower_bound,
 )
 from .lab import (
@@ -30,19 +30,20 @@ from .lab import (
 
 
 def _cmd_bound(args):
+    n, m, k = args.n, args.m, args.k
     try:  # the library's range checks name the argument
-        tab = bound_table(args.n, args.m, args.k)
+        threshold = p_of_l(n, m, k, m - 1) + m  # the bound is m above it
+        ps = [p_of_l(n, m, k, l) for l in range(m)]
         ds = ([args.d] if args.d is not None
-              else np.linspace(0.0, float(args.n), 4 * args.n + 1))
-        bounds = [theorem_lower_bound(args.n, args.m, args.k, float(d))
-                  for d in ds]
+              else np.linspace(0.0, float(n), 4 * n + 1))
+        bounds = [theorem_lower_bound(n, m, k, float(d)) for d in ds]
     except ValueError as exc:
         return _reject(args, "arguments", exc)
-    print(f"# p(l) for n={args.n} m={args.m} k={args.k}")
+    print(f"# p(l) for n={n} m={m} k={k}")
     print("l,p")
-    for l, p in enumerate(tab.p_values):
+    for l, p in enumerate(ps):
         print(f"{l},{p}")
-    print(f"# absolute-continuity threshold: dim mu > {tab.ac_threshold}")
+    print(f"# absolute-continuity threshold: dim mu > {threshold}")
     print("d,bound")
     for d, b in zip(ds, bounds):
         print(f"{float(d)!r},{b!r}")

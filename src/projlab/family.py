@@ -68,20 +68,6 @@ def p_oracle_dots(n, m, k, l):
     return (n - m) - cols_used
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    """Piecewise data of the lower-bound curve for one (n, m, k)."""
-
-    p_values: tuple  # p(0), ..., p(m-1)
-    ac_threshold: int  # p(m-1) + m; above it the bound saturates at m
-
-
-def bound_table(n, m, k):
-    _check_nmk(n, m, k)
-    pv = tuple(p_of_l(n, m, k, l) for l in range(m))
-    return BoundTable(pv, pv[-1] + m)
-
-
 def theorem_lower_bound(n, m, k, d):
     """Best lower bound for the dimension of almost every projected
     measure of dimension d: the best over l of min(d - p(l), l + 1),
@@ -179,20 +165,26 @@ def disjoint_slot_family(n, m, k, base=None, radius=np.pi / 8):
     return slot_family(n, m, k, slots, radius, base)
 
 
+def _rotated_rows(basis, starts, targets, angles, out):
+    """For each a, rotate the unit coordinate starts[a] toward each of the
+    coordinates `targets` in turn, by the angles angles[a] (len(targets),
+    B), and write basis.T @ x, ambient, into out[a] (n, B).  x holds the
+    coordinates along the rows of basis, one contiguous length-B vector
+    each."""
+    x = np.empty((basis.shape[0], angles.shape[-1]))
+    for a, i in enumerate(starts):
+        x[:] = 0.0
+        x[i] = 1.0
+        for j, beta in zip(targets, angles[a]):
+            givens(x, i, j, beta)
+        np.matmul(basis.T, x, out=out[a])
+
+
 def _ambient_rows(spec: FamilySpec, lam_batch, out):
     """Write the spanning rows of V_lambda, ambient coordinates, into
-    out (m, n, B): row i of sample b is out[i, :, b].  Chart coordinates
-    are (n, B) columns, one contiguous length-B vector each."""
-    n, m = spec.n, spec.m
-    ang = spec.angles(lam_batch)  # (m, n-m, B)
-    to_ambient = spec.coordinate_matrix().T
-    chart = np.empty((n, ang.shape[-1]))
-    for i in range(m):
-        chart[:] = 0.0
-        chart[i] = 1.0
-        for j in range(m, n):
-            givens(chart, i, j, ang[i, j - m])
-        np.matmul(to_ambient, chart, out=out[i])
+    out (m, n, B): row i of sample b is out[i, :, b]."""
+    _rotated_rows(spec.coordinate_matrix(), range(spec.m),
+                  range(spec.m, spec.n), spec.angles(lam_batch), out)
 
 
 def family_rows(spec: FamilySpec, lam_batch):
@@ -285,8 +277,7 @@ def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
         raise ValueError("site outside the family domain")
     rows, dPis = _projector_derivs(spec, lam0)
     g = orthonormalize(rows)  # plane basis, chart coords
-    Q = np.linalg.qr(g.T, mode="complete")[0]
-    f = Q[:, spec.m:].T  # complement basis, chart coords
+    f = complement(Frame(g)).basis  # complement basis, chart coords
     A = np.einsum("rm,amn,cn->arc", g, dPis, f)
     return FamilyJacobian(spec.n, spec.m, spec.k, A,
                           Frame(f @ spec.coordinate_matrix()))
@@ -414,28 +405,18 @@ class ExtendedFamily:
     def center(self):
         return np.concatenate([self.lam0, np.zeros(self.p * self.t)])
 
-    def _extra_rows(self, lam2_batch, out):
-        """Write the rotated added directions, ambient, into out (p, n, B).
-        The rotations mix complement coordinates only, so the rows stay
-        inside V_{lam0}^perp and are independent of lam1."""
-        t = self.t
-        lam2_cols = lam2_batch.T
-        coords = np.zeros((self.spec.n - self.spec.m, lam2_cols.shape[1]))
-        for a, i in enumerate(range(t, t + self.p)):  # i: added direction
-            coords[:] = 0.0
-            coords[i] = 1.0
-            for j in range(t):  # j: witness-direction index
-                givens(coords, i, j, lam2_cols[a * t + j])
-            np.matmul(self.ehat.T, coords, out=out[a])
-
     def rows(self, lam_batch):
         """Spanning rows of the extended plane, ambient, (B, m+p, n).  The
-        result is a view of a (m+p, n, B) buffer."""
+        result is a view of a (m+p, n, B) buffer.  The rotations of the
+        added directions mix complement coordinates only, so their rows
+        stay inside V_{lam0}^perp and are independent of lam1."""
         lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-        m, k = self.spec.m, self.spec.k
-        out = np.empty((m + self.p, self.spec.n, lam_batch.shape[0]))
+        m, k, p, t = self.spec.m, self.spec.k, self.p, self.t
+        B = lam_batch.shape[0]
+        out = np.empty((m + p, self.spec.n, B))
         _ambient_rows(self.spec, lam_batch[:, :k], out[:m])
-        self._extra_rows(lam_batch[:, k:], out[m:])
+        _rotated_rows(self.ehat, range(t, t + p), range(t),
+                      lam_batch[:, k:].T.reshape(p, t, B), out[m:])
         return np.moveaxis(out, -1, 0)
 
     def frame(self, lam) -> Frame:

@@ -104,9 +104,13 @@ class ExperimentConfig:
     def content_hash(self):
         """Hash of the config with its family resolved to the family dict,
         so two family files at one path hash differently."""
-        body = dict(self.__dict__,
-                    family=family_to_dict(resolve_family(self.family)))
-        return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
+        return _config_hash(self, resolve_family(self.family))
+
+
+def _config_hash(cfg: ExperimentConfig, spec: FamilySpec):
+    """`content_hash` of cfg with spec as its resolved family."""
+    body = dict(cfg.__dict__, family=family_to_dict(spec))
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
 
 
 def _canonical(value):
@@ -153,10 +157,10 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
         raise ConfigError(f"mode {mode!r} does not read field(s) "
                           f"{', '.join(repr(f) for f in foreign)}")
     for name, low in (("seed", 0), ("sample_count", 1), ("mc_samples", 1),
-                      ("n_directions", 1)):
-        if getattr(cfg, name) < low:
-            raise ConfigError(f"field {name!r} must be at least {low}, got "
-                              f"{getattr(cfg, name)}")
+                      ("n_directions", 1), ("tolerance", 0)):
+        if not low <= getattr(cfg, name) < np.inf:  # NaN fails too
+            raise ConfigError(f"field {name!r} must be finite and at least "
+                              f"{low}, got {getattr(cfg, name)}")
     if not all(0 < d < np.inf for d in cfg.deltas):
         raise ConfigError(f"field 'deltas' must be positive and finite, "
                           f"got {list(cfg.deltas)}")
@@ -249,8 +253,8 @@ def _estimate(measure, estimator_cfg, seed):
 def lambda_grid(spec: FamilySpec, counts):
     """Cartesian grid over the family domain, per-axis counts (one count
     serves every axis), spanning 0.9 of each radius so that it stays
-    inside the open box; ConfigError naming the field when the counts do
-    not fit the family."""
+    inside the open box, in ascending lexicographic order of lambda;
+    ConfigError naming the field when the counts do not fit the family."""
     per_axis = list(counts)
     if len(per_axis) == 1:
         per_axis *= spec.k
@@ -322,8 +326,9 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def _provenance(cfg: ExperimentConfig):
-    return {"config_hash": cfg.content_hash(), "version": __version__,
+def _provenance(cfg: ExperimentConfig, spec: FamilySpec):
+    """Provenance of a run of cfg on spec, the family that ran."""
+    return {"config_hash": _config_hash(cfg, spec), "version": __version__,
             "seed": cfg.seed}
 
 
@@ -343,8 +348,8 @@ def _gate_nondegenerate(spec, lam_center, force):
 
 def _grid_rows(cfg: ExperimentConfig, spec, grid, measure, bound):
     """Project the measure onto V_lambda at every point of the grid and
-    estimate its dimension: the report rows against `bound`, sorted by
-    lambda, and the estimates in grid order."""
+    estimate its dimension: the report rows against `bound` and the
+    estimates, both in grid order, which is lambda order."""
     rows, fit_data = [], []
     for idx, lam in enumerate(grid):
         projected = project_points(family_frame(spec, lam), measure)
@@ -357,7 +362,6 @@ def _grid_rows(cfg: ExperimentConfig, spec, grid, measure, bound):
             "fit_r2": float(est.r_squared),
         })
         fit_data.append(est)
-    rows.sort(key=lambda r: tuple(r["lambda"]))
     return rows, fit_data
 
 
@@ -370,6 +374,9 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
     grid = lambda_grid(spec, cfg.lambda_grid or (8,))
     gate = _gate_nondegenerate(spec, np.zeros(spec.k), cfg.force)
     measure = _build(build_measure, cfg.measure, cfg.seed)
+    if measure.ambient_dim != spec.n:
+        raise ConfigError(f"field 'measure' lives in R^{measure.ambient_dim},"
+                          f" the family's planes in R^{spec.n}")
     bound = theorem_lower_bound(spec.n, spec.m, spec.k, measure.nominal_dim)
     rows, fit_data = _grid_rows(cfg, spec, grid, measure, bound)
     violations = sum(r["est_dim"] < bound - cfg.tolerance for r in rows)
@@ -381,8 +388,9 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
         "nondegeneracy_wedge_norm": gate["wedge_norm"],
         "rows": len(rows),
     }
-    return ExperimentReport("bound_check", rows, summary, _provenance(cfg),
-                            fit_data, time.perf_counter() - t0)
+    return ExperimentReport("bound_check", rows, summary,
+                            _provenance(cfg, spec), fit_data,
+                            time.perf_counter() - t0)
 
 
 def sharpness_family(n, m, k, l, p) -> FamilySpec:
@@ -428,8 +436,9 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
                  float(target + cfg.tolerance)],
         "rows": len(rows),
     }
-    return ExperimentReport("sharpness", rows, summary, _provenance(cfg),
-                            fit_data, time.perf_counter() - t0)
+    return ExperimentReport("sharpness", rows, summary,
+                            _provenance(cfg, spec), fit_data,
+                            time.perf_counter() - t0)
 
 
 def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
@@ -486,7 +495,7 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
         "directions": len(panel),
     }
     return ExperimentReport("transversality", panel, summary,
-                            _provenance(cfg),
+                            _provenance(cfg, spec),
                             runtime_seconds=time.perf_counter() - t0,
                             deltas=[float(v) for v in deltas])
 

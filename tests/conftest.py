@@ -1,4 +1,5 @@
 import json
+import os
 
 from hypothesis import settings
 
@@ -16,3 +17,10 @@ def save_family(spec, path):
     with open(path, "w") as fh:
         json.dump(family_to_dict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def usable_cpus(monkeypatch, count):
+    """Make `threads.cpu_map` see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)

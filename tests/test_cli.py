@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import save_family
+from conftest import save_family, usable_cpus
 from projlab.cli import main
 from projlab.family import FamilySpec, disjoint_slot_family, family_to_dict
 from projlab.grassmann import standard_frame
@@ -106,6 +106,58 @@ def test_transversality_bytes_are_pinned(tmp_path, name):
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in pins}
     assert got == pins
+
+
+# SHA-256 of the deterministic files of a 2-row grid of each configs/ grid
+# experiment, as the transversality pins above.
+GRID_PINS = {
+    "bound_check": ("project", {
+        "report.json": "c5e83a756b8dc12a80d9db1f616aa551"
+                       "cce1ad25331e173e0c42db43d736afeb",
+        "per-lambda.csv": "a91b735eb2e1e180140215900be5df9d"
+                          "9a470fddd31d300e31c90e91427f3815",
+        "fitdata/row0000.csv": "328475deb416cfe0418740b9e024fae2"
+                               "131ee6e0ad13d05b25a3d2aecc342c30",
+        "fitdata/row0001.csv": "a717ac7e1ae162604d71deba03a158bf"
+                               "0f24b16df061db71c3f0ea151da9118c",
+    }),
+    "sharpness": ("sharpness", {
+        "report.json": "572111448bd5871cb40cc25b66c9835b"
+                       "a819ec196a3b614abc08c9628c19a6b0",
+        "per-lambda.csv": "f9f5bed9ba7581fdb4a291711ed8ea49"
+                          "12d2acaf51f7c5e5b19dfcb32cee51f8",
+        "fitdata/row0000.csv": "af39761eb5549604193f42aac4c21e62"
+                               "74210c4e6897963bd45d801f9a498330",
+        "fitdata/row0001.csv": "8f7b951fde68a07b99b1141d40d98707"
+                               "1a6ab05e764f477665e565cad89158dd",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PINS))
+def test_grid_bytes_are_pinned_across_cpu_counts(tmp_path, monkeypatch,
+                                                 name):
+    command, pins = GRID_PINS[name]
+    cfg = json.loads((CONFIGS / f"{name}_n3m2k1.json").read_text())
+    cfg["lambda_grid"] = [2]
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(cfg))
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        with monkeypatch.context() as patch:
+            usable_cpus(patch, cpus)
+            assert main([command, str(exp), "--out", str(out)]) == 0
+        got = {str(f.relative_to(out)): hashlib.sha256(f.read_bytes())
+               .hexdigest() for f in out.rglob("*")
+               if f.is_file() and f.name != "run_meta.json"}
+        assert got == pins, f"{cpus} usable CPU(s)"
+
+
+def test_bound_output_is_pinned(capsys):
+    assert main(["bound", "--n", "5", "--m", "3", "--k", "4"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78a16e4891948cefe37a174e88e53fe6880c4e819e23aa8769a3b04e7f96059d")
 
 
 @pytest.mark.parametrize("flags, needs", [
@@ -263,6 +315,10 @@ def _foreign(name, field, value):
     _foreign("bound_check", "deltas", [0.1, 0.01]),
     _foreign("bound_check", "mc_samples", 1000),
     _foreign("bound_check", "n_directions", 2),
+    ("project", "bound_check", lambda cfg: cfg.update(tolerance=float("nan")),
+     "'tolerance'"),
+    ("sharpness", "sharpness", lambda cfg: cfg.update(tolerance=-0.1),
+     "'tolerance'"),
 ], ids=["sharpness_l_3", "sharpness_l_minus_1", "lambda_grid_too_long",
         "lambda_grid_zero", "unknown_estimator", "sharpness_s_above_1",
         "sharpness_s_below_0", "sharpness_bracket", "seed_negative",
@@ -270,7 +326,7 @@ def _foreign(name, field, value):
         "sharpness_mc_samples", "sharpness_n_directions", "bound_check_l",
         "bound_check_s", "bound_check_level", "bound_check_sample_count",
         "bound_check_deltas", "bound_check_mc_samples",
-        "bound_check_n_directions"])
+        "bound_check_n_directions", "tolerance_nan", "tolerance_negative"])
 def test_out_of_range_config_exits_2_before_any_measure(
         tmp_path, capsys, monkeypatch, command, name, edit, field):
     monkeypatch.setattr("projlab.lab.build_measure", _no_measure)
@@ -410,6 +466,18 @@ def test_measure_out_of_generator_range_exits_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"projlab {command}: {bad}: measure: ")
     assert rule in err
+
+
+def test_measure_in_another_dimension_exits_2(tmp_path, capsys):
+    # a bare four-corner Cantor set lives in R^2, the n = 3 family's
+    # planes in R^3
+    measure = {"variant": "four_corner_cantor", "level": 6}
+    code, bad = _run_edited(tmp_path, "project", "bound_check",
+                            lambda cfg: cfg.update(measure=measure))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"projlab project: {bad}: field 'measure' lives in R^2, "
+                   f"the family's planes in R^3\n")
 
 
 def test_degenerate_family_exits_2_naming_force(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import usable_cpus
 from projlab.dimest import (
     _best_window,
     _count_boxes,
@@ -304,9 +304,7 @@ def test_concurrent_box_counting_matches_one_cpu_runs(sharpness_cloud,
                                                       monkeypatch):
     clouds = [_round_off_row(*sharpness_cloud), four_corner_cantor(8)]
     with monkeypatch.context() as one_cpu:
-        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-        one_cpu.setattr(os, "cpu_count", lambda: 1)
+        usable_cpus(one_cpu, 1)
         serial = [box_counting_dim(m, seed=3) for m in clouds]
     start = threading.Barrier(len(clouds))
 

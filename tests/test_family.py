@@ -1,4 +1,3 @@
-import os
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import save_family
+from conftest import save_family, usable_cpus
 from projlab import family
 from projlab.family import (
     SUBLEVEL_BATCH,
@@ -18,7 +17,6 @@ from projlab.family import (
     _projection_norm,
     _rows_and_derivs_chart,
     _sublevel_fractions,
-    bound_table,
     bracket_ceil,
     disjoint_slot_family,
     extend_family,
@@ -98,12 +96,6 @@ def test_p_monotone_in_l_and_antitone_in_k():
                     assert all(a <= b for a, b in zip(pv, pv2))
 
 
-def test_bound_table_breakpoints():
-    tab = bound_table(4, 2, 3)
-    assert tab.p_values == (0, 1)
-    assert tab.ac_threshold == 3
-
-
 def test_theorem_lower_bound_hand_values():
     # (n, m, k) = (4, 2, 3): p = (0, 1); curve d, 1, d-1, then 2 from d=3
     assert theorem_lower_bound(4, 2, 3, 0.5) == pytest.approx(0.5)
@@ -143,11 +135,10 @@ def test_theorem_lower_bound_structure():
             dv = np.diff(vals)
             assert np.all(dv >= -1e-12)
             assert np.all(dv <= np.diff(ds) + 1e-12)
-            # saturation above the threshold
-            tab = bound_table(n, m, k)
-            if tab.ac_threshold <= n:
-                assert theorem_lower_bound(n, m, k,
-                                           tab.ac_threshold) == float(m)
+            # saturation above the threshold p(m-1) + m
+            threshold = p_of_l(n, m, k, m - 1) + m
+            if threshold <= n:
+                assert theorem_lower_bound(n, m, k, threshold) == float(m)
 
 
 def _branch_walk_lower_bound(n, m, k, d):
@@ -649,12 +640,6 @@ def test_sublevel_counts_leave_nan_uncounted():
         assert counts[i, -1] == 2_000
 
 
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
 def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
     # probes of the base and the extended family run at once from two
     # threads, each spreading its directions over the usable CPUs, and
@@ -664,7 +649,7 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
              deltas, SUBLEVEL_BATCH + 1, 9)
             for _, rows_fn, _, k, center, R, frame_at in probe_families]
     with monkeypatch.context() as one_cpu:
-        _usable_cpus(one_cpu, 1)
+        usable_cpus(one_cpu, 1)
         serial = [_sublevel_fractions(*a)[1] for a in args]
     start = threading.Barrier(len(args))
 
@@ -685,7 +670,7 @@ def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
     _, rows_fn, _, k, center, R, frame_at = probe_families[1]
     ws = _panel(frame_at, center, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
-    _usable_cpus(monkeypatch, 1)
+    usable_cpus(monkeypatch, 1)
     peaks = []
     for batches in (1, 3):
         tracemalloc.start()
@@ -709,7 +694,7 @@ def test_sublevel_slice_size_leaves_results_unchanged(probe_families,
     # sample count crosses two batch boundaries and leaves a ragged last
     # slice at every size
     monkeypatch.setattr(family, "SUBLEVEL_BATCH", 5_000)
-    _usable_cpus(monkeypatch, cpus)
+    usable_cpus(monkeypatch, cpus)
     samples = 2 * 5_000 + 4_099
     deltas = np.geomspace(0.3, 1e-3, 10)
     for name, rows_fn, _, k, center, R, frame_at in probe_families:

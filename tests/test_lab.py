@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import save_family
-from projlab.family import disjoint_slot_family
+from projlab.family import disjoint_slot_family, load_family
 from projlab.fractal import lebesgue_ball, line_cantor, product_embed
 from projlab.grassmann import Frame
 from projlab.lab import (
@@ -68,6 +68,28 @@ def test_content_hash_follows_the_family_file(tmp_path):
     assert second != first
     save_family(disjoint_slot_family(3, 2, 1), cfg.family)
     assert cfg.content_hash() == first
+
+
+def test_provenance_hashes_the_family_that_ran(tmp_path, monkeypatch):
+    # the run reads its family file once; a rewrite after that read is
+    # neither run nor hashed
+    fam = tmp_path / "fam.json"
+    save_family(disjoint_slot_family(3, 2, 1), fam)
+    cfg = ExperimentConfig(mode="transversality", family=str(fam), seed=5,
+                           mc_samples=2_000, n_directions=1)
+    expected = cfg.content_hash()
+    reads = []
+
+    def load_then_rewrite(path):
+        reads.append(path)
+        spec = load_family(path)
+        save_family(disjoint_slot_family(3, 2, 1, radius=0.3), path)
+        return spec
+
+    monkeypatch.setattr("projlab.lab.load_family", load_then_rewrite)
+    report = run_transversality(cfg)
+    assert reads == [str(fam)]
+    assert report.provenance["config_hash"] == expected
 
 
 def test_config_rejects_unknown_keys():
