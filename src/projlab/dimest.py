@@ -7,9 +7,11 @@ near-zero variance directions dropped), which makes them invariant under
 ambient rotations; projected clouds land in rotated planes, so this is a
 contract, not an optimization.
 
-Box counting spreads its scales over the CPUs the process may run on, one
-thread per CPU.  The counts are bitwise those of a one-CPU run (`taskset
--c 0`); each extra thread holds about four length-N arrays.
+Box counting runs its scales one after another on the calling thread and
+reuses one float and two int64 buffers of length N for all its grids.
+The grid modes spread whole grid rows, not scales, over the usable CPUs
+(`lab`): each extra CPU holds one row's projected m-D cloud and those
+three buffers, and a grid with fewer rows than CPUs leaves CPUs idle.
 """
 
 import math
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractal import SampledMeasure, write_csv
-from .grassmann import Frame, projector
-from .threads import cpu_map
+from .grassmann import Frame
 
 DISTANCE_FLOOR = 1e-12
 # a fit window spans at least MIN_WINDOW scales and never touches the
@@ -45,16 +46,19 @@ class DimensionEstimate:
 
 
 def project_points(f: Frame, measure: SampledMeasure) -> SampledMeasure:
-    """Push the cloud through the orthogonal projection onto the frame's
-    plane; weights unchanged, result still lives in R^n."""
+    """The cloud's orthogonal projection onto the frame's plane, in the
+    plane's own coordinates: point x goes to basis @ x, so the (N, m)
+    result keeps every distance of the projection in R^n; weights
+    unchanged."""
     if f.ambient_dim != measure.ambient_dim:
         raise ValueError("frame and measure ambient dimensions differ")
-    pts = measure.points @ projector(f).T
-    return SampledMeasure(pts, measure.weights, measure.nominal_dim)
+    return SampledMeasure(measure.points @ f.basis.T, measure.weights,
+                          measure.nominal_dim)
 
 
 def _intrinsic_coords(points, weights):
-    """Weighted-PCA coordinates with negligible-variance axes dropped."""
+    """Weighted-PCA coordinates with negligible-variance axes dropped, as
+    the (N, d) transpose of contiguous per-axis columns."""
     center = weights @ points
     X = points - center
     C = (X * weights[:, None]).T @ X
@@ -64,7 +68,7 @@ def _intrinsic_coords(points, weights):
     if evals[0] <= 0:
         return X[:, :0]
     keep = evals > 1e-16 * evals[0]
-    return X @ evecs[:, keep]
+    return (evecs[:, keep].T @ X.T).T
 
 
 def _linfit(x, y):
@@ -122,19 +126,21 @@ def _window_estimate(method, count, scales, values, good, x):
     )
 
 
-def _count_boxes(cols, span, weights, total, eps, offsets):
+def _count_boxes(cols, span, weights, total, eps, offsets, bufs):
     """Occupied-box count at side eps, averaged over grid offsets; a box
     counts when its mass clears the outlier floor, a tenth of the mean
     mass per box of the grid.
 
     cols holds the cloud as contiguous per-axis columns shifted to start
     at 0, span the per-axis extent (each column's maximum, exactly) and
-    total the total weight.  The columns are nonnegative and the offsets
-    lie in [0, 1), so every box index is nonnegative, truncation equals
-    floor, and each axis's extent comes from its span without a pass over
-    the data: every rounding step is monotone, so the largest index is
-    the span's.  Boxes get a mixed-radix key that bincount sums directly
-    when the grid has at most 4N + 65536 boxes; sparser grids rank the
+    total the total weight.  bufs holds three length-N scratch arrays,
+    float64, int64 and int64, which the count overwrites and never
+    reads first.  The columns are nonnegative and the offsets lie in
+    [0, 1), so every box index is nonnegative, truncation equals floor,
+    and each axis's extent comes from its span without a pass over the
+    data: every rounding step is monotone, so the largest index is the
+    span's.  Boxes get a mixed-radix key that bincount sums directly when
+    the grid has at most 4N + 65536 boxes; sparser grids rank the
     occupied keys (or, past int64, the occupied index rows) with np.unique
     first.  Every path sums each box's weights in input order, so the
     count does not depend on the path taken.
@@ -143,11 +149,12 @@ def _count_boxes(cols, span, weights, total, eps, offsets):
     possible = float(np.prod(per_axis))
     floor = total / (10.0 * max(possible, 1.0))
     dense_limit = 4 * len(weights) + 65536
-    buf = np.empty(len(weights))
+    buf, ibuf, kbuf = bufs
 
-    def index(c, o):
-        return (np.divide(np.add(c, o * eps, out=buf), eps, out=buf)
-                .astype(np.int64))
+    def index(c, o, out):
+        np.divide(np.add(c, o * eps, out=buf), eps, out=buf)
+        np.copyto(out, buf, casting="unsafe")  # astype's truncation
+        return out
 
     counts = []
     for off in offsets:
@@ -161,14 +168,15 @@ def _count_boxes(cols, span, weights, total, eps, offsets):
             # first axis stands in when every extent is 1
             live = [a for a in zip(cols, off, extents) if a[2] > 1]
             (c, o, _), *live = live or [(cols[0], off[0], 1)]
-            key = index(c, o)
+            key = index(c, o, kbuf)
             for c, o, e in live:
                 key *= e
-                key += index(c, o)
+                key += index(c, o, ibuf)
             if size > dense_limit:
                 _, key = np.unique(key, return_inverse=True)
         else:
-            rows = np.column_stack([index(c, o) for c, o in zip(cols, off)])
+            rows = np.column_stack([index(c, o, np.empty_like(ibuf))
+                                    for c, o in zip(cols, off)])
             _, key = np.unique(rows, axis=0, return_inverse=True)
         mass = np.bincount(key.ravel(), weights=weights)
         counts.append(int(np.count_nonzero(mass >= floor)))
@@ -187,9 +195,9 @@ def box_counting_dim(measure: SampledMeasure, n_offsets=3,
     if pts.shape[1] == 0:
         return _zero_estimate("box_counting", measure.count,
                               "degenerate cloud")
-    # one contiguous row per axis: its bounds are row reductions, and pts
-    # is a fresh array, so shifting a view of it in place is safe
-    cols = np.ascontiguousarray(pts.T)
+    # one contiguous row per axis: its bounds are row reductions, and the
+    # PCA coordinates are a fresh array, so shifting them in place is safe
+    cols = pts.T
     lo = cols.min(axis=1)
     span = cols.max(axis=1) - lo
     cols -= lo[:, None]
@@ -198,11 +206,10 @@ def box_counting_dim(measure: SampledMeasure, n_offsets=3,
     rng = np.random.default_rng(seed)
     offsets = rng.random((n_offsets, pts.shape[1]))
     total = measure.weights.sum()
-    # scales are independent and numpy releases the GIL on the columns;
-    # each call keeps its own buffers, so the counts are the serial ones
-    counts = np.array(cpu_map(
-        lambda eps: _count_boxes(cols, span, measure.weights, total, eps,
-                                 offsets), scales))
+    N = measure.count
+    bufs = (np.empty(N), np.empty(N, np.int64), np.empty(N, np.int64))
+    counts = np.array([_count_boxes(cols, span, measure.weights, total, eps,
+                                    offsets, bufs) for eps in scales])
     good = counts > 0
     if np.ptp(np.log(counts[good])) < 1e-12:
         # atomic cloud: N(eps) never grows

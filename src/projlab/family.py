@@ -716,6 +716,8 @@ def family_from_dict(d):
                    for key in ("param", "i", "j"))
         check_keys(e, ("param", "i", "j", "weight"), "family schedule entry")
         w = config_field(e, "weight", "family schedule entry", float, 1.0)
+        if not np.isfinite(w):
+            raise ConfigError(f"field 'weight' must be finite, got {w}")
         schedule.append((a, i, j, float(w)))
     radii = tuple(float(r)
                   for r in config_field(d, "radii", "family", [float]))

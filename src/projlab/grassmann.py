@@ -23,9 +23,9 @@ class Frame:
         m, n = b.shape
         if not 1 <= m < n:
             raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-        G = b @ b.T
-        if np.max(np.abs(G - np.eye(m))) > 1e-8:
-            raise ValueError("basis rows are not orthonormal")
+        finite = np.isfinite(b).all()
+        if not (finite and np.max(np.abs(b @ b.T - np.eye(m))) <= 1e-8):
+            raise ValueError("basis rows are not finite and orthonormal")
 
     @property
     def ambient_dim(self):

@@ -56,6 +56,7 @@ from .grassmann import (
     span_projector,
 )
 from .multivec import cauchy_binet_norm, gram_norm, wedge_operator_norm
+from .threads import cpu_map
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +348,21 @@ def _gate_nondegenerate(spec, lam_center, force):
 
 
 def _grid_rows(cfg: ExperimentConfig, spec, grid, measure, bound):
-    """Project the measure onto V_lambda at every point of the grid and
-    estimate its dimension: the report rows against `bound` and the
-    estimates, both in grid order, which is lambda order."""
-    rows, fit_data = [], []
-    for idx, lam in enumerate(grid):
-        projected = project_points(family_frame(spec, lam), measure)
-        est = _estimate(projected, cfg.estimator, cfg.seed ^ idx)
-        rows.append({
-            "lambda": [float(v) for v in lam],
-            "est_dim": float(est.value),
-            "bound": float(bound),
-            "margin": float(est.value - bound),
-            "fit_r2": float(est.r_squared),
-        })
-        fit_data.append(est)
+    """Project the measure onto V_lambda at every grid point and estimate
+    its dimension, rows spread over the usable CPUs: the report rows
+    against `bound` and the estimates, both in grid order (lambda order)."""
+    def estimate(row):
+        projected = project_points(family_frame(spec, row[1]), measure)
+        return _estimate(projected, cfg.estimator, cfg.seed ^ row[0])
+
+    fit_data = cpu_map(estimate, enumerate(grid))
+    rows = [{
+        "lambda": [float(v) for v in lam],
+        "est_dim": float(est.value),
+        "bound": float(bound),
+        "margin": float(est.value - bound),
+        "fit_r2": float(est.r_squared),
+    } for lam, est in zip(grid, fit_data)]
     return rows, fit_data
 
 

@@ -109,27 +109,29 @@ def test_transversality_bytes_are_pinned(tmp_path, name):
 
 
 # SHA-256 of the deterministic files of a 2-row grid of each configs/ grid
-# experiment, as the transversality pins above.
+# experiment, as the transversality pins above.  Taken since the grid
+# modes estimate each row in the plane's own m-D coordinates, where the
+# PCA basis differs from the one of the old points in R^n.
 GRID_PINS = {
     "bound_check": ("project", {
-        "report.json": "c5e83a756b8dc12a80d9db1f616aa551"
-                       "cce1ad25331e173e0c42db43d736afeb",
-        "per-lambda.csv": "a91b735eb2e1e180140215900be5df9d"
-                          "9a470fddd31d300e31c90e91427f3815",
-        "fitdata/row0000.csv": "328475deb416cfe0418740b9e024fae2"
-                               "131ee6e0ad13d05b25a3d2aecc342c30",
-        "fitdata/row0001.csv": "a717ac7e1ae162604d71deba03a158bf"
-                               "0f24b16df061db71c3f0ea151da9118c",
+        "report.json": "53b7f3bc1fdd18330244f19e0c37b0d8"
+                       "5ba1c6a2615edea47d635aa580a4f92d",
+        "per-lambda.csv": "7659302665e65426d0db846755017abb"
+                          "17ccdce42a0b598700ce0998f850b88e",
+        "fitdata/row0000.csv": "9b5b79830001fe97e28536d40b347306"
+                               "14d4ee2a201a585c83cd72a30c728286",
+        "fitdata/row0001.csv": "89dfb603f96a2bcefd4f690eac0ace76"
+                               "0bc7c4401905fc59aa8a795d1a6d4347",
     }),
     "sharpness": ("sharpness", {
-        "report.json": "572111448bd5871cb40cc25b66c9835b"
-                       "a819ec196a3b614abc08c9628c19a6b0",
-        "per-lambda.csv": "f9f5bed9ba7581fdb4a291711ed8ea49"
-                          "12d2acaf51f7c5e5b19dfcb32cee51f8",
-        "fitdata/row0000.csv": "af39761eb5549604193f42aac4c21e62"
-                               "74210c4e6897963bd45d801f9a498330",
-        "fitdata/row0001.csv": "8f7b951fde68a07b99b1141d40d98707"
-                               "1a6ab05e764f477665e565cad89158dd",
+        "report.json": "cd0f500a1ca701528c61d03927990928"
+                       "bb8598414ead26f99ccde734e969e37d",
+        "per-lambda.csv": "0cb100ebce96c6b7547a960f34a39600"
+                          "7bae8e3d42a43f3d7a5cae9a861a1bb2",
+        "fitdata/row0000.csv": "1933cde483d1d7dc078cc890d81a5c33"
+                               "334ca11f5b46f9119ec1d57377625e88",
+        "fitdata/row0001.csv": "0d63ddb46aa0fdd473dc65511cef1e91"
+                               "d30d07cac891eef952a34d0c519a4b50",
     }),
 }
 
@@ -319,6 +321,15 @@ def _foreign(name, field, value):
      "'tolerance'"),
     ("sharpness", "sharpness", lambda cfg: cfg.update(tolerance=-0.1),
      "'tolerance'"),
+    ("project", "bound_check", lambda cfg: cfg["family"].update(
+        base=[[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0]]),
+     "family: basis rows are not finite"),
+    ("sharpness", "sharpness",
+     lambda cfg: cfg["family"]["schedule"][0].update(weight=float("nan")),
+     "'weight'"),
+    ("project", "bound_check",
+     lambda cfg: cfg["family"]["schedule"][0].update(weight=float("inf")),
+     "'weight'"),
 ], ids=["sharpness_l_3", "sharpness_l_minus_1", "lambda_grid_too_long",
         "lambda_grid_zero", "unknown_estimator", "sharpness_s_above_1",
         "sharpness_s_below_0", "sharpness_bracket", "seed_negative",
@@ -326,7 +337,8 @@ def _foreign(name, field, value):
         "sharpness_mc_samples", "sharpness_n_directions", "bound_check_l",
         "bound_check_s", "bound_check_level", "bound_check_sample_count",
         "bound_check_deltas", "bound_check_mc_samples",
-        "bound_check_n_directions", "tolerance_nan", "tolerance_negative"])
+        "bound_check_n_directions", "tolerance_nan", "tolerance_negative",
+        "family_base_nan", "weight_nan", "weight_infinite"])
 def test_out_of_range_config_exits_2_before_any_measure(
         tmp_path, capsys, monkeypatch, command, name, edit, field):
     monkeypatch.setattr("projlab.lab.build_measure", _no_measure)
@@ -456,9 +468,11 @@ def test_removed_or_unknown_key_exits_2_naming_it(tmp_path, capsys, edit,
     ("project", "bound_check", lambda cfg: cfg["measure"].update(
         frame=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
      "need 1 <= m < n, got m=3, n=3"),
+    ("project", "bound_check", lambda cfg: cfg["measure"]["frame"][1]
+     .__setitem__(2, float("nan")), "basis rows are not finite"),
 ], ids=["sharpness_level_30", "sharpness_level_0", "inner_level_13",
         "line_cantor_s_2", "lebesgue_ball_dim_0", "lebesgue_ball_N_0",
-        "embedded_frame_3_rows"])
+        "embedded_frame_3_rows", "embedded_frame_nan"])
 def test_measure_out_of_generator_range_exits_2(tmp_path, capsys, command,
                                                 name, edit, rule):
     code, bad = _run_edited(tmp_path, command, name, edit)

@@ -14,8 +14,12 @@ from projlab.grassmann import (
 
 
 def test_frame_requires_orthonormal_rows():
-    with pytest.raises(ValueError):
-        Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
+    # NaN fails every comparison, so a NaN entry must fail the check too
+    for rows in ([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]],
+                 [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]],
+                 [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError, match="not finite and orthonormal"):
+            Frame(np.array(rows))
 
 
 def test_rotate_coordinate_plane():
