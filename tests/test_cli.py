@@ -516,3 +516,24 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "check\tpass\tdetail\tseconds"
     assert "p_enumeration_vs_dots\tpass" in out
+
+
+VERIFY_OUTPUT = """\
+check\tpass\tdetail
+multivec_oracle\tpass\tmax rel gap 1.75e-13
+tangent_derivative_order\tpass\tmin empirical order 2.000
+p_enumeration_vs_dots\tpass\texhaustive n <= 8
+parameter_count_bracket\tpass\texhaustive n <= 8
+projection_wedge_monotonicity\tpass\tmin wedge-norm margin 1.96e-06
+extended_plane_second_order\tpass\tmin slope 1.999 over 8 paths
+extension_key_inequality\tpass\tmin wedge 0.998 vs margin 0.355
+estimator_calibration\tpass\tbox 1.000/1.958, corr 0.644
+"""
+
+
+def test_verify_output_is_pinned(capsys):
+    # every row's rule and detail format, all but the seconds column
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert "".join(line.rsplit("\t", 1)[0] + "\n"
+                   for line in out.splitlines()) == VERIFY_OUTPUT
