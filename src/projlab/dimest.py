@@ -164,12 +164,8 @@ def _count_boxes(cols, span, weights, total, eps, offsets, bufs):
                    for t in (span + off * eps) / eps]
         size = math.prod(extents)
         if size < 2 ** 63:
-            # an axis of extent 1 has every index 0 and adds nothing; the
-            # first axis stands in when every extent is 1
-            live = [a for a in zip(cols, off, extents) if a[2] > 1]
-            (c, o, _), *live = live or [(cols[0], off[0], 1)]
-            key = index(c, o, kbuf)
-            for c, o, e in live:
+            key = index(cols[0], off[0], kbuf)
+            for c, o, e in zip(cols[1:], off[1:], extents[1:]):
                 key *= e
                 key += index(c, o, ibuf)
             if size > dense_limit:

@@ -116,8 +116,8 @@ class FamilySpec:
             seen.add((a, i, j))
         if len(self.radii) != self.k:
             raise ValueError("need one domain radius per parameter")
-        if any(not 0 < r <= np.pi / 4 for r in self.radii):
-            raise ValueError("domain radii must lie in (0, pi/4]")
+        if any(not 1e-300 < r <= np.pi / 4 for r in self.radii):
+            raise ValueError("domain radii must lie in (1e-300, pi/4]")
         object.__setattr__(self, "comp", complement(self.base))
 
     def contains(self, lam):

@@ -23,8 +23,9 @@ class Frame:
         m, n = b.shape
         if not 1 <= m < n:
             raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-        finite = np.isfinite(b).all()
-        if not (finite and np.max(np.abs(b @ b.T - np.eye(m))) <= 1e-8):
+        # orthonormal rows have no entry above 1, so b @ b.T cannot overflow
+        small = (np.abs(b) <= 1.0 + 1e-8).all()  # NaN fails too
+        if not (small and np.max(np.abs(b @ b.T - np.eye(m))) <= 1e-8):
             raise ValueError("basis rows are not finite and orthonormal")
 
     @property
@@ -40,6 +41,8 @@ def orthonormalize(rows):
     """Gram-Schmidt in row order; preserves the span and the first
     direction.  Rows must be linearly independent."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if not (np.abs(rows) < 1e150).all():  # NaN fails too; norms stay finite
+        raise ValueError("basis rows are not finite or exceed 1e150 in size")
     out = np.empty_like(rows)
     for i, v in enumerate(rows):
         w = v - out[:i].T @ (out[:i] @ v)

@@ -187,7 +187,10 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
 
 def resolve_family(family) -> FamilySpec:
     if isinstance(family, str):
-        return load_family(family)
+        try:
+            return load_family(family)
+        except ConfigError as exc:  # the file's own errors name no field
+            raise ConfigError(f"field 'family': {exc}") from None
     return family_from_dict(family)
 
 
@@ -259,9 +262,9 @@ def lambda_grid(spec: FamilySpec, counts):
     per_axis = list(counts)
     if len(per_axis) == 1:
         per_axis *= spec.k
-    if len(per_axis) != spec.k or min(per_axis) < 1:
+    if len(per_axis) != spec.k or not all(0 < c < 2 ** 63 for c in per_axis):
         raise ConfigError(f"field 'lambda_grid' must hold one count or one "
-                          f"per parameter (k={spec.k}), each at least 1, "
+                          f"per parameter (k={spec.k}), each in 1..2**63-1, "
                           f"got {list(counts)}")
     axes = [np.linspace(-0.9 * r, 0.9 * r, c)
             for r, c in zip(spec.radii, per_axis)]
@@ -503,8 +506,9 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
 
 # ---------------------------------------------------------------------------
 # Property checks: each measures one claim at a given size and seed and
-# returns the numbers.  `projlab verify` and acceptance criteria 1-7 run
-# them at their own sizes and apply their own thresholds.
+# returns numbers only, never a pass flag.  `projlab verify` (the
+# VERIFY_CHECKS rows below) and acceptance criteria 1-7 run them at their
+# own sizes and apply their own thresholds.
 # ---------------------------------------------------------------------------
 
 def _nmkl_tuples(n_max):
@@ -619,13 +623,11 @@ def tangent_derivative_order(count, seed):
 
 
 def extended_plane_derivative_check(V_path, c, U: Frame, seed=0):
-    """Verify that projections onto V_s and onto the extended plane
-    <V_s, U> agree to second order at s = c, for test vectors z orthogonal
-    to <V_c, U>: three random unit vectors, steps 1e-1 down to 1e-4.
-
-    Returns the fitted log-log slope of the projection difference against
-    |s - c|; pass means slope >= 1.9.
-    """
+    """Fitted log-log slope of the difference between the projections
+    onto V_s and onto the extended plane <V_s, U> against |s - c|, for
+    three random unit test vectors z orthogonal to <V_c, U> and steps
+    1e-1 down to 1e-4; 2 when they agree to second order at s = c, and
+    inf when fewer than two differences clear round-off."""
     Vc = V_path(c)
     n = Vc.ambient_dim
     if U.ambient_dim != n:
@@ -655,9 +657,8 @@ def extended_plane_derivative_check(V_path, c, U: Frame, seed=0):
         diffs[a] = acc / (2 * len(zs))
     good = diffs > 1e-14
     if good.sum() < 2:
-        return {"order": np.inf, "pass": True}
-    slope = np.polyfit(np.log(hs[good]), np.log(diffs[good]), 1)[0]
-    return {"order": float(slope), "pass": bool(slope >= 1.9)}
+        return np.inf
+    return float(np.polyfit(np.log(hs[good]), np.log(diffs[good]), 1)[0])
 
 
 def extended_projection_order(count, seed):
@@ -681,9 +682,27 @@ def extended_projection_order(count, seed):
             return family_frame(spec, np.clip(sv * direction, -0.7, 0.7))
 
         U = Frame(spec.comp.basis[:p])
-        res = extended_plane_derivative_check(path, 0.0, U, seed=trial)
-        worst = min(worst, res["order"])
+        worst = min(worst, extended_plane_derivative_check(path, 0.0, U,
+                                                           seed=trial))
     return worst
+
+
+def extension_wedge_margin(count, seed):
+    """Key inequality of the extension at (n, m, k, l) = (5, 2, 5, 1):
+    (smallest wedge volume of the extended Jacobian over `count` random
+    unit witness vectors, the margin d'/sqrt(t)^p it must clear).  Here
+    t = 2; at t = 1 the witness sphere is one point and the smallest
+    wedge equals the margin, so the check could show no slack."""
+    ext = extend_family(disjoint_slot_family(5, 2, 5), np.zeros(5), l=1,
+                        seed=0)
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(count):
+        z = rng.standard_normal(ext.t) @ ext.witness.basis
+        z /= np.linalg.norm(z)
+        M = _central_differences(ext.rows, ext.center(), z, 1e-5)
+        worst = min(worst, wedge_operator_norm(M, ext.target_order))
+    return worst, ext.d_prime_hat / np.sqrt(ext.t) ** ext.p
 
 
 def wedge_split_margin(count, seed):
@@ -720,89 +739,51 @@ def estimator_calibration(level, n_points, seed):
 
 
 # ---------------------------------------------------------------------------
-# Verification suite: the property checks at small sizes
+# Verification suite: one row per property check, (name, value, passes,
+# detail).  value() runs the check at its verify size and returns its
+# numbers, passes(v) is the row's pass rule, detail(v) the text it prints.
 # ---------------------------------------------------------------------------
 
-def _check_multivec_oracle():
-    worst = max(multivec_oracle_gaps(500, seed=101))
-    return worst <= 1e-9, f"max rel gap {worst:.2e}"
-
-
-def _check_derivative_order():
-    worst = tangent_derivative_order(25, seed=11)
-    return worst >= 1.9, f"min empirical order {worst:.3f}"
-
-
-def _check_p_enumeration():
-    bad = p_dot_oracle_scan(8)[-1]
-    return not bad, f"fails at {bad[0]}" if bad else "exhaustive n <= 8"
-
-
-def _check_parameter_bracket():
-    bad = parameter_bracket_scan(8)[-1]
-    return not bad, f"fails at {bad[0]}" if bad else "exhaustive n <= 8"
-
-
-def _check_wedge_monotonicity():
-    worst = wedge_split_margin(50, seed=202)
-    return worst >= -1e-9, f"min wedge-norm margin {worst:.2e}"
-
-
-def _check_extended_order():
-    worst = extended_projection_order(8, seed=303)
-    return worst >= 1.9, f"min slope {worst:.3f} over 8 paths"
-
-
-def _check_estimators():
-    b, c, u = estimator_calibration(7, 50_000, seed=404)
-    ok = 0.9 <= b <= 1.1 and 0.58 <= c <= 0.68 and 1.9 <= u <= 2.1
-    return ok, f"box {b:.3f}/{u:.3f}, corr {c:.3f}"
-
-
-def _check_extension_inequality():
-    """Key inequality of the extension: wedge volumes of the extended
-    Jacobian on witness vectors clear the d'/sqrt(t)^p margin.  Run at
-    (n, m, k, l) = (5, 2, 5, 1), where t = 2; at t = 1 the witness sphere
-    is one point and the minimum wedge equals the margin, so the check
-    could show no slack."""
-    spec = disjoint_slot_family(5, 2, 5)
-    ext = extend_family(spec, np.zeros(5), l=1, seed=0)
-    margin = ext.d_prime_hat / np.sqrt(ext.t) ** ext.p
-    rng = np.random.default_rng(505)
-    worst = np.inf
-    for _ in range(8):
-        coeff = rng.standard_normal(ext.t)
-        z = coeff @ ext.witness.basis
-        z /= np.linalg.norm(z)
-        M = _central_differences(ext.rows, ext.center(), z, 1e-5)
-        worst = min(worst, wedge_operator_norm(M, ext.target_order))
-    ok = worst > margin * 0.999
-    return ok, f"min wedge {worst:.3f} vs margin {margin:.3f}"
+def _exhaustive(bad):
+    return f"fails at {bad[0]}" if bad else "exhaustive n <= 8"
 
 
 VERIFY_CHECKS = [
-    ("multivec_oracle", _check_multivec_oracle),
-    ("tangent_derivative_order", _check_derivative_order),
-    ("p_enumeration_vs_dots", _check_p_enumeration),
-    ("parameter_count_bracket", _check_parameter_bracket),
-    ("projection_wedge_monotonicity", _check_wedge_monotonicity),
-    ("extended_plane_second_order", _check_extended_order),
-    ("extension_key_inequality", _check_extension_inequality),
-    ("estimator_calibration", _check_estimators),
+    ("multivec_oracle", lambda: max(multivec_oracle_gaps(500, 101)),
+     lambda v: v <= 1e-9, lambda v: f"max rel gap {v:.2e}"),
+    ("tangent_derivative_order", lambda: tangent_derivative_order(25, 11),
+     lambda v: v >= 1.9, lambda v: f"min empirical order {v:.3f}"),
+    ("p_enumeration_vs_dots", lambda: p_dot_oracle_scan(8)[-1],
+     lambda bad: not bad, _exhaustive),
+    ("parameter_count_bracket", lambda: parameter_bracket_scan(8)[-1],
+     lambda bad: not bad, _exhaustive),
+    ("projection_wedge_monotonicity", lambda: wedge_split_margin(50, 202),
+     lambda v: v >= -1e-9, lambda v: f"min wedge-norm margin {v:.2e}"),
+    ("extended_plane_second_order", lambda: extended_projection_order(8, 303),
+     lambda v: v >= 1.9, lambda v: f"min slope {v:.3f} over 8 paths"),
+    ("extension_key_inequality", lambda: extension_wedge_margin(8, 505),
+     lambda v: v[0] > 0.999 * v[1],
+     lambda v: f"min wedge {v[0]:.3f} vs margin {v[1]:.3f}"),
+    ("estimator_calibration", lambda: estimator_calibration(7, 50_000, 404),
+     lambda v: 0.9 <= v[0] <= 1.1 and 0.58 <= v[1] <= 0.68
+     and 1.9 <= v[2] <= 2.1,
+     lambda v: f"box {v[0]:.3f}/{v[2]:.3f}, corr {v[1]:.3f}"),
 ]
 
 
 def run_verify_suite(filter_pattern=None):
-    """Run every cross-module property check; returns (rows, all_pass)."""
+    """Run the VERIFY_CHECKS rows whose name contains filter_pattern
+    (every row without one); returns (rows, all_pass)."""
     rows = []
-    for name, fn in VERIFY_CHECKS:
+    for name, value, passes, detail in VERIFY_CHECKS:
         if filter_pattern and filter_pattern not in name:
             continue
         t0 = time.perf_counter()
         try:
-            ok, detail = fn()
+            v = value()
+            ok, text = passes(v), detail(v)
         except Exception as exc:  # a crashed check is a failing row
-            ok, detail = False, f"error: {exc}"
-        rows.append({"check": name, "pass": bool(ok), "detail": detail,
+            ok, text = False, f"error: {exc}"
+        rows.append({"check": name, "pass": bool(ok), "detail": text,
                      "seconds": round(time.perf_counter() - t0, 2)})
     return rows, all(r["pass"] for r in rows)

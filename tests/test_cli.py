@@ -1,14 +1,26 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import save_family, usable_cpus
 from projlab.cli import main
 from projlab.family import FamilySpec, disjoint_slot_family, family_to_dict
 from projlab.grassmann import standard_frame
-from projlab.lab import ExperimentConfig
+from projlab.lab import (
+    _FIELD_KINDS,
+    _MEASURE_KEYS,
+    _MODE_FIELDS,
+    ExperimentConfig,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -240,8 +252,9 @@ def test_grid_subcommands_reject_mismatched_or_incomplete_config(
     ("level", lambda cfg: cfg["measure"]["inner"].pop("level")),
     ("lambda_grid", lambda cfg: cfg.update(lambda_grid=["a"])),
     ("seed", lambda cfg: cfg.update(seed="x")),
+    ("family", lambda cfg: cfg.update(family="no-such-file.json")),
 ], ids=["family_without_radii", "measure_without_level",
-        "lambda_grid_not_integers", "seed_not_integer"])
+        "lambda_grid_not_integers", "seed_not_integer", "family_path_missing"])
 def test_project_rejects_malformed_config(tmp_path, capsys, field, edit):
     cfg = json.loads((CONFIGS / "bound_check_n3m2k1.json").read_text())
     cfg["lambda_grid"] = [2]
@@ -330,6 +343,13 @@ def _foreign(name, field, value):
     ("project", "bound_check",
      lambda cfg: cfg["family"]["schedule"][0].update(weight=float("inf")),
      "'weight'"),
+    ("project", "bound_check", lambda cfg: cfg["family"].update(
+        base=[[1e300, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+     "family: basis rows are not finite"),
+    ("project", "bound_check", lambda cfg: cfg.update(lambda_grid=[2 ** 63]),
+     "'lambda_grid'"),
+    ("project", "bound_check", lambda cfg: cfg["family"].update(
+        radii=[5e-324]), "family: domain radii"),
 ], ids=["sharpness_l_3", "sharpness_l_minus_1", "lambda_grid_too_long",
         "lambda_grid_zero", "unknown_estimator", "sharpness_s_above_1",
         "sharpness_s_below_0", "sharpness_bracket", "seed_negative",
@@ -338,7 +358,9 @@ def _foreign(name, field, value):
         "bound_check_s", "bound_check_level", "bound_check_sample_count",
         "bound_check_deltas", "bound_check_mc_samples",
         "bound_check_n_directions", "tolerance_nan", "tolerance_negative",
-        "family_base_nan", "weight_nan", "weight_infinite"])
+        "family_base_nan", "weight_nan", "weight_infinite",
+        "family_base_overflow", "lambda_grid_past_int64",
+        "radius_subnormal"])
 def test_out_of_range_config_exits_2_before_any_measure(
         tmp_path, capsys, monkeypatch, command, name, edit, field):
     monkeypatch.setattr("projlab.lab.build_measure", _no_measure)
@@ -470,9 +492,14 @@ def test_removed_or_unknown_key_exits_2_naming_it(tmp_path, capsys, edit,
      "need 1 <= m < n, got m=3, n=3"),
     ("project", "bound_check", lambda cfg: cfg["measure"]["frame"][1]
      .__setitem__(2, float("nan")), "basis rows are not finite"),
+    ("project", "bound_check", lambda cfg: cfg["measure"]["frame"][1]
+     .__setitem__(2, float("inf")), "basis rows are not finite"),
+    ("project", "bound_check", lambda cfg: cfg["measure"]["frame"][1]
+     .__setitem__(2, 1e308), "basis rows are not finite"),
 ], ids=["sharpness_level_30", "sharpness_level_0", "inner_level_13",
         "line_cantor_s_2", "lebesgue_ball_dim_0", "lebesgue_ball_N_0",
-        "embedded_frame_3_rows", "embedded_frame_nan"])
+        "embedded_frame_3_rows", "embedded_frame_nan",
+        "embedded_frame_infinite", "embedded_frame_overflow"])
 def test_measure_out_of_generator_range_exits_2(tmp_path, capsys, command,
                                                 name, edit, rule):
     code, bad = _run_edited(tmp_path, command, name, edit)
@@ -537,3 +564,148 @@ def test_verify_output_is_pinned(capsys):
     out = capsys.readouterr().out
     assert "".join(line.rsplit("\t", 1)[0] + "\n"
                    for line in out.splitlines()) == VERIFY_OUTPUT
+
+
+# ---------------------------------------------------------------------------
+# Config-boundary fuzz test: mutated configs/ files end in a run or in one
+# stderr line naming a field
+# ---------------------------------------------------------------------------
+
+_FAMILY_KEYS = ("n", "m", "k", "base", "schedule", "radii")
+_ENTRY_KEYS = ("param", "i", "j", "weight")
+# every key the schema knows, for the objects that take them
+_SCHEMA_KEYS = {
+    "config": tuple(_FIELD_KINDS),
+    "family": _FAMILY_KEYS,
+    "entry": _ENTRY_KEYS,
+    "measure": ("variant",) + tuple(sorted({
+        key for keys in _MEASURE_KEYS.values() for key in keys})),
+    "estimator": ("method",),
+    "factor": ("measure", "frame"),
+}
+# what an error may name: a field, an object ("product factor") or the
+# foreign key the mutations add
+_NAMES = set().union(*_SCHEMA_KEYS.values(), ("factor", "bogus"))
+# a valid instance of each measure variant in R^3, small
+_VARIANTS = [
+    {"variant": "four_corner_cantor", "level": 4},
+    {"variant": "line_cantor", "s": 0.5, "level": 8},
+    {"variant": "lebesgue_ball", "dim": 3, "N": 500},
+    {"variant": "embedded", "inner": {"variant": "line_cantor", "s": 0.5,
+                                      "level": 8},
+     "frame": [[0.0, 1.0, 0.0]]},
+    {"variant": "product", "N": 500, "factors": [
+        {"measure": {"variant": "lebesgue_ball", "dim": 1, "N": 500},
+         "frame": [[1.0, 0.0, 0.0]]},
+        {"measure": {"variant": "lebesgue_ball", "dim": 2, "N": 500},
+         "frame": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}]},
+]
+# Values at, inside and past each field's range, non-finite, overflowing
+# and of every JSON kind.  No count here is above 25 but 2**63, past
+# int64: a count that is valid and large only makes a slow run (a
+# four-corner level 12 is 16.7M points), so none is drawn.
+_VALUES = [
+    -1, 0, 1, 2, 3, 25, 2 ** 63, -1.0, 0.0, 5e-324, 0.5, 1.0, 1.5, 1e308,
+    math.nan, math.inf, -math.inf, True, None, "x", "standard",
+    "correlation", *_MEASURE_KEYS, *_MODE_FIELDS, [], [1], [-1.0, 2.0],
+    [[1.0, 0.0, 0.0]], [[1e300, 0.0, 0.0], [0.0, 1.0, 0.0]], {},
+    str(CONFIGS / "family_n3m2k1.json"), "no-such-file.json", *_VARIANTS,
+]
+
+
+def _json_kind(value):
+    """The JSON kind of a value: int and float are both numbers."""
+    return {bool: bool, int: float}.get(type(value), type(value))
+
+
+def _names_a_field(text):
+    """Whether text names one of _NAMES, as a word or, one letter long,
+    quoted."""
+    words = set(re.findall(r"'(\w+)'", text) + re.findall(r"\w{2,}", text))
+    return not words.isdisjoint(_NAMES)
+
+
+# the schema kind of the object or list under each key
+_CHILD_KINDS = {"family": "family", "measure": "measure", "inner": "measure",
+                "estimator": "estimator", "schedule": "entry",
+                "factors": "factor"}
+
+
+def _containers(value, kind="config"):
+    """(container, schema kind) of value and of every dict or list in
+    it; a list's items take the list's kind."""
+    yield value, kind
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, _CHILD_KINDS.get(key, kind)
+                                   if isinstance(value, dict) else kind)
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shrunk configs/ grid experiment, or a family file, with one or
+    two mutations: a key dropped, or a key (known to the schema or
+    foreign) or a list entry set to a drawn value; a set measure variant
+    swaps it."""
+    name = draw(st.sampled_from(["bound_check", "sharpness", "family"]))
+    cfg = json.loads((CONFIGS / f"{name}_n3m2k1.json").read_text())
+    if name == "sharpness":
+        cfg.update(lambda_grid=[2], level=6, sample_count=2000)
+    elif name == "bound_check":
+        cfg["lambda_grid"] = [2]
+        cfg["measure"]["inner"]["level"] = 5
+    for _ in range(draw(st.integers(1, 2))):
+        spots = list(_containers(cfg, "family" if name == "family"
+                                 else "config"))
+        box, kind = draw(st.sampled_from(spots))
+        if isinstance(box, dict):
+            key = draw(st.sampled_from(sorted(set(box) | set(
+                _SCHEMA_KEYS.get(kind, ())) | {"bogus"})))
+            if key in box and draw(st.booleans()):
+                del box[key]
+                continue
+        elif box:
+            key = draw(st.integers(0, len(box) - 1))
+        else:
+            continue
+        values = _VALUES
+        if key in box and draw(st.booleans()):  # keep the value's kind
+            values = [v for v in _VALUES
+                      if _json_kind(v) == _json_kind(box[key])] or _VALUES
+        box[key] = json.loads(json.dumps(draw(st.sampled_from(values))))
+    return name, cfg
+
+
+# the command each mutated file runs with, and the report it writes; a
+# family file runs a small unextended transversality panel
+_FUZZ_RUNS = {
+    "bound_check": (["project"], "report.json"),
+    "sharpness": (["sharpness"], "report.json"),
+    "family": (["transversality", "--seed", "1", "--samples", "2000",
+                "--directions", "2"], "transversality.json"),
+}
+
+
+@settings(max_examples=600)
+@given(_mutated_configs())
+def test_mutated_config_runs_or_exits_2_naming_a_field(case):
+    name, cfg = case
+    (command, *flags), report = _FUZZ_RUNS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, str(path), *flags, "--out", str(out)])
+        err = err.getvalue()
+        if code == 0:
+            assert (out / report).is_file()
+        else:
+            assert code == 2 and not out.exists(), err
+            assert err.count("\n") == 1, err
+            prefix = f"projlab {command}: {path}: "
+            assert err.startswith(prefix), err
+            assert _names_a_field(err[len(prefix):]), err

@@ -405,9 +405,9 @@ def _weighted_clouds(draw):
 # an exact multiple of eps (the last point on a box edge, where an extent
 # one short merges box (0, 4) into (1, 0)), and a subnormal eps at which
 # 0.9*eps rounds up to eps, so the smallest index is 1.  The last two
-# leave extent-1 axes out of the key: a unit axis beside one of span
-# 1e-15 (extent 1 at every offset), and a first axis of extent 1 before
-# one that is not.
+# put an extent-1 axis in the key: a unit axis beside one of span 1e-15
+# (extent 1 at every offset), and a first axis of extent 1 before one
+# that is not.
 @settings(max_examples=200)
 @given(_weighted_clouds())
 @example((np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]),

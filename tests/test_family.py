@@ -328,8 +328,8 @@ def test_extended_plane_derivative_check_passes_for_orthogonal_u():
         return Frame(rows)
 
     U = Frame(np.array([[0.0, 0.0, 0.0, 1.0]]))
-    res = extended_plane_derivative_check(V_path, 0.3, U, seed=0)
-    assert res["pass"], res
+    slope = extended_plane_derivative_check(V_path, 0.3, U, seed=0)
+    assert slope >= 1.9, slope
 
 
 def test_extended_plane_derivative_check_rejects_u_inside_plane():
@@ -358,8 +358,8 @@ def test_extended_plane_derivative_second_order_vs_first_order_control():
     Vc = V_path(c)
     from projlab.grassmann import complement
     U = Frame(complement(Vc).basis[:1])
-    res = extended_plane_derivative_check(V_path, c, U, seed=1)
-    assert res["pass"], res
+    slope = extended_plane_derivative_check(V_path, c, U, seed=1)
+    assert slope >= 1.9, slope
     # control: |Pi_{V_s} z| itself is first order
     hs = np.array([1e-1, 1e-2, 1e-3])
     z = complement(Vc).basis[1]
@@ -867,7 +867,7 @@ def test_family_round_trip_dict(data):
                                  max_size=8), label="slots")
     weights = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(entries),
                                  max_size=len(entries)), label="weights")
-    radii = data.draw(st.lists(st.floats(0.0, np.pi / 4, exclude_min=True),
+    radii = data.draw(st.lists(st.floats(1e-300, np.pi / 4, exclude_min=True),
                                min_size=k, max_size=k), label="radii")
     if data.draw(st.booleans(), label="standard base"):
         base = standard_frame(n, m)
