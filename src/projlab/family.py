@@ -389,7 +389,6 @@ class ExtendedFamily:
     l: int
     p: int
     t: int
-    witness: Frame  # W, ambient
     ehat: np.ndarray  # (n - m, n) ambient rows: W basis then completion
     d_prime_hat: float  # the witness search's margin on W
 
@@ -453,8 +452,7 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
     )[0].T
     ehat_coords = np.vstack([W_coords, full[t:]])
     ehat = ehat_coords @ J.comp_frame.basis
-    return ExtendedFamily(spec, lam0, l, p, t, found["W"], ehat,
-                          found["d_prime_hat"])
+    return ExtendedFamily(spec, lam0, l, p, t, ehat, found["d_prime_hat"])
 
 
 # ---------------------------------------------------------------------------
@@ -474,40 +472,22 @@ SUBLEVEL_BATCH = 200_000
 SUBLEVEL_SLICE = 32_768
 
 
-def _gram_cholesky(E):
-    """Lower Cholesky factor L of the d x d Gram E E^T of every sample, for
-    spanning rows in column layout, E (d, n, B): L[i][j], j <= i, is a
-    length-B vector, unrolled over d.  Singular rows give NaN."""
-    d = E.shape[0]
-    L = [[None] * d for _ in range(d)]
+def _orthonormalize(E):
+    """Overwrite the spanning rows E (d, n, B), column layout, with an
+    orthonormal basis of their span, sample by sample, by modified
+    Gram-Schmidt.  Singular rows give NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(d):
-            for i in range(j, d):
-                g = np.einsum("ab,ab->b", E[i], E[j])
-                for q in range(j):
-                    g -= L[i][q] * L[j][q]
-                L[i][j] = np.sqrt(g) if i == j else g / L[j][j]
-    return L
+        for j, q in enumerate(E):
+            q /= np.sqrt(np.einsum("ab,ab->b", q, q))
+            for r in E[j + 1:]:
+                r -= np.einsum("ab,ab->b", q, r) * q
 
 
-def _projection_norm(E, L, w):
-    """|Pi_{span rows} w| per sample, a length-B vector, from the rows E
-    (d, n, B) and their Gram factor L (`_gram_cholesky`): |Pi w|^2 =
-    |L^{-1} E w|^2 by forward substitution.  Works in d+1 length-B
-    buffers and writes nothing shared, so threads may call it at once."""
-    y = []
-    tmp = np.empty(E.shape[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):  # singular: NaN
-        for j in range(E.shape[0]):
-            r = w @ E[j]
-            for q in range(j):
-                r -= np.multiply(L[j][q], y[q], out=tmp)
-            r /= L[j][j]
-            y.append(r)
-    proj2 = np.multiply(y[0], y[0], out=y[0])
-    for v in y[1:]:
-        proj2 += np.multiply(v, v, out=v)
-    return np.sqrt(proj2, out=proj2)
+def _projection_norm(Q, w):
+    """|Pi_{span rows} w| per sample, a length-B vector, from orthonormal
+    rows Q (d, n, B) (`_orthonormalize`): the norm of the d dot products
+    w . q_j.  Writes nothing shared, so threads may call it at once."""
+    return np.sqrt(sum(np.square(w @ q) for q in Q))
 
 
 def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
@@ -518,9 +498,9 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
 
     Only the RNG runs on the calling thread.  Each batch's draws are cut
     into slices of SUBLEVEL_SLICE samples, and `cpu_map`'s threads turn a
-    slice into parameters, rows, their Gram factor and every direction's
-    counts; counts are integers summed per slice, so they equal a one-CPU
-    run's."""
+    slice into parameters, rows orthonormalized in place and every
+    direction's counts; counts are integers summed per slice, so they
+    equal a one-CPU run's."""
     rng = np.random.default_rng(seed)
     lam0 = np.asarray(lam0, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
@@ -532,11 +512,11 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
         g = g / np.linalg.norm(g, axis=1, keepdims=True)
         radii = R * u ** (1.0 / k)
         lam = lam0 + g * radii[:, None]
-        E = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
-        L = _gram_cholesky(E)
+        Q = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
+        _orthonormalize(Q)
         counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
         for c, w in zip(counts, ws):
-            vals = _projection_norm(E, L, w)
+            vals = _projection_norm(Q, w)
             # NaN lies below no delta, so a singular sample is never a hit
             c[:] = [np.count_nonzero(vals <= d) for d in deltas]
         return counts
@@ -574,7 +554,8 @@ def _fit_exponent(deltas, fractions, counts):
 
 def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     """Monte-Carlo estimate of the sublevel-set volume scaling exponent of
-    each direction w in ws, (D, n): one result dict per direction.
+    each direction w in ws, (D, n): one result dict per direction, whose
+    'deltas' are the given deltas in descending order.
 
     For each delta, estimates the volume fraction of parameters lam in the
     ball B(lam0, R) with |Pi_{V_lam}(w)| <= delta, then fits the slope of
@@ -585,6 +566,9 @@ def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     The calling thread draws the samples; slices of each batch are turned
     into rows and scored against every direction on the usable CPUs
     (`cpu_map`), and the results are bitwise those of a one-CPU run.
+    rows_fn must return a fresh (B, d, n) array per call, as `family_rows`
+    and `ExtendedFamily.rows` do: the kernel orthonormalizes it in place
+    and writes no other buffer, so threads share none they write.
     Deterministic given the seed.  ValueError naming the argument when ws
     is not (D, n) with n the rows' width, lam0 does not have k entries, R
     or samples is not positive, or deltas is empty or not positive.

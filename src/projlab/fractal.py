@@ -84,10 +84,10 @@ def line_cantor(s, level) -> SampledMeasure:
 
 def lebesgue_ball(dim, N, seed) -> SampledMeasure:
     """N uniform samples from the unit ball of R^dim, equal weights."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= dim < 2 ** 63:
+        raise ValueError(f"dim must be >= 1 and below 2**63, got {dim}")
+    if not 1 <= N < 2 ** 63:
+        raise ValueError(f"N must be >= 1 and below 2**63, got {N}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((N, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -123,8 +123,8 @@ def product_embed(parts, N, seed) -> SampledMeasure:
     factors."""
     if not parts:
         raise ValueError("need at least one factor")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= N < 2 ** 63:
+        raise ValueError(f"N must be >= 1 and below 2**63, got {N}")
     frames = [frame for (_, frame) in parts]
     n = frames[0].ambient_dim
     for a in range(len(frames)):

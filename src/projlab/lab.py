@@ -157,11 +157,14 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
     if foreign:
         raise ConfigError(f"mode {mode!r} does not read field(s) "
                           f"{', '.join(repr(f) for f in foreign)}")
-    for name, low in (("seed", 0), ("sample_count", 1), ("mc_samples", 1),
-                      ("n_directions", 1), ("tolerance", 0)):
+    for name, low in (("seed", 0), ("tolerance", 0)):
         if not low <= getattr(cfg, name) < np.inf:  # NaN fails too
             raise ConfigError(f"field {name!r} must be finite and at least "
                               f"{low}, got {getattr(cfg, name)}")
+    for name in ("sample_count", "mc_samples", "n_directions"):
+        if not 0 < getattr(cfg, name) < 2 ** 63:
+            raise ConfigError(f"field {name!r} must lie in 1..2**63-1, got "
+                              f"{getattr(cfg, name)}")
     if not all(0 < d < np.inf for d in cfg.deltas):
         raise ConfigError(f"field 'deltas' must be positive and finite, "
                           f"got {list(cfg.deltas)}")
@@ -501,7 +504,7 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("transversality", panel, summary,
                             _provenance(cfg, spec),
                             runtime_seconds=time.perf_counter() - t0,
-                            deltas=[float(v) for v in deltas])
+                            deltas=[float(v) for v in probes[0]["deltas"]])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +701,7 @@ def extension_wedge_margin(count, seed):
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(count):
-        z = rng.standard_normal(ext.t) @ ext.witness.basis
+        z = rng.standard_normal(ext.t) @ ext.ehat[:ext.t]
         z /= np.linalg.norm(z)
         M = _central_differences(ext.rows, ext.center(), z, 1e-5)
         worst = min(worst, wedge_operator_norm(M, ext.target_order))

@@ -183,6 +183,8 @@ def test_bound_output_is_pinned(capsys):
     (["--l", "1"], "--l requires --extend"),
     (["--deltas", "0.1,abc"], "--deltas"),
     (["--extend", "--l", "5"], "field 'l' must lie in 0..m-1=1, got 5"),
+    (["--samples", str(2 ** 63)], "'mc_samples' must lie in 1..2**63-1"),
+    (["--directions", str(2 ** 63)], "'n_directions' must lie in 1..2**63-1"),
 ])
 def test_transversality_rejects_bad_arguments(tmp_path, capsys, flags,
                                              needs):
@@ -192,6 +194,25 @@ def test_transversality_rejects_bad_arguments(tmp_path, capsys, flags,
                  "--directions", "1", *flags, "--out", str(out)]) == 2
     assert needs in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_transversality_reports_deltas_in_any_given_order(tmp_path):
+    # the probe scores the deltas in descending order, and the report
+    # pairs each delta with its own fractions; only the config hash,
+    # which hashes the config's order, tells the two runs apart
+    fam = str(CONFIGS / "family_n3m2k1.json")
+    runs = []
+    for name, deltas in (("ascending", "0.01,0.02,0.05,0.1,0.2"),
+                         ("descending", "0.2,0.1,0.05,0.02,0.01")):
+        out = tmp_path / name
+        assert main(["transversality", fam, "--seed", "1", "--samples",
+                     "20000", "--directions", "1", "--deltas", deltas,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "transversality.json").read_text())
+        report["provenance"].pop("config_hash")
+        runs.append((report, (out / "loglog.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["deltas"] == [0.2, 0.1, 0.05, 0.02, 0.01]
 
 
 def test_transversality_has_no_force_flag(fam_path):
@@ -350,6 +371,8 @@ def _foreign(name, field, value):
      "'lambda_grid'"),
     ("project", "bound_check", lambda cfg: cfg["family"].update(
         radii=[5e-324]), "family: domain radii"),
+    ("sharpness", "sharpness", lambda cfg: cfg.update(sample_count=2 ** 63),
+     "'sample_count' must lie in 1..2**63-1"),
 ], ids=["sharpness_l_3", "sharpness_l_minus_1", "lambda_grid_too_long",
         "lambda_grid_zero", "unknown_estimator", "sharpness_s_above_1",
         "sharpness_s_below_0", "sharpness_bracket", "seed_negative",
@@ -360,7 +383,7 @@ def _foreign(name, field, value):
         "bound_check_n_directions", "tolerance_nan", "tolerance_negative",
         "family_base_nan", "weight_nan", "weight_infinite",
         "family_base_overflow", "lambda_grid_past_int64",
-        "radius_subnormal"])
+        "radius_subnormal", "sample_count_past_int64"])
 def test_out_of_range_config_exits_2_before_any_measure(
         tmp_path, capsys, monkeypatch, command, name, edit, field):
     monkeypatch.setattr("projlab.lab.build_measure", _no_measure)
@@ -496,10 +519,23 @@ def test_removed_or_unknown_key_exits_2_naming_it(tmp_path, capsys, edit,
      .__setitem__(2, float("inf")), "basis rows are not finite"),
     ("project", "bound_check", lambda cfg: cfg["measure"]["frame"][1]
      .__setitem__(2, 1e308), "basis rows are not finite"),
+    ("project", "bound_check", lambda cfg: cfg.update(
+        measure={"variant": "lebesgue_ball", "dim": 2 ** 63}),
+     "dim must be >= 1 and below 2**63"),
+    ("project", "bound_check", lambda cfg: cfg.update(
+        measure={"variant": "lebesgue_ball", "dim": 3, "N": 2 ** 63}),
+     "N must be >= 1 and below 2**63"),
+    ("project", "bound_check", lambda cfg: cfg.update(
+        measure={"variant": "product", "N": 2 ** 63, "factors": [
+            {"measure": {"variant": "line_cantor", "s": 0.5, "level": 4},
+             "frame": [row]} for row in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]}),
+     "N must be >= 1 and below 2**63"),
 ], ids=["sharpness_level_30", "sharpness_level_0", "inner_level_13",
         "line_cantor_s_2", "lebesgue_ball_dim_0", "lebesgue_ball_N_0",
         "embedded_frame_3_rows", "embedded_frame_nan",
-        "embedded_frame_infinite", "embedded_frame_overflow"])
+        "embedded_frame_infinite", "embedded_frame_overflow",
+        "lebesgue_ball_dim_past_int64", "lebesgue_ball_N_past_int64",
+        "product_N_past_int64"])
 def test_measure_out_of_generator_range_exits_2(tmp_path, capsys, command,
                                                 name, edit, rule):
     code, bad = _run_edited(tmp_path, command, name, edit)

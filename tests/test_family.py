@@ -13,7 +13,7 @@ from projlab.family import (
     SUBLEVEL_BATCH,
     FamilySpec,
     _fit_exponent,
-    _gram_cholesky,
+    _orthonormalize,
     _projection_norm,
     _rows_and_derivs_chart,
     _sublevel_fractions,
@@ -497,8 +497,9 @@ def _solve_norms(E, w):
 
 
 def _kernel_norms(E, w):
-    E = np.ascontiguousarray(np.moveaxis(E, 0, -1))
-    return _projection_norm(E, _gram_cholesky(E), w)
+    Q = np.ascontiguousarray(np.moveaxis(E, 0, -1))
+    _orthonormalize(Q)
+    return _projection_norm(Q, w)
 
 
 def _ref_counts(rows_fn, k, lam0, R, w, deltas, samples, seed,
@@ -583,7 +584,7 @@ def test_sublevel_counts_equal_solve_reference(probe_families, seed):
 @pytest.mark.parametrize("seed", [3, 17, 2718])
 def test_sublevel_counts_at_tied_deltas(probe_families, seed):
     # deltas equal to sampled values count the sample (vals <= delta).
-    # Solve and Cholesky round differently in the last bits, so the tie
+    # Solve and Gram-Schmidt round differently in the last bits, so the tie
     # is checked on the values the kernel itself produces, with deltas
     # picked from the first direction's values
     samples = 50_000
@@ -618,6 +619,15 @@ def test_panel_directions_equal_one_direction_probes(probe_families):
             assert np.array_equal(res["fractions"], alone["fractions"]), name
             assert res["exponent"] == alone["exponent"], name
             assert res["diagnostic"] == alone["diagnostic"], name
+
+
+def test_rows_are_fresh_on_every_call(probe_families):
+    # the probe orthonormalizes the rows in place, so two calls of
+    # family_rows or ExtendedFamily.rows must not share a buffer
+    rng = np.random.default_rng(4)
+    for name, rows_fn, _, k, center, R, _ in probe_families:
+        lam = center + rng.uniform(-R, R, size=(9, k))
+        assert not np.shares_memory(rows_fn(lam), rows_fn(lam)), name
 
 
 def test_sublevel_counts_leave_nan_uncounted():
@@ -663,10 +673,10 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
 
 
 def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
-    # a batch's draws, and each slice's rows, Gram factor and solve
-    # buffers, are freed before the next batch is drawn, so three batches
-    # peak no higher than one (one CPU: the peak of several slice threads
-    # depends on their timing)
+    # a batch's draws, and each slice's rows and projection buffers, are
+    # freed before the next batch is drawn, so three batches peak no
+    # higher than one (one CPU: the peak of several slice threads depends
+    # on their timing)
     _, rows_fn, _, k, center, R, frame_at = probe_families[1]
     ws = _panel(frame_at, center, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
@@ -732,10 +742,10 @@ def test_projection_norms_match_span_projector(data):
     ws = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=D * n,
                                      max_size=D * n), label="ws"))
     ws = ws.reshape(D, n)
-    E = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
-    L = _gram_cholesky(E)
+    Q = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+    _orthonormalize(Q)
     for w in ws:
-        vals = _projection_norm(E, L, w)
+        vals = _projection_norm(Q, w)
         for b in range(B):
             expected = np.linalg.norm(span_projector(rows[b]) @ w)
             assert abs(vals[b] - expected) <= 1e-12

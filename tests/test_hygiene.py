@@ -3,6 +3,7 @@ CLI loads."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,47 @@ def test_every_imported_name_is_read():
             unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                        for line, name in _unused_imports(path)]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def _definitions(path):
+    """(line, name) of the module-level functions and classes of the file,
+    and of the methods of its classes, dunder methods left out."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, kinds):
+            defs.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f.lineno, f.name) for f in node.body
+                     if isinstance(f, kinds) and not f.name.startswith("__")]
+    return defs
+
+
+def _loads(path):
+    """Names the file reads, as a name or an attribute, or writes inside a
+    string constant (bench/layers.TARGETS names its targets in strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def test_every_definition_is_read():
+    loaded = set()
+    for folder in SCANNED + ("bench",):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            loaded |= _loads(path)
+    unread = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path in sorted((ROOT / "src/projlab").glob("*.py"))
+              for line, name in _definitions(path) if name not in loaded]
+    assert not unread, "defined but never read:\n" + "\n".join(unread)
 
 
 def test_cli_import_loads_no_heavy_module():
