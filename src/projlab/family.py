@@ -11,6 +11,7 @@ base frame.  All chart work happens in the orthonormal coordinates of
 import itertools
 import json
 import numbers
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .grassmann import (
     standard_frame,
 )
 from .multivec import gram_norm
-from .threads import cpu_map
+from .threads import cpu_pool, usable_cpus
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +141,9 @@ class FamilySpec:
             a[i - 1, j - self.m - 1] += w * lam_cols[par - 1]
         return a
 
-    def rows(self, lam_batch):
+    def rows(self, lam_batch, out=None):
         """Rows callable for `transversality_probe`: `family_rows(self, .)`."""
-        return family_rows(self, lam_batch)
+        return family_rows(self, lam_batch, out)
 
 
 def slot_family(n, m, k, slots, radius, base=None):
@@ -187,11 +188,13 @@ def _ambient_rows(spec: FamilySpec, lam_batch, out):
                   range(spec.m, spec.n), spec.angles(lam_batch), out)
 
 
-def family_rows(spec: FamilySpec, lam_batch):
+def family_rows(spec: FamilySpec, lam_batch, out=None):
     """Spanning rows of V_lambda in ambient coordinates, (B, m, n).  Not
-    orthonormalized.  The result is a view of a (m, n, B) buffer."""
+    orthonormalized.  The result is a view of the (m, n, B) buffer `out`,
+    which the rows overwrite, or of a fresh one when out is None."""
     lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-    out = np.empty((spec.m, spec.n, lam_batch.shape[0]))
+    if out is None:
+        out = np.empty((spec.m, spec.n, lam_batch.shape[0]))
     _ambient_rows(spec, lam_batch, out)
     return np.moveaxis(out, -1, 0)
 
@@ -404,15 +407,17 @@ class ExtendedFamily:
     def center(self):
         return np.concatenate([self.lam0, np.zeros(self.p * self.t)])
 
-    def rows(self, lam_batch):
+    def rows(self, lam_batch, out=None):
         """Spanning rows of the extended plane, ambient, (B, m+p, n).  The
-        result is a view of a (m+p, n, B) buffer.  The rotations of the
-        added directions mix complement coordinates only, so their rows
-        stay inside V_{lam0}^perp and are independent of lam1."""
+        result is a view of the (m+p, n, B) buffer `out`, which the rows
+        overwrite, or of a fresh one when out is None.  The rotations of
+        the added directions mix complement coordinates only, so their
+        rows stay inside V_{lam0}^perp and are independent of lam1."""
         lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
         m, k, p, t = self.spec.m, self.spec.k, self.p, self.t
         B = lam_batch.shape[0]
-        out = np.empty((m + p, self.spec.n, B))
+        if out is None:
+            out = np.empty((m + p, self.spec.n, B))
         _ambient_rows(self.spec, lam_batch[:, :k], out[:m])
         _rotated_rows(self.ehat, range(t, t + p), range(t),
                       lam_batch[:, k:].T.reshape(p, t, B), out[m:])
@@ -461,15 +466,20 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
 
 # Parameters drawn per batch.  Each batch draws its unit vectors and radii
 # in one call each, so the RNG stream, and with it every fraction and
-# exponent, depends on this size.  The draws are the only per-batch buffers
-# of the calling thread, and they are freed before the next batch is drawn.
+# exponent, depends on this size.  The draws are the calling thread's only
+# per-batch buffers.  On one usable CPU a batch is drawn only after the
+# previous batch's counts are summed; on more, the next batch is drawn
+# while the pool scores this one, so at most two batches are alive.
 SUBLEVEL_BATCH = 200_000
 
-# Samples per `cpu_map` task.  Every step after the draw works sample by
-# sample, so the counts do not depend on this size; it only trades the
-# per-slice Python overhead against how evenly the slices of a batch
-# spread over the CPUs.
-SUBLEVEL_SLICE = 32_768
+# Samples per pool task.  Every step after the draw works sample by sample,
+# so the counts do not depend on this size.  It trades the per-slice Python
+# overhead against how evenly the slices of a batch spread over the CPUs,
+# and sizes each pool thread's rows buffer, (d, n, SUBLEVEL_SLICE) numbers
+# kept for the whole probe, and its scratch: this size keeps the peak
+# memory of two batches of draws near that of one batch with 32,768-sample
+# slices.
+SUBLEVEL_SLICE = 24_576
 
 
 def _orthonormalize(E):
@@ -496,23 +506,33 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     directions w in ws and each delta (in the given order).  Every
     direction is scored on the same samples.
 
-    Only the RNG runs on the calling thread.  Each batch's draws are cut
-    into slices of SUBLEVEL_SLICE samples, and `cpu_map`'s threads turn a
-    slice into parameters, rows orthonormalized in place and every
-    direction's counts; counts are integers summed per slice, so they
-    equal a one-CPU run's."""
+    Only the RNG runs on the calling thread; one `cpu_pool` scores the
+    whole probe.  Each batch's draws are cut into slices of SUBLEVEL_SLICE
+    samples, and a pool thread turns a slice into parameters, writes its
+    rows into the thread's own buffer, orthonormalizes them in place and
+    counts every direction's hits.  With more than one usable CPU the
+    calling thread draws the next batch while the pool scores this one,
+    then sums this one's counts.  Counts are integers summed per slice, so
+    they equal a one-CPU run's."""
     rng = np.random.default_rng(seed)
     lam0 = np.asarray(lam0, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
+    size = SUBLEVEL_SLICE
+    buffers = threading.local()  # each pool thread's rows, (d, n, size)
 
-    def slice_counts(draws):
-        # out of place: the slice is a view of the batch's draws, which
-        # other threads read
-        g, u = draws
-        g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        radii = R * u ** (1.0 / k)
-        lam = lam0 + g * radii[:, None]
-        Q = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
+    def slice_counts(draws, a):
+        # the first step is out of place, since the slice is a view of the
+        # batch's draws, which other threads read; the rest works in place
+        g, u = (x[a:a + size] for x in draws)
+        lam = g / np.linalg.norm(g, axis=1, keepdims=True)
+        lam *= (R * u ** (1.0 / k))[:, None]
+        lam += lam0
+        # a ragged last slice gets fresh rows and leaves the buffer be
+        full = len(u) == size
+        out = getattr(buffers, "rows", None) if full else None
+        Q = np.ascontiguousarray(np.moveaxis(rows_fn(lam, out=out), 0, -1))
+        if full:
+            buffers.rows = Q
         _orthonormalize(Q)
         counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
         for c, w in zip(counts, ws):
@@ -521,18 +541,29 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
             c[:] = [np.count_nonzero(vals <= d) for d in deltas]
         return counts
 
-    def batch_counts(B):
-        g = rng.standard_normal((B, k))
-        u = rng.random(B)
-        return cpu_map(slice_counts,
-                       [(g[a:a + SUBLEVEL_SLICE], u[a:a + SUBLEVEL_SLICE])
-                        for a in range(0, B, SUBLEVEL_SLICE)])
-
     counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
-    for done in range(0, samples, SUBLEVEL_BATCH):
-        for c in batch_counts(min(SUBLEVEL_BATCH, samples - done)):
-            counts += c
+    alive = 2 if usable_cpus() > 1 else 1  # batches of draws at a time
+    scoring = []  # (draws, slice futures) of each batch, the oldest first
+    with cpu_pool() as pool:
+        for done in range(0, samples, SUBLEVEL_BATCH):
+            if len(scoring) == alive:
+                _add_batch(counts, *scoring.pop(0))
+            B = min(SUBLEVEL_BATCH, samples - done)
+            draws = [rng.standard_normal((B, k)), rng.random(B)]
+            scoring.append((draws, [pool.submit(slice_counts, draws, a)
+                                    for a in range(0, B, size)]))
+        for batch in scoring:
+            _add_batch(counts, *batch)
     return counts / samples, counts
+
+
+def _add_batch(counts, draws, futures):
+    """Add a batch's slice counts to counts, then free its draws.  The
+    tasks hold the draws only through the list draws, which is emptied:
+    a task the pool has not yet let go of keeps no batch alive."""
+    for f in futures:
+        counts += f.result()
+    draws.clear()
 
 
 def _fit_exponent(deltas, fractions, counts):
@@ -565,10 +596,12 @@ def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     from the seed, so a direction's result does not depend on the others.
     The calling thread draws the samples; slices of each batch are turned
     into rows and scored against every direction on the usable CPUs
-    (`cpu_map`), and the results are bitwise those of a one-CPU run.
-    rows_fn must return a fresh (B, d, n) array per call, as `family_rows`
-    and `ExtendedFamily.rows` do: the kernel orthonormalizes it in place
-    and writes no other buffer, so threads share none they write.
+    (`cpu_pool`), and the results are bitwise those of a one-CPU run.
+    rows_fn(lam, out=None) must write the (B, d, n) rows into out, a
+    (d, n, B) buffer, and return its view, or return a fresh array when
+    out is None, as `family_rows` and `ExtendedFamily.rows` do: each pool
+    thread passes its own buffer and orthonormalizes the rows in place,
+    so threads share no buffer they write.
     Deterministic given the seed.  ValueError naming the argument when ws
     is not (D, n) with n the rows' width, lam0 does not have k entries, R
     or samples is not positive, or deltas is empty or not positive.

@@ -172,6 +172,11 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
     n, m, k, l = spec.n, spec.m, spec.k, cfg.l
     if l is not None and not 0 <= l <= m - 1:
         raise ConfigError(f"field 'l' must lie in 0..m-1={m - 1}, got {l}")
+    if mode == "transversality" and l is not None:
+        p = p_of_l(n, m, k, l)
+        if p >= n - m:
+            raise ConfigError(f"field 'l'={l} leaves nothing to extend: "
+                              f"p(l)={p} >= n-m={n - m}")
     check_keys(cfg.estimator, ("method",), "estimator")
     method = cfg.estimator.get("method", "box_counting")
     if method not in ("box_counting", "correlation"):

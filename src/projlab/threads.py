@@ -1,21 +1,36 @@
 """The one place that decides how many threads projlab's numpy kernels
 use: one per CPU the process may run on (its affinity mask)."""
 
+import contextlib
 import os
+
+
+def usable_cpus():
+    """The number of CPUs the process may run on: its affinity mask, or
+    the machine's CPU count where the platform has no mask."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@contextlib.contextmanager
+def cpu_pool(tasks=None):
+    """A thread pool of one thread per usable CPU, and of no more threads
+    than `tasks` when that is given; its threads end when the block does.
+    Callers submit work whose numpy calls release the GIL and that shares
+    no mutable buffer, so results equal a serial loop's."""
+    # Imported here: concurrent.futures loads logging, which importing the
+    # CLI should not pay for.
+    from concurrent.futures import ThreadPoolExecutor
+    cpus = usable_cpus()
+    with ThreadPoolExecutor(min(cpus, tasks or cpus)) as pool:
+        yield pool
 
 
 def cpu_map(fn, items):
     """[fn(x) for x in items], in order, spread over min(usable CPUs,
-    len(items)) threads.  Callers pass work whose numpy calls release the
-    GIL and that shares no mutable buffer, so results equal a serial
-    loop's."""
+    len(items)) threads of a `cpu_pool`."""
     items = list(items)
     if not items:
         return []
-    # Imported here: concurrent.futures loads logging, which importing the
-    # CLI should not pay for.
-    from concurrent.futures import ThreadPoolExecutor
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    with ThreadPoolExecutor(min(cpus, len(items))) as pool:
+    with cpu_pool(len(items)) as pool:
         return list(pool.map(fn, items))

@@ -20,7 +20,7 @@ def save_family(spec, path):
 
 
 def usable_cpus(monkeypatch, count):
-    """Make `threads.cpu_map` see `count` usable CPUs."""
+    """Make `threads.usable_cpus` report `count` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)

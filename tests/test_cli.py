@@ -196,6 +196,23 @@ def test_transversality_rejects_bad_arguments(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, m, k, p", [(3, 2, 1, 1), (4, 2, 2, 2),
+                                        (5, 3, 1, 2)])
+def test_transversality_rejects_an_l_with_nothing_to_extend(tmp_path, capsys,
+                                                          n, m, k, p):
+    # p(1) >= n-m leaves no complement direction to swing toward a
+    # witness subspace, so --l 1 exits 2 before any extension is built
+    fam = tmp_path / "fam.json"
+    save_family(disjoint_slot_family(n, m, k), fam)
+    out = tmp_path / "tr"
+    assert main(["transversality", str(fam), "--extend", "--l", "1",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"projlab transversality: {fam}: field 'l'=1 leaves nothing to "
+        f"extend: p(l)={p} >= n-m={n - m}\n")
+    assert not out.exists()
+
+
 def test_transversality_reports_deltas_in_any_given_order(tmp_path):
     # the probe scores the deltas in descending order, and the report
     # pairs each delta with its own fractions; only the config hash,

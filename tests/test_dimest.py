@@ -163,11 +163,14 @@ def _stretched_cantor():
 
 
 # Measured over 300 seeded similarities of the cloud above (scales
-# 10^-3..10^3, shifts up to 10^3): box counting moved by 0.0242 when the
-# PCA returned an axis of opposite sign, which mirrors the cloud against
-# the seeded grid offsets, and by round-off (2e-16) otherwise; the
-# correlation estimate moved by at most 9.3e-7, from lattice distances
-# that tie exactly and that round-off splits.
+# 10^-3..10^3, shifts up to 10^3): box counting moved by up to 0.0242 when
+# the PCA kept a third axis of round-off size, whose eigenvalue ratio
+# (up to 2.1e-15 over 100 seeded rotations) clears the 1e-16 cut of
+# `dimest._intrinsic_coords`, and by round-off (2e-16) otherwise.
+# Mirroring the cloud in its own plane leaves the estimate bitwise
+# unchanged, so an axis's sign does not move it.  The correlation
+# estimate moved by at most 9.3e-7, from lattice distances that tie
+# exactly and that round-off splits.
 BOX_SPREAD, CORRELATION_SPREAD = 0.03, 1e-5
 
 

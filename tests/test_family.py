@@ -536,7 +536,7 @@ def probe_families():
     ext = extend_family(load_family(configs / "family_n4m2k3.json"),
                         np.zeros(3), 1, seed=2718)
     return [
-        ("base", lambda lam: family_rows(base, lam),
+        ("base", lambda lam, out=None: family_rows(base, lam, out),
          lambda lam: _ref_family_rows(base, lam), base.k, np.zeros(base.k),
          0.5 * min(base.radii), lambda lam: family_frame(base, lam)),
         ("ext", ext.rows, lambda lam: _ref_extended_rows(ext, lam),
@@ -630,11 +630,24 @@ def test_rows_are_fresh_on_every_call(probe_families):
         assert not np.shares_memory(rows_fn(lam), rows_fn(lam)), name
 
 
+def test_rows_fill_a_given_buffer(probe_families):
+    # with out, the rows overwrite the caller's (d, n, B) buffer and come
+    # back as its (B, d, n) view, equal to fresh rows
+    rng = np.random.default_rng(5)
+    for name, rows_fn, _, k, center, R, _ in probe_families:
+        lam = center + rng.uniform(-R, R, size=(9, k))
+        fresh = rows_fn(lam)
+        buf = np.full(np.moveaxis(fresh, 0, -1).shape, np.nan)
+        got = rows_fn(lam, out=buf)
+        assert np.shares_memory(got, buf), name
+        assert np.array_equal(got, fresh), name
+
+
 def test_sublevel_counts_leave_nan_uncounted():
     spec = disjoint_slot_family(3, 2, 1)
 
-    def rows_fn(lam):
-        E = family_rows(spec, lam).copy()
+    def rows_fn(lam, out=None):
+        E = family_rows(spec, lam, out)
         E[::3, 1, :] = np.nan
         return E
 
@@ -673,10 +686,11 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
 
 
 def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
-    # a batch's draws, and each slice's rows and projection buffers, are
-    # freed before the next batch is drawn, so three batches peak no
-    # higher than one (one CPU: the peak of several slice threads depends
-    # on their timing)
+    # on one usable CPU a batch's draws, and each slice's projection
+    # buffers, are freed before the next batch is drawn, and the pool
+    # thread's rows buffer is reused, so three batches peak no higher than
+    # one.  On more CPUs the next batch is drawn while this one is scored
+    # (see test_draw_ahead_keeps_two_batches_of_draws)
     _, rows_fn, _, k, center, R, frame_at = probe_families[1]
     ws = _panel(frame_at, center, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
@@ -694,6 +708,29 @@ def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
     # only the batch's draws and one slice's buffers are alive at a time:
     # about 16 MiB, where rows of a whole batch at once took 42.7 MiB
     assert peaks[0] < 24 * 2 ** 20, peaks
+
+
+def test_draw_ahead_keeps_two_batches_of_draws(probe_families, monkeypatch):
+    # on two CPUs the calling thread draws the next batch while the pool
+    # scores this one, so at most two batches of draws, k+1 numbers per
+    # sample, are alive.  Each of the two pool threads holds a slice's rows
+    # (d*n numbers per sample) and parameters (k), and scratch no larger
+    # than those.  Drawing all three batches up front exceeds the bound
+    _, rows_fn, _, k, center, R, frame_at = probe_families[1]
+    ws = _panel(frame_at, center, R, 4)
+    d, n = rows_fn(center[None, :]).shape[1:]
+    draws = 2 * SUBLEVEL_BATCH * (k + 1) * 8
+    slices = 2 * family.SUBLEVEL_SLICE * 2 * (d * n + k) * 8
+    usable_cpus(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        _sublevel_fractions(rows_fn, k, center, R, ws,
+                            np.geomspace(0.3, 1e-3, 10), 3 * SUBLEVEL_BATCH,
+                            2718)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws + slices, (peak, draws, slices)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -82,8 +82,41 @@ def test_every_definition_is_read():
     assert not unread, "defined but never read:\n" + "\n".join(unread)
 
 
+# names that start threads or size a thread pool: only threads.py uses them
+_THREAD_SIZING = ("ThreadPoolExecutor", "Thread", "sched_getaffinity",
+                  "cpu_count")
+
+
+def _thread_sizing_uses(path):
+    """(line, name) of each use of a _THREAD_SIZING name in the file, as a
+    name, an attribute or an imported name."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        else:
+            continue
+        if name in _THREAD_SIZING:
+            uses.append((node.lineno, name))
+    return uses
+
+
+def test_only_threads_module_sizes_threads():
+    src = ROOT / "src/projlab"
+    assert _thread_sizing_uses(src / "threads.py")
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted(src.glob("*.py")) if path.name != "threads.py"
+             for line, name in _thread_sizing_uses(path)]
+    assert not found, "threads started or sized outside threads.py:\n" + (
+        "\n".join(found))
+
+
 def test_cli_import_loads_no_heavy_module():
-    # scipy is a test dependency only; threads.cpu_map imports its thread
+    # scipy is a test dependency only; threads.cpu_pool imports its thread
     # pool on first use, since concurrent.futures pulls in logging
     heavy = ("scipy", "concurrent.futures", "logging")
     code = ("import sys, projlab.cli; "
