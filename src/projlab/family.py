@@ -478,8 +478,9 @@ SUBLEVEL_BATCH = 200_000
 # and sizes each pool thread's rows buffer, (d, n, SUBLEVEL_SLICE) numbers
 # kept for the whole probe, and its scratch: this size keeps the peak
 # memory of two batches of draws near that of one batch with 32,768-sample
-# slices.
-SUBLEVEL_SLICE = 24_576
+# slices.  It divides SUBLEVEL_BATCH, so every slice of a full batch reuses
+# its thread's buffer and a batch splits evenly over two CPUs.
+SUBLEVEL_SLICE = 25_000
 
 
 def _orthonormalize(E):

@@ -13,24 +13,19 @@ def usable_cpus():
 
 
 @contextlib.contextmanager
-def cpu_pool(tasks=None):
-    """A thread pool of one thread per usable CPU, and of no more threads
-    than `tasks` when that is given; its threads end when the block does.
-    Callers submit work whose numpy calls release the GIL and that shares
-    no mutable buffer, so results equal a serial loop's."""
+def cpu_pool():
+    """A thread pool of up to one thread per usable CPU, started as tasks
+    arrive; its threads end when the block does.  Callers submit work
+    whose numpy calls release the GIL and that shares no mutable buffer,
+    so results equal a serial loop's."""
     # Imported here: concurrent.futures loads logging, which importing the
     # CLI should not pay for.
     from concurrent.futures import ThreadPoolExecutor
-    cpus = usable_cpus()
-    with ThreadPoolExecutor(min(cpus, tasks or cpus)) as pool:
+    with ThreadPoolExecutor(usable_cpus()) as pool:
         yield pool
 
 
 def cpu_map(fn, items):
-    """[fn(x) for x in items], in order, spread over min(usable CPUs,
-    len(items)) threads of a `cpu_pool`."""
-    items = list(items)
-    if not items:
-        return []
-    with cpu_pool(len(items)) as pool:
+    """[fn(x) for x in items], in order, on a `cpu_pool`."""
+    with cpu_pool() as pool:
         return list(pool.map(fn, items))
