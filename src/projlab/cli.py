@@ -103,7 +103,10 @@ def _cmd_transversality(args):
     )
     report = run_transversality(cfg)
     if args.out:
-        report.save(args.out)
+        try:
+            report.save(args.out)
+        except OSError as exc:  # say, --out names an existing file
+            return _reject(args, "--out", exc)
         print(f"wrote {args.out}/transversality.json "
               f"(runtime {report.runtime_seconds:.1f}s)", file=sys.stderr)
     else:
@@ -118,7 +121,10 @@ def _run_experiment(args, runner):
     if args.force:
         cfg.force = True
     report = runner(cfg)
-    report.save(args.out)
+    try:
+        report.save(args.out)
+    except OSError as exc:  # say, --out lies below a file
+        return _reject(args, "--out", exc)
     print(f"wrote {args.out}/report.json", file=sys.stderr)
     print(json.dumps(report.summary, indent=2, sort_keys=True))
     return 0
@@ -126,6 +132,8 @@ def _run_experiment(args, runner):
 
 def _cmd_verify(args):
     rows, ok = run_verify_suite(args.filter)
+    if not rows:  # a mistyped filter must not read as a pass
+        return _reject(args, "--filter", f"{args.filter!r} matches no check")
     print("check\tpass\tdetail\tseconds")
     for row in rows:
         print(f"{row['check']}\t{'pass' if row['pass'] else 'FAIL'}\t"

@@ -11,7 +11,6 @@ base frame.  All chart work happens in the orthonormal coordinates of
 import itertools
 import json
 import numbers
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,9 +140,9 @@ class FamilySpec:
             a[i - 1, j - self.m - 1] += w * lam_cols[par - 1]
         return a
 
-    def rows(self, lam_batch, out=None):
+    def rows(self, lam_batch):
         """Rows callable for `transversality_probe`: `family_rows(self, .)`."""
-        return family_rows(self, lam_batch, out)
+        return family_rows(self, lam_batch)
 
 
 def slot_family(n, m, k, slots, radius, base=None):
@@ -188,13 +187,11 @@ def _ambient_rows(spec: FamilySpec, lam_batch, out):
                   range(spec.m, spec.n), spec.angles(lam_batch), out)
 
 
-def family_rows(spec: FamilySpec, lam_batch, out=None):
+def family_rows(spec: FamilySpec, lam_batch):
     """Spanning rows of V_lambda in ambient coordinates, (B, m, n).  Not
-    orthonormalized.  The result is a view of the (m, n, B) buffer `out`,
-    which the rows overwrite, or of a fresh one when out is None."""
+    orthonormalized.  The result is a view of a fresh (m, n, B) buffer."""
     lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-    if out is None:
-        out = np.empty((spec.m, spec.n, lam_batch.shape[0]))
+    out = np.empty((spec.m, spec.n, lam_batch.shape[0]))
     _ambient_rows(spec, lam_batch, out)
     return np.moveaxis(out, -1, 0)
 
@@ -407,17 +404,15 @@ class ExtendedFamily:
     def center(self):
         return np.concatenate([self.lam0, np.zeros(self.p * self.t)])
 
-    def rows(self, lam_batch, out=None):
+    def rows(self, lam_batch):
         """Spanning rows of the extended plane, ambient, (B, m+p, n).  The
-        result is a view of the (m+p, n, B) buffer `out`, which the rows
-        overwrite, or of a fresh one when out is None.  The rotations of
+        result is a view of a fresh (m+p, n, B) buffer.  The rotations of
         the added directions mix complement coordinates only, so their
         rows stay inside V_{lam0}^perp and are independent of lam1."""
         lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
         m, k, p, t = self.spec.m, self.spec.k, self.p, self.t
         B = lam_batch.shape[0]
-        if out is None:
-            out = np.empty((m + p, self.spec.n, B))
+        out = np.empty((m + p, self.spec.n, B))
         _ambient_rows(self.spec, lam_batch[:, :k], out[:m])
         _rotated_rows(self.ehat, range(t, t + p), range(t),
                       lam_batch[:, k:].T.reshape(p, t, B), out[m:])
@@ -475,11 +470,10 @@ SUBLEVEL_BATCH = 200_000
 # Samples per pool task.  Every step after the draw works sample by sample,
 # so the counts do not depend on this size.  It trades the per-slice Python
 # overhead against how evenly the slices of a batch spread over the CPUs,
-# and sizes each pool thread's rows buffer, (d, n, SUBLEVEL_SLICE) numbers
-# kept for the whole probe, and its scratch: this size keeps the peak
+# and sizes each pool thread's rows and scratch: this size keeps the peak
 # memory of two batches of draws near that of one batch with 32,768-sample
-# slices.  It divides SUBLEVEL_BATCH, so every slice of a full batch reuses
-# its thread's buffer and a batch splits evenly over two CPUs.
+# slices.  It divides SUBLEVEL_BATCH, so a batch splits evenly over two
+# CPUs.
 SUBLEVEL_SLICE = 25_000
 
 
@@ -509,31 +503,23 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
 
     Only the RNG runs on the calling thread; one `cpu_pool` scores the
     whole probe.  Each batch's draws are cut into slices of SUBLEVEL_SLICE
-    samples, and a pool thread turns a slice into parameters, writes its
-    rows into the thread's own buffer, orthonormalizes them in place and
-    counts every direction's hits.  With more than one usable CPU the
-    calling thread draws the next batch while the pool scores this one,
-    then sums this one's counts.  Counts are integers summed per slice, so
-    they equal a one-CPU run's."""
+    samples, and a pool thread turns a slice into parameters, builds its
+    fresh rows, orthonormalizes them in place and counts every direction's
+    hits.  With more than one usable CPU the calling thread draws the next
+    batch while the pool scores this one, then sums this one's counts.
+    Counts are integers summed per slice, so they equal a one-CPU run's."""
     rng = np.random.default_rng(seed)
     lam0 = np.asarray(lam0, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
-    size = SUBLEVEL_SLICE
-    buffers = threading.local()  # each pool thread's rows, (d, n, size)
 
     def slice_counts(draws, a):
         # the first step is out of place, since the slice is a view of the
         # batch's draws, which other threads read; the rest works in place
-        g, u = (x[a:a + size] for x in draws)
+        g, u = (x[a:a + SUBLEVEL_SLICE] for x in draws)
         lam = g / np.linalg.norm(g, axis=1, keepdims=True)
         lam *= (R * u ** (1.0 / k))[:, None]
         lam += lam0
-        # a ragged last slice gets fresh rows and leaves the buffer be
-        full = len(u) == size
-        out = getattr(buffers, "rows", None) if full else None
-        Q = np.ascontiguousarray(np.moveaxis(rows_fn(lam, out=out), 0, -1))
-        if full:
-            buffers.rows = Q
+        Q = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
         _orthonormalize(Q)
         counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
         for c, w in zip(counts, ws):
@@ -552,7 +538,7 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
             B = min(SUBLEVEL_BATCH, samples - done)
             draws = [rng.standard_normal((B, k)), rng.random(B)]
             scoring.append((draws, [pool.submit(slice_counts, draws, a)
-                                    for a in range(0, B, size)]))
+                                    for a in range(0, B, SUBLEVEL_SLICE)]))
         for batch in scoring:
             _add_batch(counts, *batch)
     return counts / samples, counts
@@ -598,11 +584,9 @@ def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     The calling thread draws the samples; slices of each batch are turned
     into rows and scored against every direction on the usable CPUs
     (`cpu_pool`), and the results are bitwise those of a one-CPU run.
-    rows_fn(lam, out=None) must write the (B, d, n) rows into out, a
-    (d, n, B) buffer, and return its view, or return a fresh array when
-    out is None, as `family_rows` and `ExtendedFamily.rows` do: each pool
-    thread passes its own buffer and orthonormalizes the rows in place,
-    so threads share no buffer they write.
+    rows_fn must return a fresh (B, d, n) array per call, as `family_rows`
+    and `ExtendedFamily.rows` do: the kernel orthonormalizes it in place
+    and writes no other buffer, so threads share none they write.
     Deterministic given the seed.  ValueError naming the argument when ws
     is not (D, n) with n the rows' width, lam0 does not have k entries, R
     or samples is not positive, or deltas is empty or not positive.

@@ -56,7 +56,7 @@ from .grassmann import (
     span_projector,
 )
 from .multivec import cauchy_binet_norm, gram_norm, wedge_operator_norm
-from .threads import cpu_map
+from .threads import cpu_pool
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,8 @@ def _grid_rows(cfg: ExperimentConfig, spec, grid, measure, bound):
         projected = project_points(family_frame(spec, row[1]), measure)
         return _estimate(projected, cfg.estimator, cfg.seed ^ row[0])
 
-    fit_data = cpu_map(estimate, enumerate(grid))
+    with cpu_pool() as pool:
+        fit_data = list(pool.map(estimate, enumerate(grid)))
     rows = [{
         "lambda": [float(v) for v in lam],
         "est_dim": float(est.value),

@@ -23,9 +23,3 @@ def cpu_pool():
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(usable_cpus()) as pool:
         yield pool
-
-
-def cpu_map(fn, items):
-    """[fn(x) for x in items], in order, on a `cpu_pool`."""
-    with cpu_pool() as pool:
-        return list(pool.map(fn, items))

@@ -238,7 +238,8 @@ def test_transversality_has_no_force_flag(fam_path):
     assert exc.value.code == 2
 
 
-def test_project_subcommand(tmp_path, fam_path, capsys):
+def _small_bound_check(tmp_path, fam_path):
+    """A four-row bound_check config on a level-6 Cantor cloud."""
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({
         "mode": "bound_check",
@@ -252,12 +253,43 @@ def test_project_subcommand(tmp_path, fam_path, capsys):
         "lambda_grid": [4],
         "tolerance": 0.15,
     }))
+    return exp
+
+
+def test_project_subcommand(tmp_path, fam_path, capsys):
+    exp = _small_bound_check(tmp_path, fam_path)
     out = tmp_path / "run"
     assert main(["project", str(exp), "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["violation_fraction"] == 0.0
     assert (out / "report.json").exists()
     assert (out / "per-lambda.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["transversality", "project"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, fam_path, capsys,
+                                               command):
+    # --out names an existing file (transversality) or a path below one
+    # (project): one stderr line names --out and the OS's reason
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "transversality":
+        out = blocker
+        argv = ["transversality", fam_path, "--seed", "1", "--samples",
+                "1000", "--out", str(out)]
+        reason = "File exists"
+    else:
+        out = blocker / "sub"
+        argv = ["project", str(_small_bound_check(tmp_path, fam_path)),
+                "--out", str(out)]
+        reason = "Not a directory"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"projlab {command}: --out: ")
+    assert err[0].endswith(f"{reason}: {str(out)!r}"), err
+    assert blocker.read_text() == ""
 
 
 def test_grid_subcommands_reject_mismatched_or_incomplete_config(
@@ -596,6 +628,15 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "check\tpass\tdetail\tseconds"
     assert "p_enumeration_vs_dots\tpass" in out
+
+
+def test_verify_filter_matching_no_check_exits_2(capsys):
+    # a mistyped filter runs nothing, so it must not read as a pass
+    assert main(["verify", "--filter", "nosuchcheck"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("projlab verify: --filter: 'nosuchcheck' "
+                            "matches no check\n")
 
 
 VERIFY_OUTPUT = """\

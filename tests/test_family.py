@@ -536,7 +536,7 @@ def probe_families():
     ext = extend_family(load_family(configs / "family_n4m2k3.json"),
                         np.zeros(3), 1, seed=2718)
     return [
-        ("base", lambda lam, out=None: family_rows(base, lam, out),
+        ("base", base.rows,
          lambda lam: _ref_family_rows(base, lam), base.k, np.zeros(base.k),
          0.5 * min(base.radii), lambda lam: family_frame(base, lam)),
         ("ext", ext.rows, lambda lam: _ref_extended_rows(ext, lam),
@@ -630,24 +630,11 @@ def test_rows_are_fresh_on_every_call(probe_families):
         assert not np.shares_memory(rows_fn(lam), rows_fn(lam)), name
 
 
-def test_rows_fill_a_given_buffer(probe_families):
-    # with out, the rows overwrite the caller's (d, n, B) buffer and come
-    # back as its (B, d, n) view, equal to fresh rows
-    rng = np.random.default_rng(5)
-    for name, rows_fn, _, k, center, R, _ in probe_families:
-        lam = center + rng.uniform(-R, R, size=(9, k))
-        fresh = rows_fn(lam)
-        buf = np.full(np.moveaxis(fresh, 0, -1).shape, np.nan)
-        got = rows_fn(lam, out=buf)
-        assert np.shares_memory(got, buf), name
-        assert np.array_equal(got, fresh), name
-
-
 def test_sublevel_counts_leave_nan_uncounted():
     spec = disjoint_slot_family(3, 2, 1)
 
-    def rows_fn(lam, out=None):
-        E = family_rows(spec, lam, out)
+    def rows_fn(lam):
+        E = family_rows(spec, lam)
         E[::3, 1, :] = np.nan
         return E
 
@@ -686,11 +673,12 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
 
 
 def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
-    # on one usable CPU a batch's draws, and each slice's projection
-    # buffers, are freed before the next batch is drawn, and the pool
-    # thread's rows buffer is reused, so three batches peak no higher than
-    # one.  On more CPUs the next batch is drawn while this one is scored
-    # (see test_draw_ahead_keeps_two_batches_of_draws)
+    # on one usable CPU a batch's draws, and each slice's fresh rows and
+    # projection buffers, are freed before the next batch is drawn: the
+    # pool thread holds one slice's rows while it scores them, so three
+    # batches peak no higher than one.  On more CPUs the next batch is
+    # drawn while this one is scored (see
+    # test_draw_ahead_keeps_two_batches_of_draws)
     _, rows_fn, _, k, center, R, frame_at = probe_families[1]
     ws = _panel(frame_at, center, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
@@ -713,19 +701,18 @@ def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
 def test_draw_ahead_keeps_two_batches_of_draws(probe_families, monkeypatch):
     # on two CPUs the calling thread draws the next batch while the pool
     # scores this one, so at most two batches of draws, k+1 numbers per
-    # sample, are alive.  A full batch splits into whole slices, so each
-    # pool thread holds, per sample of its slice, its rows buffer (d*n
-    # numbers), lam (k) and the temporaries of one step at a time: 2
-    # building lam (the norm, the radius factor); m(n-m) chart angles, n
-    # rotated coordinates and 4 for a Givens update (cos, sin, the new row,
-    # a product) writing the rows; n+1 orthonormalizing (a dot product and
-    # its product with a row); and 4 counting (a running sum, a square, a
-    # dot product, the previous direction's norms).  2**18 bytes cover the
-    # pool's Python objects.  With (m, n, d, k) = (2, 4, 3, 4) a thread
-    # holds at most 12 + 4 + 12 numbers per sample, and the bound is
-    # 27,462,144 B (26.19 MiB); the peak measured 25.60-25.99 MiB after a
-    # warm-up call.  Drawing all three batches up front adds a batch of
-    # draws, 7.63 MiB
+    # sample, are alive.  Each pool thread holds, per sample of the slice
+    # it scores, the slice's fresh rows (d*n numbers), lam (k) and the
+    # temporaries of one step at a time: 2 building lam (the norm, the
+    # radius factor); m(n-m) chart angles, n rotated coordinates and 4 for
+    # a Givens update (cos, sin, the new row, a product) writing the rows;
+    # n+1 orthonormalizing (a dot product and its product with a row); and
+    # 4 counting (a running sum, a square, a dot product, the previous
+    # direction's norms).  2**18 bytes cover the pool's Python objects.
+    # With (m, n, d, k) = (2, 4, 3, 4) a thread holds at most 12 + 4 + 12
+    # numbers per sample, and the bound is 27,462,144 B (26.19 MiB); the
+    # peak measured 24.46-25.99 MiB after a warm-up call.  Drawing all
+    # three batches up front adds a batch of draws, 7.63 MiB
     _, rows_fn, _, k, center, R, frame_at = probe_families[1]
     ws = _panel(frame_at, center, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)

@@ -82,26 +82,31 @@ def test_every_definition_is_read():
     assert not unread, "defined but never read:\n" + "\n".join(unread)
 
 
-# names that start threads or size a thread pool: only threads.py uses them
+# names that start threads, size a thread pool or hold thread state (the
+# modules threading and concurrent.futures): only threads.py uses them
 _THREAD_SIZING = ("ThreadPoolExecutor", "Thread", "sched_getaffinity",
-                  "cpu_count")
+                  "cpu_count", "threading", "concurrent.futures")
 
 
 def _thread_sizing_uses(path):
     """(line, name) of each use of a _THREAD_SIZING name in the file, as a
-    name, an attribute or an imported name."""
+    name, an attribute, an imported name or module, or a module imported
+    from."""
     uses = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
-            name = node.id
+            names = [node.id]
         elif isinstance(node, ast.Attribute):
-            name = node.attr
+            names = [node.attr]
         elif isinstance(node, ast.alias):
-            name = node.name.split(".")[-1]
+            names = {node.name, node.name.split(".")[-1]}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
         else:
             continue
-        if name in _THREAD_SIZING:
-            uses.append((node.lineno, name))
+        uses += [(node.lineno, name) for name in names
+                 if name in _THREAD_SIZING]
     return uses
 
 
@@ -111,8 +116,8 @@ def test_only_threads_module_sizes_threads():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in sorted(src.glob("*.py")) if path.name != "threads.py"
              for line, name in _thread_sizing_uses(path)]
-    assert not found, "threads started or sized outside threads.py:\n" + (
-        "\n".join(found))
+    assert not found, ("threads started, sized or held outside "
+                       "threads.py:\n" + "\n".join(found))
 
 
 def test_cli_import_loads_no_heavy_module():
