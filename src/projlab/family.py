@@ -120,12 +120,6 @@ class FamilySpec:
             raise ValueError("domain radii must lie in (1e-300, pi/4]")
         object.__setattr__(self, "comp", complement(self.base))
 
-    def contains(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return lam.shape == (self.k,) and bool(
-            np.all(np.abs(lam) < np.asarray(self.radii))
-        )
-
     def coordinate_matrix(self):
         """Rows = (base frame, complement frame): the orthonormal chart
         coordinate system of the family."""
@@ -141,7 +135,8 @@ class FamilySpec:
         return a
 
     def rows(self, lam_batch):
-        """Rows callable for `transversality_probe`: `family_rows(self, .)`."""
+        """Spanning rows of V_lambda for a batch of parameters, (B, m, n),
+        a fresh array on every call: `family_rows(self, .)`."""
         return family_rows(self, lam_batch)
 
 
@@ -196,14 +191,21 @@ def family_rows(spec: FamilySpec, lam_batch):
     return np.moveaxis(out, -1, 0)
 
 
-def family_frame(spec: FamilySpec, lam) -> Frame:
-    """Orthonormal frame of V_lambda (span-preserving orthonormalization
-    of the rotated chart rows)."""
+def _parameter(family, lam):
+    """lam as an array, once checked to be a parameter of the family (a
+    FamilySpec or an ExtendedFamily): k entries inside the open box of
+    half-widths family.radii around 0; ValueError otherwise."""
     lam = np.asarray(lam, dtype=float)
-    if not spec.contains(lam):
+    if lam.shape != (family.k,) or not np.all(np.abs(lam) < family.radii):
         raise ValueError("parameter outside the family domain")
-    rows = family_rows(spec, lam[None, :])[0]
-    return span_frame(rows)
+    return lam
+
+
+def family_frame(family, lam) -> Frame:
+    """Orthonormal frame of V_lambda of a FamilySpec or an ExtendedFamily
+    (span-preserving orthonormalization of family.rows at lam)."""
+    lam = _parameter(family, lam)
+    return span_frame(family.rows(lam[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +274,7 @@ class FamilyJacobian:
 
 def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     """Assemble the maps A_a : V^perp -> V at site lam0, analytically."""
-    lam0 = np.asarray(lam0, dtype=float)
-    if not spec.contains(lam0):
-        raise ValueError("site outside the family domain")
-    rows, dPis = _projector_derivs(spec, lam0)
+    rows, dPis = _projector_derivs(spec, _parameter(spec, lam0))
     g = orthonormalize(rows)  # plane basis, chart coords
     f = complement(Frame(g)).basis  # complement basis, chart coords
     A = np.einsum("rm,amn,cn->arc", g, dPis, f)
@@ -377,15 +376,16 @@ EXTRA_RADIUS = 0.4
 
 @dataclass(frozen=True)
 class ExtendedFamily:
-    """The (m+p)-plane family built over a base family at a site.
+    """The (m+p)-plane family built over a base family at its center 0.
 
-    Parameters are (lam1, lam2): lam1 the k original parameters, lam2 the
-    p*t extra rotation angles that swing the added complement directions
-    ehat_{m+t+1..n} toward the witness directions ehat_{m+1..m+t}.
+    Parameters are (lam1, lam2): lam1 the base family's parameters, lam2
+    the p*t extra rotation angles that swing the added complement
+    directions ehat_{m+t+1..n} toward the witness directions
+    ehat_{m+1..m+t}.  Like a FamilySpec, its domain is the open box of
+    half-widths `radii` around 0 in R^k.
     """
 
     spec: FamilySpec
-    lam0: np.ndarray
     l: int
     p: int
     t: int
@@ -393,22 +393,24 @@ class ExtendedFamily:
     d_prime_hat: float  # the witness search's margin on W
 
     @property
-    def k_total(self):
+    def k(self):
         return self.spec.k + self.p * self.t
+
+    @property
+    def radii(self):
+        """The base family's radii, then EXTRA_RADIUS per added angle."""
+        return self.spec.radii + (EXTRA_RADIUS,) * (self.p * self.t)
 
     @property
     def target_order(self):
         """Transversality order r = l + 1 + p aimed at by the construction."""
         return self.l + 1 + self.p
 
-    def center(self):
-        return np.concatenate([self.lam0, np.zeros(self.p * self.t)])
-
     def rows(self, lam_batch):
         """Spanning rows of the extended plane, ambient, (B, m+p, n).  The
         result is a view of a fresh (m+p, n, B) buffer.  The rotations of
         the added directions mix complement coordinates only, so their
-        rows stay inside V_{lam0}^perp and are independent of lam1."""
+        rows stay inside V_0^perp and are independent of lam1."""
         lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
         m, k, p, t = self.spec.m, self.spec.k, self.p, self.t
         B = lam_batch.shape[0]
@@ -419,16 +421,14 @@ class ExtendedFamily:
         return np.moveaxis(out, -1, 0)
 
     def frame(self, lam) -> Frame:
-        return span_frame(self.rows(lam)[0])
-
-    def domain_radii(self):
-        base = np.asarray(self.spec.radii) - np.abs(self.lam0)
-        return np.concatenate([base, np.full(self.p * self.t,
-                                             EXTRA_RADIUS)])
+        """`family_frame(self, lam)`, kept as a method only because the
+        benchmark's traced runs wrap it by name."""
+        return family_frame(self, lam)
 
 
-def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
-    """Build the extended (m+p)-plane family at a site, p = p(l).
+def extend_family(spec: FamilySpec, l, seed=0) -> ExtendedFamily:
+    """Build the extended (m+p)-plane family at the center 0 of spec's
+    box, p = p(l).
 
     Finds a witness subspace W of dimension t = n - m - p, completes its
     basis inside the complement, and adds p*t rotation parameters driving
@@ -436,7 +436,6 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
     and the extended family is the original one viewed through this
     interface.
     """
-    lam0 = np.asarray(lam0, dtype=float)
     n, m, k = spec.n, spec.m, spec.k
     p = p_of_l(n, m, k, l)
     if p >= n - m:
@@ -444,7 +443,7 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
             f"p(l)={p} >= n-m={n - m}: nothing to extend, bound is trivial"
         )
     t = n - m - p
-    J = family_jacobian(spec, lam0)
+    J = family_jacobian(spec, np.zeros(k))
     found = find_witness_subspace(J, t, l, seed=seed)
     W_coords = found["W_comp_coords"]  # (t, n-m) in comp-frame coords
     full = np.linalg.qr(
@@ -452,7 +451,7 @@ def extend_family(spec: FamilySpec, lam0, l, seed=0) -> ExtendedFamily:
     )[0].T
     ehat_coords = np.vstack([W_coords, full[t:]])
     ehat = ehat_coords @ J.comp_frame.basis
-    return ExtendedFamily(spec, lam0, l, p, t, ehat, found["d_prime_hat"])
+    return ExtendedFamily(spec, l, p, t, ehat, found["d_prime_hat"])
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +494,11 @@ def _projection_norm(Q, w):
     return np.sqrt(sum(np.square(w @ q) for q in Q))
 
 
-def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
+def _sublevel_fractions(family, R, ws, deltas, samples, seed):
     """Fractions and counts, (D, len(deltas)) each, of the samples lam in
-    the ball B(lam0, R) with |Pi_{V_lam} w| <= delta, for each of the D
-    directions w in ws and each delta (in the given order).  Every
-    direction is scored on the same samples.
+    the ball B(0, R) of the family's parameters with |Pi_{V_lam} w| <=
+    delta, for each of the D directions w in ws and each delta (in the
+    given order).  Every direction is scored on the same samples.
 
     Only the RNG runs on the calling thread; one `cpu_pool` scores the
     whole probe.  Each batch's draws are cut into slices of SUBLEVEL_SLICE
@@ -509,7 +508,6 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     batch while the pool scores this one, then sums this one's counts.
     Counts are integers summed per slice, so they equal a one-CPU run's."""
     rng = np.random.default_rng(seed)
-    lam0 = np.asarray(lam0, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
 
     def slice_counts(draws, a):
@@ -517,9 +515,8 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
         # batch's draws, which other threads read; the rest works in place
         g, u = (x[a:a + SUBLEVEL_SLICE] for x in draws)
         lam = g / np.linalg.norm(g, axis=1, keepdims=True)
-        lam *= (R * u ** (1.0 / k))[:, None]
-        lam += lam0
-        Q = np.ascontiguousarray(np.moveaxis(rows_fn(lam), 0, -1))
+        lam *= (R * u ** (1.0 / family.k))[:, None]
+        Q = np.ascontiguousarray(np.moveaxis(family.rows(lam), 0, -1))
         _orthonormalize(Q)
         counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
         for c, w in zip(counts, ws):
@@ -536,7 +533,7 @@ def _sublevel_fractions(rows_fn, k, lam0, R, ws, deltas, samples, seed):
             if len(scoring) == alive:
                 _add_batch(counts, *scoring.pop(0))
             B = min(SUBLEVEL_BATCH, samples - done)
-            draws = [rng.standard_normal((B, k)), rng.random(B)]
+            draws = [rng.standard_normal((B, family.k)), rng.random(B)]
             scoring.append((draws, [pool.submit(slice_counts, draws, a)
                                     for a in range(0, B, SUBLEVEL_SLICE)]))
         for batch in scoring:
@@ -570,13 +567,14 @@ def _fit_exponent(deltas, fractions, counts):
             "diagnostic": None}
 
 
-def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
+def transversality_probe(family, R, ws, deltas, samples, seed):
     """Monte-Carlo estimate of the sublevel-set volume scaling exponent of
-    each direction w in ws, (D, n): one result dict per direction, whose
-    'deltas' are the given deltas in descending order.
+    each direction w in ws, (D, n), over a FamilySpec or an ExtendedFamily:
+    one result dict per direction, whose 'deltas' are the given deltas in
+    descending order.
 
     For each delta, estimates the volume fraction of parameters lam in the
-    ball B(lam0, R) with |Pi_{V_lam}(w)| <= delta, then fits the slope of
+    ball B(0, R) with |Pi_{V_lam}(w)| <= delta, then fits the slope of
     log fraction against log delta over the resolvable range: deltas with
     at least 16 hits and a fraction of at most 0.5 (saturated scales carry
     no exponent information).  All directions share one sample cloud drawn
@@ -584,23 +582,22 @@ def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     The calling thread draws the samples; slices of each batch are turned
     into rows and scored against every direction on the usable CPUs
     (`cpu_pool`), and the results are bitwise those of a one-CPU run.
-    rows_fn must return a fresh (B, d, n) array per call, as `family_rows`
-    and `ExtendedFamily.rows` do: the kernel orthonormalizes it in place
-    and writes no other buffer, so threads share none they write.
+    family.rows must return a fresh (B, d, n) array per call, as
+    `FamilySpec.rows` and `ExtendedFamily.rows` do: the kernel
+    orthonormalizes it in place and writes no other buffer, so threads
+    share none they write.  The ball must lie in the family's box, 0 < R
+    <= min(family.radii), so every sample is a parameter of the family.
     Deterministic given the seed.  ValueError naming the argument when ws
-    is not (D, n) with n the rows' width, lam0 does not have k entries, R
-    or samples is not positive, or deltas is empty or not positive.
+    is not (D, n) with n the rows' width, R leaves that range, samples is
+    not positive, or deltas is empty or not positive.
     """
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 2:
         raise ValueError(f"ws must be a (D, n) array of directions, got "
                          f"shape {ws.shape}")
-    lam0 = np.asarray(lam0, dtype=float)
-    if lam0.shape != (k,):
-        raise ValueError(f"lam0 must have k={k} entries, got shape "
-                         f"{lam0.shape}")
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not 0 < R <= min(family.radii):
+        raise ValueError(f"R must lie in (0, {min(family.radii)}], the "
+                         f"family's smallest radius, got {R}")
     if not (isinstance(samples, numbers.Integral) and samples > 0):
         raise ValueError(f"samples must be a positive integer, got "
                          f"{samples!r}")
@@ -608,14 +605,13 @@ def transversality_probe(rows_fn, k, lam0, R, ws, deltas, samples, seed):
     if not (deltas.ndim == 1 and deltas.size and np.all(deltas > 0)):
         raise ValueError(f"deltas must be a non-empty list of positive "
                          f"numbers, got {deltas.tolist()}")
-    n = rows_fn(lam0[None, :]).shape[-1]
+    n = family.rows(np.zeros((1, family.k))).shape[-1]
     if ws.shape[1] != n:
         raise ValueError(f"ws must have n={n} columns, the width of the "
                          f"rows, got shape {ws.shape}")
     deltas = np.sort(deltas)[::-1]
-    fractions, counts = _sublevel_fractions(
-        rows_fn, k, lam0, R, ws, deltas, samples, seed
-    )
+    fractions, counts = _sublevel_fractions(family, R, ws, deltas,
+                                            samples, seed)
     return [_fit_exponent(deltas, f, c) for f, c in zip(fractions, counts)]
 
 

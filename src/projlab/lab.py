@@ -348,8 +348,8 @@ def _provenance(cfg: ExperimentConfig, spec: FamilySpec):
 # Experiment modes
 # ---------------------------------------------------------------------------
 
-def _gate_nondegenerate(spec, lam_center, force):
-    check = nondegeneracy_check(spec, lam_center)
+def _gate_nondegenerate(spec, force):
+    check = nondegeneracy_check(spec, np.zeros(spec.k))
     if not check["pass"] and not force:
         raise ConfigError(
             f"field 'family' fails the non-degeneracy check at the grid "
@@ -385,7 +385,7 @@ def run_bound_check(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     spec = check_config(cfg, "bound_check")
     grid = lambda_grid(spec, cfg.lambda_grid or (8,))
-    gate = _gate_nondegenerate(spec, np.zeros(spec.k), cfg.force)
+    gate = _gate_nondegenerate(spec, cfg.force)
     measure = _build(build_measure, cfg.measure, cfg.seed)
     if measure.ambient_dim != spec.n:
         raise ConfigError(f"field 'measure' lives in R^{measure.ambient_dim},"
@@ -434,7 +434,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     l, s = cfg.l, cfg.s
     p = p_of_l(n, m, k, l)
     grid = lambda_grid(spec, cfg.lambda_grid or (8,))
-    _gate_nondegenerate(spec, np.zeros(k), cfg.force)
+    _gate_nondegenerate(spec, cfg.force)
     measure = _build(sharpness_measure, n, l, p, s, cfg.level,
                      cfg.sample_count, cfg.seed)
     target = l + s
@@ -462,34 +462,23 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     spec = check_config(cfg, "transversality")
     rng = np.random.default_rng(cfg.seed)
     if cfg.l is not None and p_of_l(spec.n, spec.m, spec.k, cfg.l) > 0:
-        ext = extend_family(spec, np.zeros(spec.k), cfg.l, seed=cfg.seed)
-        rows_fn = ext.rows
-        k_total = ext.k_total
-        center = ext.center()
-        radii = ext.domain_radii()
-        target = ext.target_order
-        frame_at = ext.frame
+        family = extend_family(spec, cfg.l, seed=cfg.seed)
+        target = family.target_order
     else:
-        ext = None
-        rows_fn = spec.rows
-        k_total = spec.k
-        center = np.zeros(spec.k)
-        radii = np.asarray(spec.radii)
-        target = (cfg.l or 0) + 1
-        frame_at = lambda lam: family_frame(spec, lam)
-    R = 0.5 * float(np.min(radii))
+        family, target = spec, (cfg.l or 0) + 1
+    R = 0.5 * min(family.radii)
     deltas = (np.asarray(cfg.deltas, dtype=float) if cfg.deltas
               else np.geomspace(0.3, 1e-3, 10))
     # the panel's directions first, then one probe call scores them all
     # on one parameter cloud drawn from cfg.seed
     ws = []
     for _ in range(cfg.n_directions):
-        lam_star = center + (rng.random(k_total) - 0.5) * R
-        comp = complement(frame_at(lam_star))
+        lam_star = (rng.random(family.k) - 0.5) * R
+        comp = complement(family_frame(family, lam_star))
         w = rng.standard_normal(comp.plane_dim) @ comp.basis
         ws.append(w / np.linalg.norm(w))
-    probes = transversality_probe(rows_fn, k_total, center, R, ws, deltas,
-                                  cfg.mc_samples, seed=cfg.seed)
+    probes = transversality_probe(family, R, ws, deltas, cfg.mc_samples,
+                                  seed=cfg.seed)
     exponents, panel = [], []
     for w, probe in zip(ws, probes):
         entry = {"w": [float(v) for v in w], "exponent": None,
@@ -501,7 +490,7 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
         panel.append(entry)
     summary = {
         "target_order": int(target),
-        "extended": ext is not None,
+        "extended": family is not spec,
         "median_exponent": float(np.median(exponents)) if exponents else None,
         "min_exponent": float(np.min(exponents)) if exponents else None,
         "max_exponent": float(np.max(exponents)) if exponents else None,
@@ -702,14 +691,13 @@ def extension_wedge_margin(count, seed):
     unit witness vectors, the margin d'/sqrt(t)^p it must clear).  Here
     t = 2; at t = 1 the witness sphere is one point and the smallest
     wedge equals the margin, so the check could show no slack."""
-    ext = extend_family(disjoint_slot_family(5, 2, 5), np.zeros(5), l=1,
-                        seed=0)
+    ext = extend_family(disjoint_slot_family(5, 2, 5), l=1, seed=0)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(count):
         z = rng.standard_normal(ext.t) @ ext.ehat[:ext.t]
         z /= np.linalg.norm(z)
-        M = _central_differences(ext.rows, ext.center(), z, 1e-5)
+        M = _central_differences(ext.rows, np.zeros(ext.k), z, 1e-5)
         worst = min(worst, wedge_operator_norm(M, ext.target_order))
     return worst, ext.d_prime_hat / np.sqrt(ext.t) ** ext.p
 

@@ -1,4 +1,6 @@
-"""Every script in demos/ runs to completion against the package source."""
+"""Every script in demos/ runs to completion against the package source,
+with a RuntimeWarning an error, as pyproject.toml makes it for the
+in-process tests."""
 
 import os
 import subprocess
@@ -14,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -300,13 +301,12 @@ def test_find_witness_rejects_failed_hypothesis():
 
 def test_extend_family_shapes_and_center():
     spec = disjoint_slot_family(4, 2, 3)
-    ext = extend_family(spec, np.zeros(3), l=1, seed=0)
+    ext = extend_family(spec, l=1, seed=0)
     assert (ext.p, ext.t) == (1, 1)
-    assert ext.k_total == 4
+    assert ext.k == 4
     assert ext.spec.m + ext.p == 3
     assert ext.target_order == 3
-    c = ext.center()
-    rows = ext.rows(c[None, :])[0]
+    rows = ext.rows(np.zeros((1, ext.k)))[0]
     assert rows.shape == (3, 4)
     # at the center the extra row is the completed direction, orthogonal
     # to the base plane
@@ -316,7 +316,19 @@ def test_extend_family_shapes_and_center():
 def test_extend_family_rejects_trivial_p():
     spec = disjoint_slot_family(4, 2, 1)
     with pytest.raises(ValueError):
-        extend_family(spec, np.zeros(1), l=1)  # p(1) = 2 = n - m
+        extend_family(spec, l=1)  # p(1) = 2 = n - m
+
+
+def test_extended_frame_rejects_parameters_outside_its_box():
+    # the box: radius pi/8 for each base parameter, EXTRA_RADIUS = 0.4 for
+    # the added angle
+    ext = extend_family(disjoint_slot_family(4, 2, 3), l=1)
+    assert ext.radii == (np.pi / 8,) * 3 + (0.4,)
+    for lam in (np.full(4, 3.0), [0.0, 0.0, 0.0, 0.4], [0.0, 0.0, 0.4, 0.0],
+                np.zeros(3)):
+        with pytest.raises(ValueError, match="outside the family domain"):
+            ext.frame(lam)
+    assert ext.frame([0.0, 0.0, 0.38, 0.39]).basis.shape == (3, 4)
 
 
 def test_extended_plane_derivative_check_passes_for_orthogonal_u():
@@ -378,8 +390,8 @@ def test_transversality_probe_known_exponent():
     spec = disjoint_slot_family(3, 2, 1)
     w = np.array([0.0, 0.0, 1.0])  # complement vector at lam = 0
     deltas = np.geomspace(1e-3, 1e-1, 8)
-    [res] = transversality_probe(spec.rows, 1, np.zeros(1),
-                                 0.3, [w], deltas, samples=200_000, seed=0)
+    [res] = transversality_probe(spec, 0.3, [w], deltas, samples=200_000,
+                                 seed=0)
     assert res["exponent"] is not None
     assert res["exponent"] == pytest.approx(1.0, abs=0.1)
 
@@ -389,8 +401,8 @@ def test_transversality_probe_never_small():
     spec = disjoint_slot_family(4, 2, 1)
     w = np.array([0.0, 1.0, 0.0, 0.0])  # e2 is fixed by slot (1, 3)
     deltas = np.geomspace(1e-4, 1e-2, 6)
-    [res] = transversality_probe(spec.rows, 1, np.zeros(1),
-                                 0.2, [w], deltas, samples=20_000, seed=0)
+    [res] = transversality_probe(spec, 0.2, [w], deltas, samples=20_000,
+                                 seed=0)
     assert res["exponent"] is None
     assert res["diagnostic"] == "direction never near kernel"
 
@@ -399,10 +411,8 @@ def test_transversality_probe_deterministic():
     spec = disjoint_slot_family(3, 2, 1)
     ws = [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]]
     deltas = np.geomspace(1e-3, 1e-1, 6)
-    a = transversality_probe(spec.rows, 1, np.zeros(1),
-                             0.3, ws, deltas, samples=50_000, seed=7)
-    b = transversality_probe(spec.rows, 1, np.zeros(1),
-                             0.3, ws, deltas, samples=50_000, seed=7)
+    a = transversality_probe(spec, 0.3, ws, deltas, samples=50_000, seed=7)
+    b = transversality_probe(spec, 0.3, ws, deltas, samples=50_000, seed=7)
     assert len(a) == len(b) == 2
     for ra, rb in zip(a, b):
         assert np.array_equal(ra["fractions"], rb["fractions"])
@@ -412,14 +422,14 @@ def test_transversality_probe_deterministic():
 def test_transversality_probe_rejects_a_single_vector():
     spec = disjoint_slot_family(3, 2, 1)
     with pytest.raises(ValueError, match=r"\(D, n\)"):
-        transversality_probe(spec.rows, 1, np.zeros(1), 0.3,
-                             np.array([0.0, 0.0, 1.0]), [0.1], 100, seed=0)
+        transversality_probe(spec, 0.3, np.array([0.0, 0.0, 1.0]), [0.1],
+                             100, seed=0)
 
 
 def test_transversality_probe_empty_panel():
     spec = disjoint_slot_family(3, 2, 1)
-    assert transversality_probe(spec.rows, 1, np.zeros(1), 0.3,
-                                np.zeros((0, 3)), [0.1], 100, seed=0) == []
+    assert transversality_probe(spec, 0.3, np.zeros((0, 3)), [0.1], 100,
+                                seed=0) == []
 
 
 @pytest.mark.parametrize("argument, edit", [
@@ -429,14 +439,13 @@ def test_transversality_probe_empty_panel():
     ("deltas", dict(deltas=[])),
     ("R", dict(R=0.0)),
     ("R", dict(R=-0.3)),
-    ("lam0", dict(lam0=np.zeros(2))),
+    ("R", dict(R=0.5)),  # the ball leaves the box of radius pi/8
 ], ids=["samples_0", "ws_width", "delta_negative", "deltas_empty", "R_0",
-        "R_negative", "lam0_length"])
+        "R_negative", "R_outside"])
 def test_transversality_probe_rejects_bad_arguments(argument, edit):
     spec = disjoint_slot_family(3, 2, 1)
-    args = dict(rows_fn=spec.rows, k=1, lam0=np.zeros(1), R=0.3,
-                ws=[[0.0, 0.0, 1.0]], deltas=[0.1, 0.01], samples=100,
-                seed=0)
+    args = dict(family=spec, R=0.3, ws=[[0.0, 0.0, 1.0]],
+                deltas=[0.1, 0.01], samples=100, seed=0)
     with pytest.raises(ValueError, match=rf"^{argument} must"):
         transversality_probe(**{**args, **edit})
 
@@ -502,7 +511,7 @@ def _kernel_norms(E, w):
     return _projection_norm(Q, w)
 
 
-def _ref_counts(rows_fn, k, lam0, R, w, deltas, samples, seed,
+def _ref_counts(rows_fn, k, R, w, deltas, samples, seed,
                 norms=_solve_norms):
     """Hit counts per delta from the same RNG stream, counted as
     vals <= delta on the values `norms` gives."""
@@ -516,7 +525,7 @@ def _ref_counts(rows_fn, k, lam0, R, w, deltas, samples, seed,
         g = rng.standard_normal((B, k))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = R * rng.random(B) ** (1.0 / k)
-        lam = lam0 + g * radii[:, None]
+        lam = g * radii[:, None]
         vals = norms(rows_fn(lam), w)
         counts += (vals[:, None] <= deltas[None, :]).sum(axis=0)
         values.append(vals)
@@ -526,37 +535,38 @@ def _ref_counts(rows_fn, k, lam0, R, w, deltas, samples, seed,
 
 @pytest.fixture(scope="module")
 def probe_families():
-    """(name, rows_fn, reference rows, k, center, R, frame_at) for the
-    base family of configs/family_n3m2k1.json and the extension of
+    """(name, family, reference rows) for the base family of
+    configs/family_n3m2k1.json and the extension of
     configs/family_n4m2k3.json at l = 1."""
     from pathlib import Path
 
     configs = Path(__file__).resolve().parent.parent / "configs"
     base = load_family(configs / "family_n3m2k1.json")
-    ext = extend_family(load_family(configs / "family_n4m2k3.json"),
-                        np.zeros(3), 1, seed=2718)
+    ext = extend_family(load_family(configs / "family_n4m2k3.json"), 1,
+                        seed=2718)
     return [
-        ("base", base.rows,
-         lambda lam: _ref_family_rows(base, lam), base.k, np.zeros(base.k),
-         0.5 * min(base.radii), lambda lam: family_frame(base, lam)),
-        ("ext", ext.rows, lambda lam: _ref_extended_rows(ext, lam),
-         ext.k_total, ext.center(), 0.5 * float(np.min(ext.domain_radii())),
-         ext.frame),
+        ("base", base, lambda lam: _ref_family_rows(base, lam)),
+        ("ext", ext, lambda lam: _ref_extended_rows(ext, lam)),
     ]
 
 
-def _kernel_direction(frame_at, center, R, seed):
+def _probe_radius(fam):
+    """The radius of the transversality runner's probe ball."""
+    return 0.5 * min(fam.radii)
+
+
+def _kernel_direction(fam, R, seed):
     """A unit vector orthogonal to the plane at a random parameter of the
     probe ball, as the transversality runner draws them."""
     rng = np.random.default_rng(seed)
-    lam_star = center + (rng.random(len(center)) - 0.5) * R
-    comp = complement(frame_at(lam_star))
+    lam_star = (rng.random(fam.k) - 0.5) * R
+    comp = complement(family_frame(fam, lam_star))
     w = rng.standard_normal(comp.plane_dim) @ comp.basis
     return w / np.linalg.norm(w)
 
 
-def _panel(frame_at, center, R, seed, count=3):
-    return np.array([_kernel_direction(frame_at, center, R, seed + i)
+def _panel(fam, R, seed, count=3):
+    return np.array([_kernel_direction(fam, R, seed + i)
                      for i in range(count)])
 
 
@@ -568,13 +578,14 @@ def test_sublevel_counts_equal_solve_reference(probe_families, seed):
     # and repeat two values
     deltas = np.array([0.05, 0.3, 0.002, 0.05, 0.1, 0.01, 0.02, 0.002])
     samples = SUBLEVEL_BATCH + 1
-    for name, rows_fn, ref_rows, k, center, R, frame_at in probe_families:
-        ws = _panel(frame_at, center, R, seed)
-        fractions, counts = _sublevel_fractions(
-            rows_fn, k, center, R, ws, deltas, samples, seed)
+    for name, fam, ref_rows in probe_families:
+        R = _probe_radius(fam)
+        ws = _panel(fam, R, seed)
+        fractions, counts = _sublevel_fractions(fam, R, ws, deltas, samples,
+                                                seed)
         assert counts.shape == fractions.shape == (len(ws), len(deltas))
         for i, w in enumerate(ws):
-            ref, _ = _ref_counts(ref_rows, k, center, R, w, deltas, samples,
+            ref, _ = _ref_counts(ref_rows, fam.k, R, w, deltas, samples,
                                  seed)
             assert counts[i].tolist() == ref.tolist(), (name, i)
             assert counts[i, 0] > 0 and counts[i, 2] < samples, (name, i)
@@ -588,16 +599,16 @@ def test_sublevel_counts_at_tied_deltas(probe_families, seed):
     # is checked on the values the kernel itself produces, with deltas
     # picked from the first direction's values
     samples = 50_000
-    for name, rows_fn, _, k, center, R, frame_at in probe_families:
-        ws = _panel(frame_at, center, R, seed, count=2)
-        _, vals = _ref_counts(rows_fn, k, center, R, ws[0], [1.0], samples,
+    for name, fam, _ in probe_families:
+        R = _probe_radius(fam)
+        ws = _panel(fam, R, seed, count=2)
+        _, vals = _ref_counts(fam.rows, fam.k, R, ws[0], [1.0], samples,
                               seed, norms=_kernel_norms)
         picks = np.sort(vals)[[0, 1, 100, 2_000, 25_000, 25_000, -1]]
         deltas = np.concatenate([picks, np.nextafter(picks, 0.0)])[::-1]
-        _, counts = _sublevel_fractions(rows_fn, k, center, R, ws, deltas,
-                                        samples, seed)
+        _, counts = _sublevel_fractions(fam, R, ws, deltas, samples, seed)
         for i, w in enumerate(ws):
-            ref, _ = _ref_counts(rows_fn, k, center, R, w, deltas, samples,
+            ref, _ = _ref_counts(fam.rows, fam.k, R, w, deltas, samples,
                                  seed, norms=_kernel_norms)
             assert counts[i].tolist() == ref.tolist(), (name, i)
         at_pick, below = counts[0, len(picks):], counts[0, :len(picks)]
@@ -608,14 +619,15 @@ def test_panel_directions_equal_one_direction_probes(probe_families):
     # the shared cloud is drawn from the seed alone: direction i of a
     # panel, and direction 0 in particular, equals a probe of w_i alone
     deltas = np.geomspace(0.3, 1e-3, 10)
-    for name, rows_fn, _, k, center, R, frame_at in probe_families:
-        ws = _panel(frame_at, center, R, 5)
-        panel = transversality_probe(rows_fn, k, center, R, ws, deltas,
-                                     samples=60_000, seed=2718)
+    for name, fam, _ in probe_families:
+        R = _probe_radius(fam)
+        ws = _panel(fam, R, 5)
+        panel = transversality_probe(fam, R, ws, deltas, samples=60_000,
+                                     seed=2718)
         assert len(panel) == len(ws)
         for w, res in zip(ws, panel):
-            [alone] = transversality_probe(rows_fn, k, center, R, [w],
-                                           deltas, samples=60_000, seed=2718)
+            [alone] = transversality_probe(fam, R, [w], deltas,
+                                           samples=60_000, seed=2718)
             assert np.array_equal(res["fractions"], alone["fractions"]), name
             assert res["exponent"] == alone["exponent"], name
             assert res["diagnostic"] == alone["diagnostic"], name
@@ -625,9 +637,31 @@ def test_rows_are_fresh_on_every_call(probe_families):
     # the probe orthonormalizes the rows in place, so two calls of
     # family_rows or ExtendedFamily.rows must not share a buffer
     rng = np.random.default_rng(4)
-    for name, rows_fn, _, k, center, R, _ in probe_families:
-        lam = center + rng.uniform(-R, R, size=(9, k))
-        assert not np.shares_memory(rows_fn(lam), rows_fn(lam)), name
+    for name, fam, _ in probe_families:
+        R = _probe_radius(fam)
+        lam = rng.uniform(-R, R, size=(9, fam.k))
+        assert not np.shares_memory(fam.rows(lam), fam.rows(lam)), name
+
+
+def test_probe_samples_lie_in_the_family_box(probe_families):
+    # every lam the probe hands to family.rows is a parameter of the
+    # family, even when its ball reaches the box's smallest radius
+    deltas = np.geomspace(0.3, 1e-3, 4)
+    for name, fam, _ in probe_families:
+        R = min(fam.radii)
+        seen = []
+
+        def rows(lam, fam=fam, seen=seen):
+            seen.append(np.array(lam))
+            return fam.rows(lam)
+
+        recorder = types.SimpleNamespace(rows=rows, k=fam.k, radii=fam.radii)
+        transversality_probe(recorder, R, _panel(fam, R, 3, count=2), deltas,
+                             samples=50_000, seed=7)
+        lam = np.concatenate(seen)
+        assert len(lam) == 50_001, name  # and the probe's width check
+        assert np.all(np.abs(lam) < np.asarray(fam.radii)), name
+        assert np.max(np.linalg.norm(lam, axis=1)) > 0.99 * R, name
 
 
 def test_sublevel_counts_leave_nan_uncounted():
@@ -638,13 +672,12 @@ def test_sublevel_counts_leave_nan_uncounted():
         E[::3, 1, :] = np.nan
         return E
 
+    stand_in = types.SimpleNamespace(rows=rows_fn, k=1, radii=spec.radii)
     ws = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
     deltas = np.array([0.01, 0.1, np.inf])
-    _, counts = _sublevel_fractions(rows_fn, 1, np.zeros(1), 0.3, ws,
-                                    deltas, 3_000, 5)
+    _, counts = _sublevel_fractions(stand_in, 0.3, ws, deltas, 3_000, 5)
     for i, w in enumerate(ws):
-        ref, vals = _ref_counts(rows_fn, 1, np.zeros(1), 0.3, w, deltas,
-                                3_000, 5)
+        ref, vals = _ref_counts(rows_fn, 1, 0.3, w, deltas, 3_000, 5)
         assert np.isnan(vals).sum() == 1_000
         assert counts[i].tolist() == ref.tolist()
         assert counts[i, -1] == 2_000
@@ -655,9 +688,10 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
     # threads, each spreading its directions over the usable CPUs, and
     # count exactly what one-CPU runs count
     deltas = np.geomspace(0.3, 1e-3, 10)
-    args = [(rows_fn, k, center, R, _panel(frame_at, center, R, 11, count=5),
-             deltas, SUBLEVEL_BATCH + 1, 9)
-            for _, rows_fn, _, k, center, R, frame_at in probe_families]
+    args = [(fam, _probe_radius(fam),
+             _panel(fam, _probe_radius(fam), 11, count=5), deltas,
+             SUBLEVEL_BATCH + 1, 9)
+            for _, fam, _ in probe_families]
     with monkeypatch.context() as one_cpu:
         usable_cpus(one_cpu, 1)
         serial = [_sublevel_fractions(*a)[1] for a in args]
@@ -679,16 +713,17 @@ def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
     # batches peak no higher than one.  On more CPUs the next batch is
     # drawn while this one is scored (see
     # test_draw_ahead_keeps_two_batches_of_draws)
-    _, rows_fn, _, k, center, R, frame_at = probe_families[1]
-    ws = _panel(frame_at, center, R, 4)
+    _, fam, _ = probe_families[1]
+    R = _probe_radius(fam)
+    ws = _panel(fam, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
     usable_cpus(monkeypatch, 1)
     peaks = []
     for batches in (1, 3):
         tracemalloc.start()
         try:
-            _sublevel_fractions(rows_fn, k, center, R, ws, deltas,
-                                batches * SUBLEVEL_BATCH, 2718)
+            _sublevel_fractions(fam, R, ws, deltas, batches * SUBLEVEL_BATCH,
+                                2718)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -713,20 +748,20 @@ def test_draw_ahead_keeps_two_batches_of_draws(probe_families, monkeypatch):
     # numbers per sample, and the bound is 27,462,144 B (26.19 MiB); the
     # peak measured 24.46-25.99 MiB after a warm-up call.  Drawing all
     # three batches up front adds a batch of draws, 7.63 MiB
-    _, rows_fn, _, k, center, R, frame_at = probe_families[1]
-    ws = _panel(frame_at, center, R, 4)
+    _, fam, _ = probe_families[1]
+    R, k = _probe_radius(fam), fam.k
+    ws = _panel(fam, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
-    d, n = rows_fn(center[None, :]).shape[1:]
+    d, n = fam.rows(np.zeros((1, k))).shape[1:]
     m = 2  # the base plane of configs/family_n4m2k3.json
     draws = 2 * SUBLEVEL_BATCH * (k + 1) * 8
     slices = 2 * family.SUBLEVEL_SLICE * (d * n + k + m * (n - m) + n + 4) * 8
     usable_cpus(monkeypatch, 2)
     # a first call imports the pool's modules, which are not the probe's
-    _sublevel_fractions(rows_fn, k, center, R, ws, deltas, 1_000, 1)
+    _sublevel_fractions(fam, R, ws, deltas, 1_000, 1)
     tracemalloc.start()
     try:
-        _sublevel_fractions(rows_fn, k, center, R, ws, deltas,
-                            3 * SUBLEVEL_BATCH, 2718)
+        _sublevel_fractions(fam, R, ws, deltas, 3 * SUBLEVEL_BATCH, 2718)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -744,13 +779,14 @@ def test_sublevel_slice_size_leaves_results_unchanged(probe_families,
     usable_cpus(monkeypatch, cpus)
     samples = 2 * 5_000 + 4_099
     deltas = np.geomspace(0.3, 1e-3, 10)
-    for name, rows_fn, _, k, center, R, frame_at in probe_families:
-        ws = _panel(frame_at, center, R, 6)
+    for name, fam, _ in probe_families:
+        R = _probe_radius(fam)
+        ws = _panel(fam, R, 6)
         results = []
         for size in (7, 4_096, 5_000):
             monkeypatch.setattr(family, "SUBLEVEL_SLICE", size)
-            fractions, counts = _sublevel_fractions(
-                rows_fn, k, center, R, ws, deltas, samples, 2718)
+            fractions, counts = _sublevel_fractions(fam, R, ws, deltas,
+                                                    samples, 2718)
             exponents = [_fit_exponent(deltas, f, c)["exponent"]
                          for f, c in zip(fractions, counts)]
             results.append((counts, fractions, exponents))
@@ -801,9 +837,10 @@ def test_rows_equal_sample_major_construction(probe_families):
         rows = family_rows(spec, lam)
         assert rows.shape == (1_001, spec.m, spec.n)
         assert np.array_equal(rows, _ref_family_rows(spec, lam))
-    for name, rows_fn, ref_rows, k, center, R, _ in probe_families:
-        lam = center + rng.uniform(-R, R, size=(1_001, k))
-        rows, ref = rows_fn(lam), ref_rows(lam)
+    for name, fam, ref_rows in probe_families:
+        R = _probe_radius(fam)
+        lam = rng.uniform(-R, R, size=(1_001, fam.k))
+        rows, ref = fam.rows(lam), ref_rows(lam)
         assert rows.shape == ref.shape and rows.nbytes == ref.nbytes
         if name == "base":
             assert np.array_equal(rows, ref)
@@ -821,10 +858,10 @@ def test_extended_rows_equal_sample_major_construction_p2():
     # p(0) = 2 for (n, m, k) = (6, 2, 3): two added rows go through one
     # gemm in both constructions, so every entry is exact
     spec = disjoint_slot_family(6, 2, 3)
-    ext = extend_family(spec, np.zeros(3), 0, seed=1)
+    ext = extend_family(spec, 0, seed=1)
     assert ext.p == 2
     rng = np.random.default_rng(9)
-    lam = ext.center() + rng.uniform(-0.1, 0.1, size=(999, ext.k_total))
+    lam = rng.uniform(-0.1, 0.1, size=(999, ext.k))
     assert np.array_equal(ext.rows(lam), _ref_extended_rows(ext, lam))
 
 
