@@ -195,12 +195,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    source = (getattr(args, "experiment", None)
+              or getattr(args, "family", None) or "arguments")
     try:
         return args.fn(args)
     except ConfigError as exc:  # exit 2 naming the input and the field
-        source = (getattr(args, "experiment", None)
-                  or getattr(args, "family", None))
         return _reject(args, source, exc)
+    except MemoryError as exc:  # sizes in range that this machine cannot hold
+        return _reject(args, source, f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ The grid modes spread whole grid rows, not scales, over the usable CPUs
 three buffers, and a grid with fewer rows than CPUs leaves CPUs idle.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,17 +140,20 @@ def _count_boxes(cols, span, weights, total, eps, offsets, bufs):
 
     cols holds the cloud as contiguous per-axis columns shifted to start
     at 0, span the per-axis extent (each column's maximum, exactly) and
-    total the total weight.  bufs holds three length-N scratch arrays,
-    float64, int64 and int64, which the count overwrites and never
-    reads first.  The columns are nonnegative and the offsets lie in
-    [0, 1), so every box index is nonnegative, truncation equals floor,
-    and each axis's extent comes from its span without a pass over the
-    data: every rounding step is monotone, so the largest index is the
-    span's.  Boxes get a mixed-radix key that bincount sums directly when
-    the grid has at most 4N + 65536 boxes; sparser grids rank the
-    occupied keys (or, past int64, the occupied index rows) with np.unique
-    first.  Every path sums each box's weights in input order, so the
-    count does not depend on the path taken.
+    total the total weight; eps must be positive and keep each axis's
+    extent, about span / eps, below 2**63 / N (`box_counting_dim`'s stay
+    near 400).  bufs holds three length-N scratch arrays, float64, int64
+    and int64, which the count overwrites and never reads first.  The
+    columns are nonnegative and the offsets lie in [0, 1), so every box
+    index is nonnegative, truncation equals floor, and each axis's extent
+    comes from its span without a pass over the data: every rounding step
+    is monotone, so the largest index is the span's.  Boxes get a
+    mixed-radix key that bincount sums directly when the grid has at most
+    4N + 65536 boxes; sparser grids rank the occupied keys with np.unique
+    first, and so does the key built so far when the next axis would take
+    it past int64.  Ranking relabels boxes one to one, and bincount sums
+    each box's weights in input order, so the count does not depend on
+    where the key is ranked.
     """
     per_axis = np.minimum(np.ceil(span / eps) + 1.0, 1e6)
     possible = float(np.prod(per_axis))
@@ -166,23 +168,18 @@ def _count_boxes(cols, span, weights, total, eps, offsets, bufs):
 
     counts = []
     for off in offsets:
-        # an extent past int64, or not finite where eps underflows to 0,
-        # sends the grid to the index-row path
-        extents = [int(t) + 1 if t < 2.0 ** 63 else 2 ** 63
-                   for t in (span + off * eps) / eps]
-        size = math.prod(extents)
-        if size < 2 ** 63:
-            key = index(cols[0], off[0], kbuf)
-            for c, o, e in zip(cols[1:], off[1:], extents[1:]):
-                key *= e
-                key += index(c, o, ibuf)
-            if size > dense_limit:
-                _, key = np.unique(key, return_inverse=True)
-        else:
-            rows = np.column_stack([index(c, o, np.empty_like(ibuf))
-                                    for c, o in zip(cols, off)])
-            _, key = np.unique(rows, axis=0, return_inverse=True)
-        mass = np.bincount(key.ravel(), weights=weights)
+        extents = [int(t) + 1 for t in (span + off * eps) / eps]
+        key, size = index(cols[0], off[0], kbuf), extents[0]
+        for c, o, e in zip(cols[1:], off[1:], extents[1:]):
+            if size * e >= 2 ** 63:
+                boxes, key = np.unique(key, return_inverse=True)
+                size = len(boxes)
+            key *= e
+            key += index(c, o, ibuf)
+            size *= e
+        if size > dense_limit:
+            _, key = np.unique(key, return_inverse=True)
+        mass = np.bincount(key, weights=weights)
         counts.append(int(np.count_nonzero(mass >= floor)))
     return float(np.mean(counts))
 
@@ -206,6 +203,9 @@ def box_counting_dim(measure: SampledMeasure, n_offsets=3,
     span = cols.max(axis=1) - lo
     cols -= lo[:, None]
     diam = float(np.max(span))
+    if not 0 < 2.5e-3 * diam < np.inf:  # no grid has finite extents
+        return _zero_estimate("box_counting", measure.count,
+                              "span outside the float range")
     scales = np.geomspace(0.4 * diam, 2.5e-3 * diam, 18)
     rng = np.random.default_rng(seed)
     offsets = rng.random((n_offsets, pts.shape[1]))

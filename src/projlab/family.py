@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .fractal import ball
 from .grassmann import (
     Frame,
     complement,
@@ -501,21 +502,17 @@ def _sublevel_fractions(family, R, ws, deltas, samples, seed):
     given order).  Every direction is scored on the same samples.
 
     Only the RNG runs on the calling thread; one `cpu_pool` scores the
-    whole probe.  Each batch's draws are cut into slices of SUBLEVEL_SLICE
-    samples, and a pool thread turns a slice into parameters, builds its
-    fresh rows, orthonormalizes them in place and counts every direction's
-    hits.  With more than one usable CPU the calling thread draws the next
-    batch while the pool scores this one, then sums this one's counts.
-    Counts are integers summed per slice, so they equal a one-CPU run's."""
+    whole probe.  A pool thread turns one slice of SUBLEVEL_SLICE draws
+    into parameters in place (`ball`; slices are disjoint), builds their
+    fresh rows, orthonormalizes them and counts every direction's hits.
+    With more than one usable CPU the calling thread draws the next batch
+    while the pool scores this one, then sums this one's counts.  Counts
+    are integers summed per slice, so they equal a one-CPU run's."""
     rng = np.random.default_rng(seed)
     deltas = np.asarray(deltas, dtype=float)
 
     def slice_counts(draws, a):
-        # the first step is out of place, since the slice is a view of the
-        # batch's draws, which other threads read; the rest works in place
-        g, u = (x[a:a + SUBLEVEL_SLICE] for x in draws)
-        lam = g / np.linalg.norm(g, axis=1, keepdims=True)
-        lam *= (R * u ** (1.0 / family.k))[:, None]
+        lam = ball(*(x[a:a + SUBLEVEL_SLICE] for x in draws), R)
         Q = np.ascontiguousarray(np.moveaxis(family.rows(lam), 0, -1))
         _orthonormalize(Q)
         counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
@@ -579,17 +576,15 @@ def transversality_probe(family, R, ws, deltas, samples, seed):
     at least 16 hits and a fraction of at most 0.5 (saturated scales carry
     no exponent information).  All directions share one sample cloud drawn
     from the seed, so a direction's result does not depend on the others.
-    The calling thread draws the samples; slices of each batch are turned
-    into rows and scored against every direction on the usable CPUs
-    (`cpu_pool`), and the results are bitwise those of a one-CPU run.
-    family.rows must return a fresh (B, d, n) array per call, as
-    `FamilySpec.rows` and `ExtendedFamily.rows` do: the kernel
-    orthonormalizes it in place and writes no other buffer, so threads
-    share none they write.  The ball must lie in the family's box, 0 < R
-    <= min(family.radii), so every sample is a parameter of the family.
+    Slices of the samples are scored on the usable CPUs (`cpu_pool`),
+    bitwise as on one CPU.  family.rows must return a fresh (B, d, n)
+    array per call, as `FamilySpec.rows` and `ExtendedFamily.rows` do: a
+    slice's task writes only its rows and its draws, so threads share no
+    buffer they write.  The ball must lie in the family's box, 0 < R <=
+    min(family.radii), so every sample is a parameter of the family.
     Deterministic given the seed.  ValueError naming the argument when ws
     is not (D, n) with n the rows' width, R leaves that range, samples is
-    not positive, or deltas is empty or not positive.
+    not positive, or deltas is empty, not positive or repeated.
     """
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 2:
@@ -602,9 +597,10 @@ def transversality_probe(family, R, ws, deltas, samples, seed):
         raise ValueError(f"samples must be a positive integer, got "
                          f"{samples!r}")
     deltas = np.asarray(deltas, dtype=float)
-    if not (deltas.ndim == 1 and deltas.size and np.all(deltas > 0)):
-        raise ValueError(f"deltas must be a non-empty list of positive "
-                         f"numbers, got {deltas.tolist()}")
+    if not (deltas.ndim == 1 and deltas.size and np.all(deltas > 0)
+            and np.unique(deltas).size == deltas.size):
+        raise ValueError(f"deltas must be a non-empty list of distinct "
+                         f"positive numbers, got {deltas.tolist()}")
     n = family.rows(np.zeros((1, family.k))).shape[-1]
     if ws.shape[1] != n:
         raise ValueError(f"ws must have n={n} columns, the width of the "

@@ -30,8 +30,10 @@ class SampledMeasure:
         w = np.asarray(self.weights, dtype=float)
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights disagree in length")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if not np.all((0 <= w) & (w < np.inf)):  # NaN fails too
+            raise ValueError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "points", pts)
@@ -82,6 +84,14 @@ def line_cantor(s, level) -> SampledMeasure:
     return SampledMeasure(pts, w, float(s))
 
 
+def ball(g, u, radius):
+    """Overwrite normals g (count, dim) with uniform points of B(0, radius)
+    in R^dim, radii from the uniforms u (count,) (Muller); return g."""
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g *= (radius * u ** (1.0 / g.shape[1]))[:, None]
+    return g
+
+
 def lebesgue_ball(dim, N, seed) -> SampledMeasure:
     """N uniform samples from the unit ball of R^dim, equal weights."""
     if not 1 <= dim < 2 ** 63:
@@ -89,12 +99,8 @@ def lebesgue_ball(dim, N, seed) -> SampledMeasure:
     if not 1 <= N < 2 ** 63:
         raise ValueError(f"N must be >= 1 and below 2**63, got {N}")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((N, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    radii = rng.random(N) ** (1.0 / dim)
-    pts = g * radii[:, None]
-    w = np.full(N, 1.0 / N)
-    return SampledMeasure(pts, w, float(dim))
+    pts = ball(rng.standard_normal((N, dim)), rng.random(N), 1.0)
+    return SampledMeasure(pts, np.full(N, 1.0 / N), float(dim))
 
 
 def _center_and_scale(pts):
@@ -125,13 +131,15 @@ def product_embed(parts, N, seed) -> SampledMeasure:
         raise ValueError("need at least one factor")
     if not 1 <= N < 2 ** 63:
         raise ValueError(f"N must be >= 1 and below 2**63, got {N}")
-    frames = [frame for (_, frame) in parts]
-    n = frames[0].ambient_dim
-    for a in range(len(frames)):
-        if frames[a].ambient_dim != n:
+    n = parts[0][1].ambient_dim
+    for a, (measure, frame) in enumerate(parts):
+        if frame.plane_dim != measure.ambient_dim:
+            raise ValueError("frame plane dimension must match measure "
+                             "dimension")
+        if frame.ambient_dim != n:
             raise ValueError("factors embed into different ambient spaces")
-        for b in range(a + 1, len(frames)):
-            if np.max(np.abs(frames[a].basis @ frames[b].basis.T)) > 1e-9:
+        for _, other in parts[a + 1:]:
+            if np.max(np.abs(frame.basis @ other.basis.T)) > 1e-9:
                 raise ValueError("embedding subspaces overlap")
     rng = np.random.default_rng(seed)
     out = np.zeros((N, n))

@@ -165,9 +165,10 @@ def check_config(cfg: ExperimentConfig, mode) -> FamilySpec:
         if not 0 < getattr(cfg, name) < 2 ** 63:
             raise ConfigError(f"field {name!r} must lie in 1..2**63-1, got "
                               f"{getattr(cfg, name)}")
-    if not all(0 < d < np.inf for d in cfg.deltas):
-        raise ConfigError(f"field 'deltas' must be positive and finite, "
-                          f"got {list(cfg.deltas)}")
+    if (not all(0 < d < np.inf for d in cfg.deltas)
+            or len(set(cfg.deltas)) < len(cfg.deltas)):
+        raise ConfigError(f"field 'deltas' must be distinct, positive and "
+                          f"finite, got {list(cfg.deltas)}")
     spec = resolve_family(cfg.family)
     n, m, k, l = spec.n, spec.m, spec.k, cfg.l
     if l is not None and not 0 <= l <= m - 1:

@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -185,6 +189,7 @@ def test_bound_output_is_pinned(capsys):
     (["--extend", "--l", "5"], "field 'l' must lie in 0..m-1=1, got 5"),
     (["--samples", str(2 ** 63)], "'mc_samples' must lie in 1..2**63-1"),
     (["--directions", str(2 ** 63)], "'n_directions' must lie in 1..2**63-1"),
+    (["--deltas", "0.01,0.01"], "'deltas' must be distinct"),
 ])
 def test_transversality_rejects_bad_arguments(tmp_path, capsys, flags,
                                              needs):
@@ -485,6 +490,39 @@ def test_bound_and_witness_out_of_range_exit_2(capsys, argv, names):
     assert captured.err.count("\n") == 1 and names in captured.err
 
 
+def _small_address_space():
+    # the child's own limit, 2 GiB of address space, so an array past it
+    # fails at once however much memory the machine has
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+@pytest.mark.parametrize("command", ["bound", "sharpness"])
+def test_out_of_memory_exits_2_naming_the_input(tmp_path, command):
+    # sizes in range whose arrays do not fit: bound's grid of 4e9 d values
+    # (29.8 GiB) and a sharpness measure of 2**45 samples (512 TiB)
+    if command == "bound":
+        source = "arguments"
+        argv = ["bound", "--n", "1000000000", "--m", "1", "--k", "1"]
+    else:
+        cfg = json.loads((CONFIGS / "sharpness_n3m2k1.json").read_text())
+        cfg["sample_count"] = 2 ** 45
+        source = tmp_path / "huge.json"
+        source.write_text(json.dumps(cfg))
+        argv = ["sharpness", str(source), "--out", str(tmp_path / "run")]
+    path = [str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "projlab.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300, preexec_fn=_small_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"projlab {command}: {source}: out of "
+                                  f"memory: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 def _run_edited(tmp_path, command, name, edit):
     """Exit code and stderr of `projlab <command>` on an edited copy of
     configs/<name>_n3m2k1.json with a 2-point grid; asserts that no
@@ -579,12 +617,17 @@ def test_removed_or_unknown_key_exits_2_naming_it(tmp_path, capsys, edit,
             {"measure": {"variant": "line_cantor", "s": 0.5, "level": 4},
              "frame": [row]} for row in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]}),
      "N must be >= 1 and below 2**63"),
+    ("project", "bound_check", lambda cfg: cfg.update(
+        measure={"variant": "product", "N": 1000, "factors": [
+            {"measure": {"variant": "lebesgue_ball", "dim": 2, "N": 100},
+             "frame": [[0.0, 0.0, 1.0]]}]}),
+     "frame plane dimension must match measure dimension"),
 ], ids=["sharpness_level_30", "sharpness_level_0", "inner_level_13",
         "line_cantor_s_2", "lebesgue_ball_dim_0", "lebesgue_ball_N_0",
         "embedded_frame_3_rows", "embedded_frame_nan",
         "embedded_frame_infinite", "embedded_frame_overflow",
         "lebesgue_ball_dim_past_int64", "lebesgue_ball_N_past_int64",
-        "product_N_past_int64"])
+        "product_N_past_int64", "product_factor_frame_too_narrow"])
 def test_measure_out_of_generator_range_exits_2(tmp_path, capsys, command,
                                                 name, edit, rule):
     code, bad = _run_edited(tmp_path, command, name, edit)

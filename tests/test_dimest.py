@@ -90,6 +90,17 @@ def test_box_counting_subnormal_cloud_is_degenerate_without_warnings():
     assert est.warning == "degenerate cloud"
 
 
+def test_box_counting_span_past_the_float_range_is_a_zero_estimate():
+    # a weightless point far out leaves the PCA finite, but rotating it
+    # overflows, so the span and every grid extent would be infinite
+    pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 1.0], [1.7e308, 1.7e308]])
+    m = SampledMeasure(pts, np.array([0.5, 0.25, 0.25, 0.0]), 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = box_counting_dim(m)
+    assert est.value == 0.0
+    assert est.warning == "span outside the float range"
+
+
 def test_box_counting_degenerate_inputs():
     one = SampledMeasure(np.zeros((1, 2)), np.array([1.0]), 0.0)
     est = box_counting_dim(one)

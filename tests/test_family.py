@@ -437,11 +437,12 @@ def test_transversality_probe_empty_panel():
     ("ws", dict(ws=[[0.0, 0.0, 0.0, 1.0]])),
     ("deltas", dict(deltas=[0.1, -0.01])),
     ("deltas", dict(deltas=[])),
+    ("deltas", dict(deltas=[0.01, 0.1, 0.01])),
     ("R", dict(R=0.0)),
     ("R", dict(R=-0.3)),
     ("R", dict(R=0.5)),  # the ball leaves the box of radius pi/8
-], ids=["samples_0", "ws_width", "delta_negative", "deltas_empty", "R_0",
-        "R_negative", "R_outside"])
+], ids=["samples_0", "ws_width", "delta_negative", "deltas_empty",
+        "deltas_repeated", "R_0", "R_negative", "R_outside"])
 def test_transversality_probe_rejects_bad_arguments(argument, edit):
     spec = disjoint_slot_family(3, 2, 1)
     args = dict(family=spec, R=0.3, ws=[[0.0, 0.0, 1.0]],
@@ -709,8 +710,9 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
 def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
     # on one usable CPU a batch's draws, and each slice's fresh rows and
     # projection buffers, are freed before the next batch is drawn: the
-    # pool thread holds one slice's rows while it scores them, so three
-    # batches peak no higher than one.  On more CPUs the next batch is
+    # pool thread turns its slice of the draws into parameters in place
+    # and holds one slice's rows while it scores them, so three batches
+    # peak no higher than one.  On more CPUs the next batch is
     # drawn while this one is scored (see
     # test_draw_ahead_keeps_two_batches_of_draws)
     _, fam, _ = probe_families[1]
@@ -736,18 +738,20 @@ def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
 def test_draw_ahead_keeps_two_batches_of_draws(probe_families, monkeypatch):
     # on two CPUs the calling thread draws the next batch while the pool
     # scores this one, so at most two batches of draws, k+1 numbers per
-    # sample, are alive.  Each pool thread holds, per sample of the slice
-    # it scores, the slice's fresh rows (d*n numbers), lam (k) and the
-    # temporaries of one step at a time: 2 building lam (the norm, the
-    # radius factor); m(n-m) chart angles, n rotated coordinates and 4 for
-    # a Givens update (cos, sin, the new row, a product) writing the rows;
-    # n+1 orthonormalizing (a dot product and its product with a row); and
-    # 4 counting (a running sum, a square, a dot product, the previous
-    # direction's norms).  2**18 bytes cover the pool's Python objects.
-    # With (m, n, d, k) = (2, 4, 3, 4) a thread holds at most 12 + 4 + 12
-    # numbers per sample, and the bound is 27,462,144 B (26.19 MiB); the
-    # peak measured 24.46-25.99 MiB after a warm-up call.  Drawing all
-    # three batches up front adds a batch of draws, 7.63 MiB
+    # sample, are alive.  A pool thread turns its slice of the draws into
+    # parameters in place, with k+2 temporaries per sample (the squares,
+    # their sum and the radius factor), before any rows exist.  Then it
+    # holds, per sample of the slice, the slice's fresh rows (d*n numbers)
+    # and the temporaries of one step at a time: m(n-m) chart angles, n
+    # rotated coordinates and 4 for a Givens update (cos, sin, the new
+    # row, a product) writing the rows; n+1 orthonormalizing (a dot
+    # product and its product with a row); and 4 counting (a running sum,
+    # a square, a dot product, the previous direction's norms).  2**18
+    # bytes cover the pool's Python objects.  With (m, n, d, k) = (2, 4,
+    # 3, 4) a thread holds at most 12 + 12 numbers per sample; the bound
+    # leaves k more per sample as margin and is 27,462,144 B (26.19 MiB),
+    # and the peak measured 23.13-24.46 MiB after a warm-up call.  Drawing
+    # all three batches up front adds a batch of draws, 7.63 MiB
     _, fam, _ = probe_families[1]
     R, k = _probe_radius(fam), fam.k
     ws = _panel(fam, R, 4)

@@ -23,6 +23,17 @@ def test_sampled_measure_invariants():
     assert m.count == 2
 
 
+@pytest.mark.parametrize("points, weights, name", [
+    (np.zeros((100, 2)), np.full(100, np.nan), "weights"),
+    (np.zeros((2, 2)), np.array([np.inf, 0.5]), "weights"),
+    (np.array([[0.0, np.nan], [1.0, 1.0]]), np.full(2, 0.5), "points"),
+    (np.array([[0.0, -np.inf], [1.0, 1.0]]), np.full(2, 0.5), "points"),
+], ids=["nan_weights", "infinite_weight", "nan_point", "infinite_point"])
+def test_sampled_measure_rejects_non_finite_input(points, weights, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        SampledMeasure(points, weights, 2.0)
+
+
 def test_four_corner_cantor_geometry():
     m = four_corner_cantor(3)
     assert m.count == 4 ** 3
@@ -71,6 +82,19 @@ def test_lebesgue_ball_support_and_determinism():
     assert np.mean(r ** 3) == pytest.approx(0.5, abs=0.02)
     m2 = lebesgue_ball(3, 5000, seed=42)
     assert np.array_equal(m.points, m2.points)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12])
+def test_lebesgue_ball_points_are_bitwise_the_old_formula(seed):
+    # the shared in-place sampler against the out-of-place formula it
+    # replaced: normals scaled to unit length, then by u^(1/dim)
+    for dim in range(1, 14):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2000, dim))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        want = g * (rng.random(2000) ** (1.0 / dim))[:, None]
+        got = lebesgue_ball(dim, 2000, seed).points
+        assert got.tobytes() == want.tobytes(), dim
 
 
 def test_embed_isometry():
