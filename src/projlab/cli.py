@@ -172,8 +172,10 @@ def build_parser():
     t.add_argument("--extend", action="store_true")
     t.add_argument("--l", type=int, default=None)
     t.add_argument("--deltas", type=str, default=None)
-    t.add_argument("--samples", type=int, default=1_000_000)
-    t.add_argument("--directions", type=int, default=8)
+    t.add_argument("--samples", type=int,
+                   default=ExperimentConfig.mc_samples)
+    t.add_argument("--directions", type=int,
+                   default=ExperimentConfig.n_directions)
     t.add_argument("--seed", type=int, required=True)
     t.add_argument("--out", type=str, default=None)
     t.set_defaults(fn=_cmd_transversality)

@@ -2,10 +2,13 @@
 scaling-window selection and Grassberger-Procaccia style correlation
 dimension.
 
-Both estimators work in intrinsic coordinates (weighted PCA with
-near-zero variance directions dropped), which makes them invariant under
-ambient rotations; projected clouds land in rotated planes, so this is a
-contract, not an optimization.
+Both estimators are invariant under ambient rotations; projected clouds
+land in rotated planes, so this is a contract, not an optimization.  Box
+counting works in intrinsic coordinates (weighted PCA with near-zero
+variance directions dropped); the correlation dimension uses raw pair
+distances, which rotations keep.  Box counting is also invariant under
+scaling across the float range; a cloud whose pair distances overflow
+gets the zero correlation estimate.
 
 Box counting runs its scales one after another on the calling thread and
 reuses one float and two int64 buffers of length N for all its grids.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal import SampledMeasure, write_csv
+from .fractal import SampledMeasure
 from .grassmann import Frame
 
 DISTANCE_FLOOR = 1e-12
@@ -39,9 +42,6 @@ class DimensionEstimate:
     scales: np.ndarray = None  # log-log fit data
     counts: np.ndarray = None
     warning: str = None
-
-    def save_fit_csv(self, path):
-        write_csv(path, ["scale", "count"], zip(self.scales, self.counts))
 
 
 def project_points(f: Frame, measure: SampledMeasure) -> SampledMeasure:
@@ -65,9 +65,19 @@ def _intrinsic_coords(points, weights):
     inequality every computed eigenvalue's, stays below the cut.  A
     dropped axis has a standard deviation under sqrt(N n eps) of the
     largest, 1e-5 for 200,000 points of R^2: far below the finest scale.
+
+    The covariance is formed of the centred points scaled by 2**-e, where
+    2**e bounds the points of positive weight, and the rotated points are
+    scaled back: both steps are exact, and a cloud near either end of the
+    float range neither overflows nor underflows the covariance.
     """
     center = weights @ points
     X = points - center
+    pos = (weights > 0)[:, None]
+    reach = max(np.max(X, initial=0.0, where=pos),
+                -np.min(X, initial=0.0, where=pos))
+    e = int(np.frexp(reach)[1])
+    np.ldexp(X, -e, out=X)
     C = (X * weights[:, None]).T @ X
     evals, evecs = np.linalg.eigh(C)
     order = np.argsort(evals)[::-1]
@@ -75,7 +85,8 @@ def _intrinsic_coords(points, weights):
     if evals[0] <= 0:
         return X[:, :0]
     keep = evals > X.size * np.finfo(float).eps * evals[0]
-    return (evecs[:, keep].T @ X.T).T
+    coords = (evecs[:, keep].T @ X.T).T
+    return np.ldexp(coords, e, out=coords)
 
 
 def _linfit(x, y):
@@ -203,9 +214,12 @@ def box_counting_dim(measure: SampledMeasure, n_offsets=3,
     span = cols.max(axis=1) - lo
     cols -= lo[:, None]
     diam = float(np.max(span))
-    if not 0 < 2.5e-3 * diam < np.inf:  # no grid has finite extents
+    if not 2.5e-3 * diam < np.inf:  # no grid has finite extents
         return _zero_estimate("box_counting", measure.count,
                               "span outside the float range")
+    if not 2.5e-3 * diam > 0:  # the finest box side underflows
+        return _zero_estimate("box_counting", measure.count,
+                              "degenerate cloud")
     scales = np.geomspace(0.4 * diam, 2.5e-3 * diam, 18)
     rng = np.random.default_rng(seed)
     offsets = rng.random((n_offsets, pts.shape[1]))
@@ -234,8 +248,12 @@ def correlation_dim(measure: SampledMeasure, seed=0) -> DimensionEstimate:
     i = rng.choice(measure.count, size=200_000, p=measure.weights)
     j = rng.choice(measure.count, size=200_000, p=measure.weights)
     keep = i != j
-    d = np.linalg.norm(measure.points[i[keep]] - measure.points[j[keep]],
-                       axis=1)
+    with np.errstate(over="ignore"):  # checked below
+        d = np.linalg.norm(measure.points[i[keep]] - measure.points[j[keep]],
+                           axis=1)
+    if np.isinf(d).any():
+        return _zero_estimate("correlation", measure.count,
+                              "span outside the float range")
     d = d[d > DISTANCE_FLOOR]
     if len(d) == 0 or d.max() / d.min() < 10.0:
         # coincident or atomic cloud: C(r) is constant below separation

@@ -266,9 +266,6 @@ class FamilyJacobian:
     coordinates).
     """
 
-    n: int
-    m: int
-    k: int
     A: np.ndarray  # (k, m, n - m)
     comp_frame: Frame
 
@@ -279,8 +276,7 @@ def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     g = orthonormalize(rows)  # plane basis, chart coords
     f = complement(Frame(g)).basis  # complement basis, chart coords
     A = np.einsum("rm,amn,cn->arc", g, dPis, f)
-    return FamilyJacobian(spec.n, spec.m, spec.k, A,
-                          Frame(f @ spec.coordinate_matrix()))
+    return FamilyJacobian(A, Frame(f @ spec.coordinate_matrix()))
 
 
 def projection_derivative_matrix(spec: FamilySpec, lam0, z):
@@ -298,7 +294,7 @@ def nondegeneracy_check(spec: FamilySpec, lam0):
     non-degenerate at lam0 exactly when the volume is positive, taken as
     above 1e-8."""
     J = family_jacobian(spec, lam0)
-    norm = gram_norm(J.A.reshape(J.k, -1))
+    norm = gram_norm(J.A.reshape(len(J.A), -1))
     return {"wedge_norm": norm, "pass": bool(norm > 1e-8)}
 
 
@@ -306,21 +302,13 @@ def nondegeneracy_check(spec: FamilySpec, lam0):
 # Witness subspaces (uniformly independent images)
 # ---------------------------------------------------------------------------
 
-def _unit_sphere_sample(t, count, rng):
-    if t == 1:
-        return np.array([[1.0]])
-    z = rng.standard_normal((count, t))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
-
-
 def _witness_score(J: FamilyJacobian, W_rows, l, dirs):
     """min over sampled unit z in span(W) of the best (l+1)-wedge volume
     of the images A_j(z)."""
     zs = dirs @ W_rows  # (S, n-m)
     images = np.einsum("arc,sc->sar", J.A, zs)  # (S, k, m)
     best = np.zeros(len(zs))
-    for combo in itertools.combinations(range(J.k), l + 1):
+    for combo in itertools.combinations(range(len(J.A)), l + 1):
         M = images[:, list(combo), :]
         g = M @ np.swapaxes(M, 1, 2)
         vols = np.sqrt(np.maximum(np.linalg.det(g), 0.0))
@@ -337,17 +325,18 @@ def find_witness_subspace(J: FamilyJacobian, t, l, seed=0):
     margin d_prime_hat is a certificate only for the sampled sphere
     points.
     """
-    nm = J.n - J.m
-    if not (1 <= t <= nm and 0 <= l <= J.m - 1 and seed >= 0):
-        raise ValueError(f"need 1 <= t <= {nm}, 0 <= l <= {J.m - 1} and "
+    k, m, nm = J.A.shape
+    if not (1 <= t <= nm and 0 <= l <= m - 1 and seed >= 0):
+        raise ValueError(f"need 1 <= t <= {nm}, 0 <= l <= {m - 1} and "
                          f"seed >= 0, got t={t}, l={l}, seed={seed}")
-    if not J.k > J.m * (t - 1) + l * (nm - t + 1):
+    if not k > m * (t - 1) + l * (nm - t + 1):
         raise ValueError(
             f"hypothesis k > m(t-1) + l(n-m-t+1) fails: "
-            f"{J.k} <= {J.m * (t - 1) + l * (nm - t + 1)}"
+            f"{k} <= {m * (t - 1) + l * (nm - t + 1)}"
         )
     rng = np.random.default_rng(seed)
-    dirs = _unit_sphere_sample(t, 512, rng)
+    dirs = (np.ones((1, 1)) if t == 1 else
+            ball(rng.standard_normal((512, t)), np.ones(512), 1.0))
     best_W, best_score = None, -np.inf
     for _ in range(200):
         W = orthonormalize(rng.standard_normal((t, nm)))

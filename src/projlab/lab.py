@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -65,18 +65,22 @@ from .threads import cpu_pool
 
 @dataclass
 class ExperimentConfig:
+    """One experiment run.  Each field's annotation is its JSON kind, as
+    `config_field` checks it (see `family._is_kind`): a type, a tuple of
+    kinds, or [kind] for a list of that kind."""
+
     mode: str  # bound_check | sharpness | transversality
-    family: dict
+    family: (dict, str)  # a family object or the path of a family file
     seed: int
     measure: dict = None
-    lambda_grid: tuple = ()
+    lambda_grid: [int] = ()
     estimator: dict = field(default_factory=lambda: {"method": "box_counting"})
     tolerance: float = 0.12
     l: int = None
     s: float = None
     level: int = 12
     sample_count: int = 200_000
-    deltas: tuple = ()
+    deltas: [float] = ()
     mc_samples: int = 1_000_000
     n_directions: int = 8
     force: bool = False
@@ -102,30 +106,14 @@ class ExperimentConfig:
     def load(cls, path):
         return cls.from_dict(read_json(path))
 
-    def content_hash(self):
-        """Hash of the config with its family resolved to the family dict,
-        so two family files at one path hash differently."""
-        return _config_hash(self, resolve_family(self.family))
-
-
-def _config_hash(cfg: ExperimentConfig, spec: FamilySpec):
-    """`content_hash` of cfg with spec as its resolved family."""
-    body = dict(cfg.__dict__, family=family_to_dict(spec))
-    return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
-
 
 def _canonical(value):
-    """JSON text of a config value, as `content_hash` hashes it."""
+    """JSON text of a config value, as `_provenance` hashes it."""
     return json.dumps(value, sort_keys=True, default=list)
 
 
-# JSON kind of each config field, as `config_field` checks it
-_FIELD_KINDS = {
-    "mode": str, "family": (dict, str), "seed": int, "measure": dict,
-    "lambda_grid": [int], "estimator": dict, "tolerance": float, "l": int,
-    "s": float, "level": int, "sample_count": int, "deltas": [float],
-    "mc_samples": int, "n_directions": int, "force": bool,
-}
+# each config field's JSON kind, read off its annotation
+_FIELD_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 # config fields each mode reads beside mode, family and seed: (required,
@@ -322,16 +310,16 @@ class ExperimentReport:
                       zip(self.deltas, *cols))
         else:
             name = "report.json"
-            k = len(self.rows[0]["lambda"]) if self.rows else 0
+            k = len(self.rows[0]["lambda"])
             write_csv(os.path.join(outdir, "per-lambda.csv"),
                       [f"lambda_{a + 1}" for a in range(k)] + list(ROW_FIELDS),
                       (row["lambda"] + [row[f] for f in ROW_FIELDS]
                        for row in self.rows))
             fitdir = os.path.join(outdir, "fitdata")
-            if self.fit_data:
-                os.makedirs(fitdir, exist_ok=True)
-            for idx, est in enumerate(self.fit_data or ()):
-                est.save_fit_csv(os.path.join(fitdir, f"row{idx:04d}.csv"))
+            os.makedirs(fitdir, exist_ok=True)
+            for idx, est in enumerate(self.fit_data):
+                write_csv(os.path.join(fitdir, f"row{idx:04d}.csv"),
+                          ["scale", "count"], zip(est.scales, est.counts))
         with open(os.path.join(outdir, name), "w") as fh:
             fh.write(self.to_json() + "\n")
         with open(os.path.join(outdir, "run_meta.json"), "w") as fh:
@@ -340,9 +328,12 @@ class ExperimentReport:
 
 
 def _provenance(cfg: ExperimentConfig, spec: FamilySpec):
-    """Provenance of a run of cfg on spec, the family that ran."""
-    return {"config_hash": _config_hash(cfg, spec), "version": __version__,
-            "seed": cfg.seed}
+    """Provenance of a run of cfg on spec, the family that ran: the config
+    is hashed with its family resolved to the family dict, so two family
+    files at one path hash differently."""
+    body = _canonical(dict(cfg.__dict__, family=family_to_dict(spec)))
+    return {"config_hash": hashlib.sha256(body.encode()).hexdigest()[:16],
+            "version": __version__, "seed": cfg.seed}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from projlab.lab import (
     _MEASURE_KEYS,
     _MODE_FIELDS,
     ExperimentConfig,
+    _provenance,
+    resolve_family,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -465,7 +467,8 @@ def test_foreign_field_at_its_default_runs_with_the_same_hash(tmp_path,
     out = tmp_path / "run"
     assert main(["project", str(exp), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["provenance"]["config_hash"] == plain.content_hash()
+    expected = _provenance(plain, resolve_family(plain.family))
+    assert report["provenance"]["config_hash"] == expected["config_hash"]
 
 
 @pytest.mark.parametrize("argv, names", [

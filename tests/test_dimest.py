@@ -30,6 +30,7 @@ from projlab.fractal import (
 from projlab.grassmann import Frame, complement, projector, span_frame
 from projlab.lab import (
     ExperimentConfig,
+    ExperimentReport,
     build_measure,
     family_frame,
     lambda_grid,
@@ -97,6 +98,30 @@ def test_box_counting_span_past_the_float_range_is_a_zero_estimate():
     m = SampledMeasure(pts, np.array([0.5, 0.25, 0.25, 0.0]), 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         est = box_counting_dim(m)
+    assert est.value == 0.0
+    assert est.warning == "span outside the float range"
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e200])
+def test_box_counting_is_scale_invariant_across_the_float_range(scale):
+    # the PCA scales the cloud by a power of two before the covariance, so
+    # neither its squares overflow nor underflow
+    m = _uniform_square(5_000, 0)
+    scaled = SampledMeasure(m.points * scale, m.weights, m.nominal_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = box_counting_dim(scaled)
+    assert est.warning is None
+    assert abs(est.value - box_counting_dim(m).value) <= 1e-9
+
+
+def test_correlation_span_past_the_float_range_is_a_zero_estimate():
+    # the pair distances of a cloud this large overflow to inf
+    m = _uniform_square(5_000, 0)
+    big = SampledMeasure(m.points * 1e160, m.weights, m.nominal_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = correlation_dim(big, seed=0)
     assert est.value == 0.0
     assert est.warning == "span outside the float range"
 
@@ -247,8 +272,10 @@ def test_project_points_keeps_the_distances_of_the_projection_in_rn():
 
 def test_estimate_serialization(tmp_path):
     est = box_counting_dim(four_corner_cantor(6))
-    path = tmp_path / "fit.csv"
-    est.save_fit_csv(path)
+    row = {"lambda": [0.0], "est_dim": est.value, "bound": 1.0,
+           "margin": est.value - 1.0, "fit_r2": est.r_squared}
+    ExperimentReport("bound_check", [row], {}, {}, [est]).save(tmp_path)
+    path = tmp_path / "fitdata" / "row0000.csv"
     rows = path.read_text().strip().splitlines()
     assert len(rows) == len(est.scales) + 1  # header + one row per scale
     cells = [[float(c) for c in row.split(",")] for row in rows[1:]]

@@ -2,6 +2,7 @@
 CLI loads."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -183,4 +184,27 @@ def test_every_mode_field_has_a_reader_in_its_mode():
     problems += [f"field {f!r} is in no mode's table"
                  for f in sorted(set(ExperimentConfig.__dataclass_fields__)
                                  - listed - common)]
+    assert not problems, "\n".join(problems)
+
+
+def test_config_annotations_are_the_json_kinds_of_the_defaults():
+    # each ExperimentConfig annotation is the kind from_dict checks, so it
+    # must be one config_field can phrase, and every default but None
+    # must be of it
+    from projlab.family import _is_kind, _kind_name
+    from projlab.lab import ExperimentConfig
+
+    problems = []
+    for f in dataclasses.fields(ExperimentConfig):
+        try:
+            _kind_name(f.type)
+        except KeyError:
+            problems.append(f"{f.name}: {f.type!r} is not a JSON kind")
+            continue
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        if (default not in (None, dataclasses.MISSING)
+                and not _is_kind(default, f.type)):
+            problems.append(f"{f.name}: default {default!r} is not "
+                            f"{_kind_name(f.type)}")
     assert not problems, "\n".join(problems)

@@ -19,6 +19,7 @@ from projlab.lab import (
     ConfigError,
     ExperimentConfig,
     _canonical,
+    _provenance,
     build_measure,
     lambda_grid,
     resolve_family,
@@ -49,25 +50,30 @@ def _tiny_bound_cfg(tmp_path, seed=11, grid=4):
     )
 
 
+def _provenance_hash(cfg):
+    """The config hash a run of cfg records in its provenance."""
+    return _provenance(cfg, resolve_family(cfg.family))["config_hash"]
+
+
 def test_config_round_trip_and_hash(tmp_path):
     cfg = _tiny_bound_cfg(tmp_path)
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(cfg.__dict__, default=list))
     cfg2 = ExperimentConfig.load(path)
-    assert cfg2.content_hash() == cfg.content_hash()
+    assert _provenance_hash(cfg2) == _provenance_hash(cfg)
     cfg2.seed += 1
-    assert cfg2.content_hash() != cfg.content_hash()
+    assert _provenance_hash(cfg2) != _provenance_hash(cfg)
 
 
 def test_content_hash_follows_the_family_file(tmp_path):
     # two different families written in turn to one path hash differently
     cfg = _tiny_bound_cfg(tmp_path)
-    first = cfg.content_hash()
+    first = _provenance_hash(cfg)
     save_family(disjoint_slot_family(3, 2, 1, radius=0.3), cfg.family)
-    second = cfg.content_hash()
+    second = _provenance_hash(cfg)
     assert second != first
     save_family(disjoint_slot_family(3, 2, 1), cfg.family)
-    assert cfg.content_hash() == first
+    assert _provenance_hash(cfg) == first
 
 
 def test_provenance_hashes_the_family_that_ran(tmp_path, monkeypatch):
@@ -77,7 +83,7 @@ def test_provenance_hashes_the_family_that_ran(tmp_path, monkeypatch):
     save_family(disjoint_slot_family(3, 2, 1), fam)
     cfg = ExperimentConfig(mode="transversality", family=str(fam), seed=5,
                            mc_samples=2_000, n_directions=1)
-    expected = cfg.content_hash()
+    expected = _provenance_hash(cfg)
     reads = []
 
     def load_then_rewrite(path):
@@ -356,7 +362,7 @@ def test_config_dict_round_trip(data):
     for name in _FIELD_KINDS:
         assert _canonical(getattr(cfg2, name)) == _canonical(
             getattr(cfg, name)), name
-    assert cfg2.content_hash() == cfg.content_hash()
+    assert _provenance_hash(cfg2) == _provenance_hash(cfg)
 
 
 def test_verify_suite_filter():
