@@ -254,7 +254,8 @@ def correlation_dim(measure: SampledMeasure, seed=0) -> DimensionEstimate:
     if np.isinf(d).any():
         return _zero_estimate("correlation", measure.count,
                               "span outside the float range")
-    d = d[d > DISTANCE_FLOOR]
+    # relative to the largest distance, so the cut scales with the cloud
+    d = d[d > DISTANCE_FLOOR * d.max(initial=0.0)]
     if len(d) == 0 or d.max() / d.min() < 10.0:
         # coincident or atomic cloud: C(r) is constant below separation
         return _zero_estimate("correlation", measure.count,

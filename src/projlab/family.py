@@ -26,7 +26,7 @@ from .grassmann import (
     standard_frame,
 )
 from .multivec import gram_norm
-from .threads import cpu_pool, usable_cpus
+from .threads import cpu_pool
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +448,19 @@ def extend_family(spec: FamilySpec, l, seed=0) -> ExtendedFamily:
 # Transversality probe
 # ---------------------------------------------------------------------------
 
-# Parameters drawn per batch.  Each batch draws its unit vectors and radii
-# in one call each, so the RNG stream, and with it every fraction and
-# exponent, depends on this size.  The draws are the calling thread's only
-# per-batch buffers.  On one usable CPU a batch is drawn only after the
-# previous batch's counts are summed; on more, the next batch is drawn
-# while the pool scores this one, so at most two batches are alive.
-SUBLEVEL_BATCH = 200_000
-
-# Samples per pool task.  Every step after the draw works sample by sample,
-# so the counts do not depend on this size.  It trades the per-slice Python
-# overhead against how evenly the slices of a batch spread over the CPUs,
-# and sizes each pool thread's rows and scratch: this size keeps the peak
-# memory of two batches of draws near that of one batch with 32,768-sample
-# slices.  It divides SUBLEVEL_BATCH, so a batch splits evenly over two
-# CPUs.
+# Samples per pool task, and the unit of the probe's random stream: slice i
+# covers samples [i*S, min((i+1)*S, samples)) and draws its normals (B, k),
+# then its uniforms (B,), from default_rng(child_i), where child_i is
+# SeedSequence(seed).spawn(n_slices)[i].  The counts, fractions and
+# exponents therefore depend on this size, but not on the CPU count or on
+# the order in which the pool runs the slices.  Each pool thread holds one
+# slice's draws, rows and scratch at a time.
 SUBLEVEL_SLICE = 25_000
+
+# Slices handed to the pool at once: the futures alive, and so the memory,
+# do not grow with the sample count.  At least 40, so 10^6 samples are one
+# window.
+SUBLEVEL_WINDOW = 64
 
 
 def _orthonormalize(E):
@@ -490,18 +487,19 @@ def _sublevel_fractions(family, R, ws, deltas, samples, seed):
     delta, for each of the D directions w in ws and each delta (in the
     given order).  Every direction is scored on the same samples.
 
-    Only the RNG runs on the calling thread; one `cpu_pool` scores the
-    whole probe.  A pool thread turns one slice of SUBLEVEL_SLICE draws
-    into parameters in place (`ball`; slices are disjoint), builds their
-    fresh rows, orthonormalizes them and counts every direction's hits.
-    With more than one usable CPU the calling thread draws the next batch
-    while the pool scores this one, then sums this one's counts.  Counts
-    are integers summed per slice, so they equal a one-CPU run's."""
-    rng = np.random.default_rng(seed)
+    One `cpu_pool` scores the whole probe, SUBLEVEL_WINDOW slices at a
+    time.  A pool thread draws one slice of SUBLEVEL_SLICE samples from
+    the slice's own stream, turns the draws into parameters in place
+    (`ball`), builds their fresh rows, orthonormalizes them and counts
+    every direction's hits.  Counts are integers summed per slice, so they
+    equal a one-CPU run's."""
     deltas = np.asarray(deltas, dtype=float)
+    root = np.random.SeedSequence(seed)
 
-    def slice_counts(draws, a):
-        lam = ball(*(x[a:a + SUBLEVEL_SLICE] for x in draws), R)
+    def slice_counts(a, child):
+        rng = np.random.default_rng(child)
+        B = min(SUBLEVEL_SLICE, samples - a)
+        lam = ball(rng.standard_normal((B, family.k)), rng.random(B), R)
         Q = np.ascontiguousarray(np.moveaxis(family.rows(lam), 0, -1))
         _orthonormalize(Q)
         counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
@@ -512,28 +510,14 @@ def _sublevel_fractions(family, R, ws, deltas, samples, seed):
         return counts
 
     counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
-    alive = 2 if usable_cpus() > 1 else 1  # batches of draws at a time
-    scoring = []  # (draws, slice futures) of each batch, the oldest first
+    starts = range(0, samples, SUBLEVEL_SLICE)
     with cpu_pool() as pool:
-        for done in range(0, samples, SUBLEVEL_BATCH):
-            if len(scoring) == alive:
-                _add_batch(counts, *scoring.pop(0))
-            B = min(SUBLEVEL_BATCH, samples - done)
-            draws = [rng.standard_normal((B, family.k)), rng.random(B)]
-            scoring.append((draws, [pool.submit(slice_counts, draws, a)
-                                    for a in range(0, B, SUBLEVEL_SLICE)]))
-        for batch in scoring:
-            _add_batch(counts, *batch)
+        for i in range(0, len(starts), SUBLEVEL_WINDOW):
+            window = starts[i:i + SUBLEVEL_WINDOW]
+            # spawning in turn gives child i of spawn(len(starts))
+            for c in pool.map(slice_counts, window, root.spawn(len(window))):
+                counts += c
     return counts / samples, counts
-
-
-def _add_batch(counts, draws, futures):
-    """Add a batch's slice counts to counts, then free its draws.  The
-    tasks hold the draws only through the list draws, which is emptied:
-    a task the pool has not yet let go of keeps no batch alive."""
-    for f in futures:
-        counts += f.result()
-    draws.clear()
 
 
 def _fit_exponent(deltas, fractions, counts):
@@ -565,15 +549,17 @@ def transversality_probe(family, R, ws, deltas, samples, seed):
     at least 16 hits and a fraction of at most 0.5 (saturated scales carry
     no exponent information).  All directions share one sample cloud drawn
     from the seed, so a direction's result does not depend on the others.
-    Slices of the samples are scored on the usable CPUs (`cpu_pool`),
-    bitwise as on one CPU.  family.rows must return a fresh (B, d, n)
-    array per call, as `FamilySpec.rows` and `ExtendedFamily.rows` do: a
-    slice's task writes only its rows and its draws, so threads share no
-    buffer they write.  The ball must lie in the family's box, 0 < R <=
-    min(family.radii), so every sample is a parameter of the family.
-    Deterministic given the seed.  ValueError naming the argument when ws
-    is not (D, n) with n the rows' width, R leaves that range, samples is
-    not positive, or deltas is empty, not positive or repeated.
+    The cloud comes in slices of SUBLEVEL_SLICE samples, each drawn from
+    its own child of SeedSequence(seed) by the task that scores it on the
+    usable CPUs (`cpu_pool`), bitwise as on one CPU.  family.rows must
+    return a fresh (B, d, n) array per call, as `FamilySpec.rows` and
+    `ExtendedFamily.rows` do: a slice's task writes only its rows and its
+    draws, so threads share no buffer they write.  The ball must lie in
+    the family's box, 0 < R <= min(family.radii), so every sample is a
+    parameter of the family.  Deterministic given the seed.  ValueError
+    naming the argument when ws is not (D, n) with n the rows' width, R
+    leaves that range, samples is not positive, or deltas is empty, not
+    positive or repeated.
     """
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 2:
@@ -587,7 +573,7 @@ def transversality_probe(family, R, ws, deltas, samples, seed):
                          f"{samples!r}")
     deltas = np.asarray(deltas, dtype=float)
     if not (deltas.ndim == 1 and deltas.size and np.all(deltas > 0)
-            and np.unique(deltas).size == deltas.size):
+            and len(set(deltas.tolist())) == deltas.size):
         raise ValueError(f"deltas must be a non-empty list of distinct "
                          f"positive numbers, got {deltas.tolist()}")
     n = family.rows(np.zeros((1, family.k))).shape[-1]

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import os
+import statistics
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -483,7 +484,8 @@ def run_transversality(cfg: ExperimentConfig) -> ExperimentReport:
     summary = {
         "target_order": int(target),
         "extended": family is not spec,
-        "median_exponent": float(np.median(exponents)) if exponents else None,
+        "median_exponent": (statistics.median(exponents) if exponents
+                            else None),
         "min_exponent": float(np.min(exponents)) if exponents else None,
         "max_exponent": float(np.max(exponents)) if exponents else None,
         "directions": len(panel),

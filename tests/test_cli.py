@@ -94,28 +94,28 @@ def test_transversality_writes_artifacts(tmp_path, fam_path, capsys):
 
 # SHA-256 of the files each call writes.  Reruns of one commit are checked
 # by criterion 11; these pins hold the bytes across commits, so a change to
-# the probe's RNG stream, batching or arithmetic shows here.  The report
+# the probe's RNG stream, slicing or arithmetic shows here.  The report
 # carries the package version, so a version bump moves the pins.
 TRANSVERSALITY_PINS = {
     "base": ("family_n3m2k1.json", [], {
-        "transversality.json": "4fb3459252ff2f2be44442560fc49d33"
-                               "df3311aeda8daf72683fba706e4cbed8",
-        "loglog.csv": "08d2e36a816ede6fc69b2b50fc7f52ea"
-                      "9ffe98c601d741158e9877ae24596d02",
+        "transversality.json": "8bf97e49b9cde44f82d9f7397bcb0d68"
+                               "868200d67a374b2b2dbf98ec6a438c91",
+        "loglog.csv": "d6ed95c375abab2c1da04bc7b08cc9c1"
+                      "ba4f61bcc5415a8f2beada8e674580a5",
     }),
     "ext": ("family_n4m2k3.json", ["--extend", "--l", "1"], {
-        "transversality.json": "6562f0b53d6c101aae239ce9a1a77667"
-                               "96a403a8e8e0a3b2d793acbfd3bcb554",
-        "loglog.csv": "17125de2f33a4bf587ea95e4759aacf5"
-                      "8df4d266429e41889ef688a0843fdbb4",
+        "transversality.json": "63f898f3fa707554365393525e7aed8f"
+                               "8e9ee95f9c63e8ebbef54d40844526fd",
+        "loglog.csv": "d7548db9e8cb60c5e51ed5fd44586b28"
+                      "2590ee1472ead3c0430e3f31032f7ae3",
     }),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRANSVERSALITY_PINS))
 def test_transversality_bytes_are_pinned(tmp_path, name):
-    # the two benchmark calls at a reduced size: 200,001 samples cross a
-    # batch boundary
+    # the two benchmark calls at a reduced size: 200,001 samples cross
+    # eight slice boundaries and leave a ragged last slice
     fam, flags, pins = TRANSVERSALITY_PINS[name]
     out = tmp_path / name
     assert main(["transversality", str(CONFIGS / fam), *flags,

@@ -81,7 +81,7 @@ def test_box_counting_rotation_invariance():
 
 def test_box_counting_subnormal_cloud_is_degenerate_without_warnings():
     # a span of one subnormal unit has zero variance in double precision:
-    # the estimate stops at the PCA, before any box size could underflow
+    # the estimate stops at the box-side check: the finest side underflows
     m = SampledMeasure(np.array([[0.0], [5e-324]]), np.array([0.5, 0.5]),
                        0.0)
     with warnings.catch_warnings():
@@ -124,6 +124,20 @@ def test_correlation_span_past_the_float_range_is_a_zero_estimate():
         est = correlation_dim(big, seed=0)
     assert est.value == 0.0
     assert est.warning == "span outside the float range"
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-13, 1.0, 1e100,
+                                   1e150])
+def test_correlation_dim_is_scale_invariant(scale):
+    # the distance floor is relative to the largest pair distance, so a
+    # cloud scaled far below 1 keeps its scaling range
+    m = _uniform_square(5_000, 0)
+    scaled = SampledMeasure(m.points * scale, m.weights, m.nominal_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = correlation_dim(scaled, seed=0)
+    assert est.warning is None
+    assert est.value == pytest.approx(1.8674671506, abs=1e-9)
 
 
 def test_box_counting_degenerate_inputs():

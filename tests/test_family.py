@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import save_family, usable_cpus
 from projlab import family
 from projlab.family import (
-    SUBLEVEL_BATCH,
+    SUBLEVEL_SLICE,
     FamilySpec,
     _fit_exponent,
     _orthonormalize,
@@ -560,24 +560,23 @@ def _kernel_norms(E, w):
 
 def _ref_counts(rows_fn, k, R, w, deltas, samples, seed,
                 norms=_solve_norms):
-    """Hit counts per delta from the same RNG stream, counted as
-    vals <= delta on the values `norms` gives."""
-    rng = np.random.default_rng(seed)
+    """Hit counts per delta on the probe's stream, counted as vals <=
+    delta on the values `norms` gives: slice i of SUBLEVEL_SLICE samples
+    draws its normals, then its uniforms, from child i of
+    SeedSequence(seed).spawn(number of slices)."""
     deltas = np.asarray(deltas, dtype=float)
-    counts = np.zeros(len(deltas), dtype=np.int64)
+    starts = range(0, samples, SUBLEVEL_SLICE)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
     values = []
-    done = 0
-    while done < samples:
-        B = min(SUBLEVEL_BATCH, samples - done)
+    for a, child in zip(starts, children):
+        rng = np.random.default_rng(child)
+        B = min(SUBLEVEL_SLICE, samples - a)
         g = rng.standard_normal((B, k))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = R * rng.random(B) ** (1.0 / k)
-        lam = g * radii[:, None]
-        vals = norms(rows_fn(lam), w)
-        counts += (vals[:, None] <= deltas[None, :]).sum(axis=0)
-        values.append(vals)
-        done += B
-    return counts, np.concatenate(values)
+        values.append(norms(rows_fn(g * radii[:, None]), w))
+    vals = np.concatenate(values)
+    return (vals[:, None] <= deltas[None, :]).sum(axis=0), vals
 
 
 @pytest.fixture(scope="module")
@@ -621,10 +620,10 @@ def _panel(fam, R, seed, count=3):
 def test_sublevel_counts_equal_solve_reference(probe_families, seed):
     # every direction of a panel, scored on the one shared cloud, counts
     # exactly what the one-direction reference counts on the seed's cloud.
-    # 200,001 samples cross one batch boundary; the deltas are unsorted
-    # and repeat two values
+    # 200,001 samples cross eight slice boundaries and leave a ragged last
+    # slice; the deltas are unsorted and repeat two values
     deltas = np.array([0.05, 0.3, 0.002, 0.05, 0.1, 0.01, 0.02, 0.002])
-    samples = SUBLEVEL_BATCH + 1
+    samples = 8 * SUBLEVEL_SLICE + 1
     for name, fam, ref_rows in probe_families:
         R = _probe_radius(fam)
         ws = _panel(fam, R, seed)
@@ -737,7 +736,7 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
     deltas = np.geomspace(0.3, 1e-3, 10)
     args = [(fam, _probe_radius(fam),
              _panel(fam, _probe_radius(fam), 11, count=5), deltas,
-             SUBLEVEL_BATCH + 1, 9)
+             8 * SUBLEVEL_SLICE + 1, 9)
             for _, fam, _ in probe_families]
     with monkeypatch.context() as one_cpu:
         usable_cpus(one_cpu, 1)
@@ -753,93 +752,74 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
             assert np.array_equal(got, want)
 
 
-def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
-    # on one usable CPU a batch's draws, and each slice's fresh rows and
-    # projection buffers, are freed before the next batch is drawn: the
-    # pool thread turns its slice of the draws into parameters in place
-    # and holds one slice's rows while it scores them, so three batches
-    # peak no higher than one.  On more CPUs the next batch is
-    # drawn while this one is scored (see
-    # test_draw_ahead_keeps_two_batches_of_draws)
-    _, fam, _ = probe_families[1]
-    R = _probe_radius(fam)
-    ws = _panel(fam, R, 4)
-    deltas = np.geomspace(0.3, 1e-3, 10)
-    usable_cpus(monkeypatch, 1)
-    peaks = []
-    for batches in (1, 3):
-        tracemalloc.start()
-        try:
-            _sublevel_fractions(fam, R, ws, deltas, batches * SUBLEVEL_BATCH,
-                                2718)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 2 ** 20, peaks
-    # only the batch's draws and one slice's buffers are alive at a time:
-    # about 16 MiB, where rows of a whole batch at once took 42.7 MiB
-    assert peaks[0] < 24 * 2 ** 20, peaks
-
-
-def test_draw_ahead_keeps_two_batches_of_draws(probe_families, monkeypatch):
-    # on two CPUs the calling thread draws the next batch while the pool
-    # scores this one, so at most two batches of draws, k+1 numbers per
-    # sample, are alive.  A pool thread turns its slice of the draws into
-    # parameters in place, with k+2 temporaries per sample (the squares,
-    # their sum and the radius factor), before any rows exist.  Then it
-    # holds, per sample of the slice, the slice's fresh rows (d*n numbers)
-    # and the temporaries of one step at a time: m(n-m) chart angles, n
-    # rotated coordinates and 4 for a Givens update (cos, sin, the new
-    # row, a product) writing the rows; n+1 orthonormalizing (a dot
-    # product and its product with a row); and 4 counting (a running sum,
-    # a square, a dot product, the previous direction's norms).  2**18
-    # bytes cover the pool's Python objects.  With (m, n, d, k) = (2, 4,
-    # 3, 4) a thread holds at most 12 + 12 numbers per sample; the bound
-    # leaves k more per sample as margin and is 27,462,144 B (26.19 MiB),
-    # and the peak measured 23.13-24.46 MiB after a warm-up call.  Drawing
-    # all three batches up front adds a batch of draws, 7.63 MiB
+def test_sublevel_memory_is_two_slices_at_any_sample_count(probe_families,
+                                                           monkeypatch):
+    # on two CPUs each pool thread draws, builds and scores one slice at a
+    # time, and the calling thread draws nothing, so the peak is two
+    # slices' worth whatever the number of windows.  Per sample of a slice
+    # a thread first holds its draws, k normals and 1 uniform, and k+2
+    # temporaries (the squares, their sum and the radius factor) while
+    # `ball` turns the normals into parameters in place.  Then it holds
+    # the k parameters, the slice's fresh rows (d*n numbers) and the
+    # temporaries of one step at a time: m(n-m) chart angles, n rotated
+    # coordinates and 4 for a Givens update (cos, sin, the new row, a
+    # product) writing the rows; n+1 orthonormalizing (a dot product and
+    # its product with a row); and 4 counting (a running sum, a square, a
+    # dot product, the previous direction's norms).  The draws' term,
+    # k+1 per sample, is margin.  2**18 bytes cover the pool's Python
+    # objects.  With (m, n, d, k) = (2, 4, 3, 4) the bound is 13,462,144 B
+    # (12.84 MiB), and the peak measured 9.4-10.7 MiB after a warm-up
+    # call; drawing ahead in batches of 200,000 peaked at 23-24.5 MiB.
+    # A run peaks at one thread's slice at least and two at most, so
+    # however the threads' steps line up, three windows peak at most one
+    # thread's slice above one window
     _, fam, _ = probe_families[1]
     R, k = _probe_radius(fam), fam.k
     ws = _panel(fam, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
     d, n = fam.rows(np.zeros((1, k))).shape[1:]
     m = 2  # the base plane of configs/family_n4m2k3.json
-    draws = 2 * SUBLEVEL_BATCH * (k + 1) * 8
-    slices = 2 * family.SUBLEVEL_SLICE * (d * n + k + m * (n - m) + n + 4) * 8
+    draws = 2 * SUBLEVEL_SLICE * (k + 1) * 8
+    slices = 2 * SUBLEVEL_SLICE * (d * n + k + m * (n - m) + n + 4) * 8
     usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(family, "SUBLEVEL_WINDOW", 8)
     # a first call imports the pool's modules, which are not the probe's
     _sublevel_fractions(fam, R, ws, deltas, 1_000, 1)
-    tracemalloc.start()
-    try:
-        _sublevel_fractions(fam, R, ws, deltas, 3 * SUBLEVEL_BATCH, 2718)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= draws + slices + 2 ** 18, (peak, draws, slices)
+    peaks = []
+    for windows in (1, 3):
+        tracemalloc.start()
+        try:
+            _sublevel_fractions(fam, R, ws, deltas,
+                                windows * 8 * SUBLEVEL_SLICE, 2718)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= draws + slices + 2 ** 18, (peaks, draws, slices)
+    assert peaks[1] <= peaks[0] + slices // 2, peaks
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_sublevel_slice_size_leaves_results_unchanged(probe_families,
-                                                      monkeypatch, cpus):
-    # slices of 7, 4,096 and a whole batch give the same counts, fractions
-    # and exponents.  A batch of 5,000 keeps the 7-sample slices quick; the
-    # sample count crosses two batch boundaries and leaves a ragged last
-    # slice at every size
-    monkeypatch.setattr(family, "SUBLEVEL_BATCH", 5_000)
-    usable_cpus(monkeypatch, cpus)
-    samples = 2 * 5_000 + 4_099
+def test_sublevel_window_size_leaves_results_unchanged(probe_families,
+                                                       monkeypatch):
+    # windows of 1, 3 and every slice, on 1 and 2 CPUs, give the same
+    # counts, fractions and exponents: each slice's draws come from its own
+    # stream, whichever task or window scores it.  Slices of 1,000 keep the
+    # run quick; the sample count leaves a ragged last slice
+    monkeypatch.setattr(family, "SUBLEVEL_SLICE", 1_000)
+    samples = 7 * 1_000 + 457
     deltas = np.geomspace(0.3, 1e-3, 10)
     for name, fam, _ in probe_families:
         R = _probe_radius(fam)
         ws = _panel(fam, R, 6)
         results = []
-        for size in (7, 4_096, 5_000):
-            monkeypatch.setattr(family, "SUBLEVEL_SLICE", size)
-            fractions, counts = _sublevel_fractions(fam, R, ws, deltas,
-                                                    samples, 2718)
-            exponents = [_fit_exponent(deltas, f, c)["exponent"]
-                         for f, c in zip(fractions, counts)]
-            results.append((counts, fractions, exponents))
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            for window in (1, 3, 64):
+                monkeypatch.setattr(family, "SUBLEVEL_WINDOW", window)
+                fractions, counts = _sublevel_fractions(fam, R, ws, deltas,
+                                                        samples, 2718)
+                exponents = [_fit_exponent(deltas, f, c)["exponent"]
+                             for f, c in zip(fractions, counts)]
+                results.append((counts, fractions, exponents))
         (counts, fractions, exponents), *others = results
         assert counts.sum() > 0 and None not in exponents, name
         for c, f, e in others:

@@ -134,6 +134,21 @@ def test_cli_import_loads_no_heavy_module():
     assert out.stdout.split() == []
 
 
+def test_transversality_run_loads_no_masked_arrays(tmp_path):
+    # numpy.ma costs about 10 ms to import; np.unique and np.median load
+    # it, the probe's argument check and the run's summary do not
+    argv = ["transversality", str(ROOT / "configs/family_n4m2k3.json"),
+            "--extend", "--l", "1", "--seed", "1", "--samples", "2000",
+            "--directions", "2", "--out", str(tmp_path / "run")]
+    code = ("import sys; from projlab.cli import main; "
+            f"main({argv!r}); print('numpy.ma' in sys.modules)")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 def _cfg_reads(func):
     """The fields a function reads as cfg.<field>."""
     return {node.attr for node in ast.walk(func)

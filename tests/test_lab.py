@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import statistics
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -273,6 +275,16 @@ def test_run_transversality_base_family(tmp_path):
     med = report.summary["median_exponent"]
     assert med == pytest.approx(1.0, abs=0.15)
     assert report.runtime_seconds >= 0.0
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=9))
+def test_summary_median_is_bitwise_numpy_median(xs):
+    # run_transversality's median_exponent takes statistics.median, which
+    # does not import numpy.ma as np.median does; for odd and even lengths
+    # it gives the float np.median gives, bit for bit
+    got, want = statistics.median(xs), float(np.median(xs))
+    assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
