@@ -559,18 +559,18 @@ def _kernel_norms(E, w):
 
 
 def _ref_counts(rows_fn, k, R, w, deltas, samples, seed,
-                norms=_solve_norms):
+                norms=_solve_norms, size=SUBLEVEL_SLICE):
     """Hit counts per delta on the probe's stream, counted as vals <=
-    delta on the values `norms` gives: slice i of SUBLEVEL_SLICE samples
-    draws its normals, then its uniforms, from child i of
+    delta on the values `norms` gives: slice i of `size` samples draws
+    its normals, then its uniforms, from child i of
     SeedSequence(seed).spawn(number of slices)."""
     deltas = np.asarray(deltas, dtype=float)
-    starts = range(0, samples, SUBLEVEL_SLICE)
+    starts = range(0, samples, size)
     children = np.random.SeedSequence(seed).spawn(len(starts))
     values = []
     for a, child in zip(starts, children):
         rng = np.random.default_rng(child)
-        B = min(SUBLEVEL_SLICE, samples - a)
+        B = min(size, samples - a)
         g = rng.standard_normal((B, k))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = R * rng.random(B) ** (1.0 / k)
@@ -750,6 +750,38 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
     with ThreadPoolExecutor(len(args)) as pool:
         for got, want in zip(pool.map(probe, args), serial):
             assert np.array_equal(got, want)
+
+
+def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
+    # on one usable CPU the batch of slices one pool.map scores (a window)
+    # frees each slice's draws, rows and projection buffers before the next
+    # slice is drawn, so three windows peak no higher than one, and no
+    # higher than one slice's worth (the per-sample terms of
+    # test_sublevel_memory_is_two_slices_at_any_sample_count, for one
+    # thread): 6,862,144 B (6.54 MiB) with (m, n, d, k) = (2, 4, 3, 4),
+    # and the peak measured 5.37 MiB after a warm-up call
+    _, fam, _ = probe_families[1]
+    R, k = _probe_radius(fam), fam.k
+    ws = _panel(fam, R, 4)
+    deltas = np.geomspace(0.3, 1e-3, 10)
+    d, n = fam.rows(np.zeros((1, k))).shape[1:]
+    m = 2  # the base plane of configs/family_n4m2k3.json
+    one_slice = SUBLEVEL_SLICE * (k + 1 + d * n + k + m * (n - m) + n + 4) * 8
+    usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(family, "SUBLEVEL_WINDOW", 8)
+    # a first call imports the pool's modules, which are not the probe's
+    _sublevel_fractions(fam, R, ws, deltas, 1_000, 1)
+    peaks = []
+    for windows in (1, 3):
+        tracemalloc.start()
+        try:
+            _sublevel_fractions(fam, R, ws, deltas,
+                                windows * 8 * SUBLEVEL_SLICE, 2718)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 20, peaks
+    assert max(peaks) <= one_slice + 2 ** 18, (peaks, one_slice)
 
 
 def test_sublevel_memory_is_two_slices_at_any_sample_count(probe_families,
@@ -1008,3 +1040,42 @@ def test_family_round_trip_file(tmp_path):
     lam = np.array([0.05, -0.1, 0.02])
     assert np.allclose(family_rows(spec2, lam[None, :]),
                        family_rows(spec, lam[None, :]), atol=1e-12)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sublevel_slice_size_leaves_results_unchanged(probe_families,
+                                                      monkeypatch, cpus):
+    # the slice size fixes the probe's stream, so it leaves the counts,
+    # fractions and exponents unchanged while the samples fit one slice
+    # (sizes of the sample count, one more, and the default).  Sizes that
+    # cut the samples into many slices, 7, 4,096 and 5,000, each with a
+    # ragged last slice, count exactly what the reference counts on the
+    # stream that size defines
+    usable_cpus(monkeypatch, cpus)
+    samples = 2 * 5_000 + 4_099
+    deltas = np.geomspace(0.3, 1e-3, 10)
+    for name, fam, _ in probe_families:
+        R = _probe_radius(fam)
+        ws = _panel(fam, R, 6)
+        results = []
+        for size in (samples, samples + 1, SUBLEVEL_SLICE):
+            monkeypatch.setattr(family, "SUBLEVEL_SLICE", size)
+            fractions, counts = _sublevel_fractions(fam, R, ws, deltas,
+                                                    samples, 2718)
+            exponents = [_fit_exponent(deltas, f, c)["exponent"]
+                         for f, c in zip(fractions, counts)]
+            results.append((counts, fractions, exponents))
+        (counts, fractions, exponents), *others = results
+        assert counts.sum() > 0 and None not in exponents, name
+        for c, f, e in others:
+            assert np.array_equal(c, counts), name
+            assert np.array_equal(f, fractions), name
+            assert e == exponents, name
+        for size in (7, 4_096, 5_000):
+            monkeypatch.setattr(family, "SUBLEVEL_SLICE", size)
+            _, counts = _sublevel_fractions(fam, R, ws, deltas, samples,
+                                            2718)
+            for i, w in enumerate(ws):
+                ref, _ = _ref_counts(fam.rows, fam.k, R, w, deltas, samples,
+                                     2718, norms=_kernel_norms, size=size)
+                assert counts[i].tolist() == ref.tolist(), (name, size, i)
