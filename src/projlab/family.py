@@ -140,6 +140,18 @@ class FamilySpec:
         a fresh array on every call: `family_rows(self, .)`."""
         return family_rows(self, lam_batch)
 
+    def rows_and_derivs(self, lam, basis=None):
+        """Rows of V_lambda at lam, (m, n), and their derivatives, (k, m, n),
+        in the coordinates basis.T @ chart: ambient by default."""
+        return _rows_and_derivs(self._write, (self.m, self.n), lam, basis)
+
+    def _write(self, lam_batch, tangents, out, basis=None):
+        """`_rotated_rows` of the rows of V_lambda at lam_batch (B, k) into
+        out (m, n, B + T), in the coordinates of `rows_and_derivs`."""
+        _rotated_rows(self.coordinate_matrix() if basis is None else basis,
+                      range(self.m), range(self.m, self.n),
+                      self.angles(lam_batch), self.angles(tangents), out)
+
 
 def slot_family(n, m, k, slots, radius, base=None):
     """Family whose parameter a drives slot slots[a - 1] with weight 1, for
@@ -161,34 +173,43 @@ def disjoint_slot_family(n, m, k, base=None, radius=np.pi / 8):
     return slot_family(n, m, k, slots, radius, base)
 
 
-def _rotated_rows(basis, starts, targets, angles, out):
+def _rotated_rows(basis, starts, targets, angles, rates, out):
     """For each a, rotate the unit coordinate starts[a] toward each of the
     coordinates `targets` in turn, by the angles angles[a] (len(targets),
-    B), and write basis.T @ x, ambient, into out[a] (n, B).  x holds the
-    coordinates along the rows of basis, one contiguous length-B vector
-    each."""
-    x = np.empty((basis.shape[0], angles.shape[-1]))
+    B), and write basis.T @ x, ambient, into out[a] (n, B + T).  Row c of x
+    holds coordinate c of B states, then, for B = 1, of T tangents as the
+    angles move at the rates rates[a] (len(targets), T): by the product
+    rule, each turn also adds its rate times the turned state turned a
+    further quarter turn."""
+    B = angles.shape[-1]
+    x = np.empty((basis.shape[0], out.shape[-1]))
     for a, i in enumerate(starts):
         x[:] = 0.0
-        x[i] = 1.0
-        for j, beta in zip(targets, angles[a]):
+        x[i, :B] = 1.0
+        for j, beta, rate in zip(targets, angles[a], rates[a]):
             givens(x, i, j, beta)
-        np.matmul(basis.T, x, out=out[a])
+            x[i, B:] -= rate * x[j, 0]
+            x[j, B:] += rate * x[i, 0]
+        # a one-column product sums in another order than a wider one
+        np.matmul(basis.T, np.ascontiguousarray(x[:, :B]), out=out[a, :, :B])
+        np.matmul(basis.T, x[:, B:], out=out[a, :, B:])
 
 
-def _ambient_rows(spec: FamilySpec, lam_batch, out):
-    """Write the spanning rows of V_lambda, ambient coordinates, into
-    out (m, n, B): row i of sample b is out[i, :, b]."""
-    _rotated_rows(spec.coordinate_matrix(), range(spec.m),
-                  range(spec.m, spec.n), spec.angles(lam_batch), out)
+def _rows_and_derivs(write, shape, lam, *args):
+    """Rows (d, n) = shape at one parameter lam and their derivatives, (k,
+    d, n), both contiguous, from write(.., *args) as `FamilySpec._write`."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(shape + (1 + len(lam),))
+    write(lam[None], np.eye(len(lam)), out, *args)
+    return out[..., 0].copy(), np.moveaxis(out[..., 1:], -1, 0).copy()
 
 
 def family_rows(spec: FamilySpec, lam_batch):
     """Spanning rows of V_lambda in ambient coordinates, (B, m, n).  Not
     orthonormalized.  The result is a view of a fresh (m, n, B) buffer."""
     lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-    out = np.empty((spec.m, spec.n, lam_batch.shape[0]))
-    _ambient_rows(spec, lam_batch, out)
+    out = np.empty((spec.m, spec.n, len(lam_batch)))
+    spec._write(lam_batch, np.empty((0, spec.k)), out)
     return np.moveaxis(out, -1, 0)
 
 
@@ -213,47 +234,14 @@ def family_frame(family, lam) -> Frame:
 # Jacobians and non-degeneracy
 # ---------------------------------------------------------------------------
 
-def _rows_and_derivs_chart(spec: FamilySpec, lam):
-    """Chart-coordinate spanning rows at lam plus their derivatives with
-    respect to each parameter: (rows (m, n), derivs (k, m, n)).
-
-    Derivative of an ordered rotation chain by the product rule: each slot
-    rotates the state and the derivatives accumulated so far, then adds
-    its own derivative, the weight times the slot's (i, j) components of
-    the rotated state turned a further quarter turn.
-    """
-    n, m, k = spec.n, spec.m, spec.k
-    ang = spec.angles(lam)
-    # weight of parameter a on slot (i, j): the angles are linear in lam
-    wt = spec.angles(np.eye(k))  # (m, n-m, k)
-    rows = np.empty((m, n))
-    derivs = np.empty((k, m, n))
-    for i in range(m):
-        # column 0 is the state, columns 1..k its parameter derivatives
-        x = np.zeros((n, k + 1))
-        x[i, 0] = 1.0
-        for j in range(m, n):
-            givens(x, i, j, ang[i, j - m])
-            w = wt[i, j - m]
-            x[i, 1:] -= w * x[j, 0]
-            x[j, 1:] += w * x[i, 0]
-        rows[i] = x[:, 0]
-        derivs[:, i] = x[:, 1:].T
-    return rows, derivs
-
-
-def _projector_derivs(spec: FamilySpec, lam):
-    """Chart-coordinate spanning rows at lam, (m, n), and the parameter
-    derivatives of the projector E (E^T E)^{-1} E^T, E = rows^T: (k, n, n)."""
-    rows, derivs = _rows_and_derivs_chart(spec, lam)
-    E = rows.T  # (n, m)
-    Epinv = np.linalg.inv(E.T @ E) @ E.T  # (m, n)
-    I_minus_Pi = np.eye(spec.n) - E @ Epinv
-    dPis = []
-    for dR in derivs:
-        half = I_minus_Pi @ dR.T @ Epinv
-        dPis.append(half + half.T)
-    return rows, np.array(dPis)
+def _projector_derivs(rows, derivs):
+    """Derivatives of the projector E (E^T E)^{-1} E^T onto the span of
+    the rows (d, n), E = rows^T, from the rows' derivatives derivs
+    (k, d, n): (k, n, n), in the coordinates of the rows."""
+    E = rows.T  # (n, d)
+    Epinv = np.linalg.inv(E.T @ E) @ E.T  # (d, n)
+    half = (np.eye(len(E)) - E @ Epinv) @ np.swapaxes(derivs, 1, 2) @ Epinv
+    return half + np.swapaxes(half, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -272,21 +260,21 @@ class FamilyJacobian:
 
 def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     """Assemble the maps A_a : V^perp -> V at site lam0, analytically."""
-    rows, dPis = _projector_derivs(spec, _parameter(spec, lam0))
+    rows, derivs = spec.rows_and_derivs(_parameter(spec, lam0),
+                                        np.eye(spec.n))
+    dPis = _projector_derivs(rows, derivs)
     g = orthonormalize(rows)  # plane basis, chart coords
     f = complement(Frame(g)).basis  # complement basis, chart coords
     A = np.einsum("rm,amn,cn->arc", g, dPis, f)
     return FamilyJacobian(A, Frame(f @ spec.coordinate_matrix()))
 
 
-def projection_derivative_matrix(spec: FamilySpec, lam0, z):
+def projection_derivative_matrix(family, lam0, z):
     """The n x k matrix whose columns are d Pi_{V_lambda}(z) / d lambda_a
-    at lam0, for an arbitrary ambient z (ambient coordinates)."""
-    _, dPis = _projector_derivs(spec, np.asarray(lam0, dtype=float))
-    Bcoord = spec.coordinate_matrix()
-    zeta = Bcoord @ np.asarray(z, dtype=float)
-    cols = dPis @ zeta  # (k, n) in chart coords
-    return (cols @ Bcoord).T
+    at lam0, for a FamilySpec or an ExtendedFamily and an arbitrary
+    ambient z (ambient coordinates)."""
+    rows, derivs = family.rows_and_derivs(np.asarray(lam0, dtype=float))
+    return (_projector_derivs(rows, derivs) @ np.asarray(z, dtype=float)).T
 
 
 def nondegeneracy_check(spec: FamilySpec, lam0):
@@ -396,19 +384,30 @@ class ExtendedFamily:
         """Transversality order r = l + 1 + p aimed at by the construction."""
         return self.l + 1 + self.p
 
+    def _write(self, lam_batch, tangents, out):
+        """`FamilySpec._write` for the extended plane, ambient.  The added
+        rows turn at unit rate in lam2 and mix complement coordinates only,
+        so they stay inside V_0^perp and are independent of lam1."""
+        m, k, p, t = self.spec.m, self.spec.k, self.p, self.t
+        self.spec._write(lam_batch[:, :k], tangents[:, :k], out[:m])
+        _rotated_rows(self.ehat, range(t, t + p), range(t),
+                      lam_batch[:, k:].T.reshape(p, t, len(lam_batch)),
+                      tangents[:, k:].T.reshape(p, t, len(tangents)),
+                      out[m:])
+
     def rows(self, lam_batch):
         """Spanning rows of the extended plane, ambient, (B, m+p, n).  The
-        result is a view of a fresh (m+p, n, B) buffer.  The rotations of
-        the added directions mix complement coordinates only, so their
-        rows stay inside V_0^perp and are independent of lam1."""
+        result is a view of a fresh (m+p, n, B) buffer."""
         lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-        m, k, p, t = self.spec.m, self.spec.k, self.p, self.t
-        B = lam_batch.shape[0]
-        out = np.empty((m + p, self.spec.n, B))
-        _ambient_rows(self.spec, lam_batch[:, :k], out[:m])
-        _rotated_rows(self.ehat, range(t, t + p), range(t),
-                      lam_batch[:, k:].T.reshape(p, t, B), out[m:])
+        out = np.empty((self.spec.m + self.p, self.spec.n, len(lam_batch)))
+        self._write(lam_batch, np.empty((0, self.k)), out)
         return np.moveaxis(out, -1, 0)
+
+    def rows_and_derivs(self, lam):
+        """Spanning rows of the extended plane at lam, ambient, (m+p, n),
+        and their derivatives along each parameter, (k, m+p, n)."""
+        return _rows_and_derivs(self._write,
+                                (self.spec.m + self.p, self.spec.n), lam)
 
     def frame(self, lam) -> Frame:
         """`family_frame(self, lam)`, kept as a method only because the

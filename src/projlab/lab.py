@@ -691,7 +691,7 @@ def extension_wedge_margin(count, seed):
     for _ in range(count):
         z = rng.standard_normal(ext.t) @ ext.ehat[:ext.t]
         z /= np.linalg.norm(z)
-        M = _central_differences(ext.rows, np.zeros(ext.k), z, 1e-5)
+        M = projection_derivative_matrix(ext, np.zeros(ext.k), z)
         worst = min(worst, wedge_operator_norm(M, ext.target_order))
     return worst, ext.d_prime_hat / np.sqrt(ext.t) ** ext.p
 

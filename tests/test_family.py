@@ -16,7 +16,6 @@ from projlab.family import (
     _fit_exponent,
     _orthonormalize,
     _projection_norm,
-    _rows_and_derivs_chart,
     _sublevel_fractions,
     bracket_ceil,
     disjoint_slot_family,
@@ -993,7 +992,8 @@ def test_rows_and_derivs_equal_pre_merge_chain():
             lam = np.zeros(spec.k)
         else:
             lam = rng.uniform(-0.25, 0.25, size=spec.k)
-        rows, derivs = _rows_and_derivs_chart(spec, lam)
+        # chart coordinates, as family_jacobian takes them
+        rows, derivs = spec.rows_and_derivs(lam, np.eye(spec.n))
         ref_rows, ref_derivs = _ref_rows_and_derivs_chart(spec, lam)
         assert np.array_equal(rows, ref_rows), spec
         assert np.array_equal(derivs, ref_derivs), spec

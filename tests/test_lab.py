@@ -407,14 +407,14 @@ def test_resolve_family_accepts_spec_dict_and_path(tmp_path):
 
 
 def test_derivative_order_sees_a_wrong_family_derivative(monkeypatch):
-    # criterion 4 checks the derivative the runs use: scaling the family's
-    # row derivatives by 1.01 must break the second-order convergence
+    # criterion 4 checks the derivative the runs use: scaling the row
+    # derivatives of both family kinds by 1.01 must break the second-order
+    # convergence
     from projlab import family
-    exact = family._rows_and_derivs_chart
+    for kind in (family.FamilySpec, family.ExtendedFamily):
+        def scaled(self, lam, exact=kind.rows_and_derivs):
+            rows, derivs = exact(self, lam)
+            return rows, 1.01 * derivs
 
-    def scaled(spec, lam):
-        rows, derivs = exact(spec, lam)
-        return rows, 1.01 * derivs
-
-    monkeypatch.setattr(family, "_rows_and_derivs_chart", scaled)
+        monkeypatch.setattr(kind, "rows_and_derivs", scaled)
     assert tangent_derivative_order(25, seed=11) < 1.9
