@@ -22,6 +22,7 @@ from .dimest import box_counting_dim, correlation_dim, project_points
 from .family import (
     REQUIRED,
     ConfigError,
+    ExtendedFamily,
     FamilySpec,
     check_keys,
     config_field,
@@ -573,15 +574,28 @@ def multivec_oracle_gaps(count, seed):
     return worst_gram, worst_det
 
 
-def _random_site(rng, n_high):
-    """A random disjoint-slot family (3 <= n < n_high, random m, k and
-    base) and a random site lam0 in [-0.2, 0.2]^k."""
+def _random_site(rng, n_high, codim=1):
+    """A random disjoint-slot family (3 <= n < n_high, random m <= n -
+    codim, k and base) and a random site lam0 in [-0.2, 0.2]^k."""
     n = int(rng.integers(3, n_high))
-    m = int(rng.integers(1, n))
+    m = int(rng.integers(1, n + 1 - codim))
     k = int(rng.integers(1, m * (n - m)))  # n >= 3, so m(n-m) >= 2
     base = span_frame(rng.standard_normal((m, n)))
     lam0 = rng.uniform(-0.2, 0.2, size=k)
     return disjoint_slot_family(n, m, k, base=base), lam0
+
+
+def _random_extended_site(rng):
+    """An extended family over a random site of a family of codimension
+    at least 2 (`_random_site`), whose 1 <= p < n - m added rows swing a
+    random orthonormal basis of V_0^perp, and a random site lam0 in
+    [-0.2, 0.2]^k."""
+    spec, lam1 = _random_site(rng, 7, codim=2)
+    c = spec.n - spec.m
+    p = int(rng.integers(1, c))
+    ehat = np.linalg.qr(rng.standard_normal((c, c)))[0] @ spec.comp.basis
+    ext = ExtendedFamily(spec, 0, p, c - p, ehat, 0.0)
+    return ext, np.concatenate([lam1, rng.uniform(-0.2, 0.2, p * (c - p))])
 
 
 def _central_differences(rows_fn, lam0, z, h):
@@ -596,18 +610,20 @@ def _central_differences(rows_fn, lam0, z, h):
 
 
 def tangent_derivative_order(count, seed):
-    """Smallest order, over `count` random families at random sites
-    lam0, at which central differences of lam -> Pi_{V_lam} z converge to
+    """Smallest order, over `count` random families at random sites lam0
+    and then `count` random extended families (`_random_extended_site`),
+    at which central differences of lam -> Pi_{V_lam} z converge to
     `projection_derivative_matrix`, the derivative the non-degeneracy
     gate, the witness search and the extension use; 2 when it is right."""
     rng = np.random.default_rng(seed)
     hs = np.array([1e-2, 1e-3, 1e-4])
     worst = np.inf
-    for _ in range(count):
-        spec, lam0 = _random_site(rng, 7)
-        z = rng.standard_normal(spec.n)
-        an = projection_derivative_matrix(spec, lam0, z)
-        errs = [np.linalg.norm(_central_differences(spec.rows, lam0, z, h)
+    for trial in range(2 * count):
+        family, lam0 = (_random_site(rng, 7) if trial < count
+                        else _random_extended_site(rng))
+        z = rng.standard_normal(family.rows(lam0[None]).shape[-1])
+        an = projection_derivative_matrix(family, lam0, z)
+        errs = [np.linalg.norm(_central_differences(family.rows, lam0, z, h)
                                - an) for h in hs]
         errs = np.maximum(errs, 1e-15)
         worst = min(worst, np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -41,7 +41,10 @@ from projlab.grassmann import (
     span_projector,
     standard_frame,
 )
-from projlab.lab import extended_plane_derivative_check
+from projlab.lab import (
+    _random_extended_site,
+    extended_plane_derivative_check,
+)
 
 
 # --- arithmetic layer ------------------------------------------------------
@@ -997,6 +1000,21 @@ def test_rows_and_derivs_equal_pre_merge_chain():
         ref_rows, ref_derivs = _ref_rows_and_derivs_chart(spec, lam)
         assert np.array_equal(rows, ref_rows), spec
         assert np.array_equal(derivs, ref_derivs), spec
+
+
+def test_rows_and_derivs_rows_equal_batch_rows():
+    # the tangents ride along without changing a row's bits, for both
+    # family kinds; the extended families swing random bases of V_0^perp
+    rng = np.random.default_rng(37)
+    for trial in range(200):
+        if trial % 2:
+            fam, lam = _random_extended_site(rng)
+        else:
+            fam = _random_family(rng)
+            lam = rng.uniform(-0.25, 0.25, size=fam.k)
+        rows, derivs = fam.rows_and_derivs(lam)
+        assert np.array_equal(rows, fam.rows(lam[None])[0])
+        assert derivs.shape == (fam.k,) + rows.shape
 
 
 # --- serialization ---------------------------------------------------------

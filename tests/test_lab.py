@@ -412,9 +412,21 @@ def test_derivative_order_sees_a_wrong_family_derivative(monkeypatch):
     # convergence
     from projlab import family
     for kind in (family.FamilySpec, family.ExtendedFamily):
-        def scaled(self, lam, exact=kind.rows_and_derivs):
-            rows, derivs = exact(self, lam)
-            return rows, 1.01 * derivs
+        _scale_derivs(monkeypatch, kind)
+    assert tangent_derivative_order(25, seed=11) < 1.9
 
-        monkeypatch.setattr(kind, "rows_and_derivs", scaled)
+
+def _scale_derivs(monkeypatch, kind):
+    """Patch kind.rows_and_derivs to return its derivatives times 1.01."""
+    def scaled(self, *args, exact=kind.rows_and_derivs):
+        rows, derivs = exact(self, *args)
+        return rows, 1.01 * derivs
+
+    monkeypatch.setattr(kind, "rows_and_derivs", scaled)
+
+
+def test_derivative_order_sees_a_wrong_extended_derivative(monkeypatch):
+    # the extended families' half of the check sees their derivative alone
+    from projlab import family
+    _scale_derivs(monkeypatch, family.ExtendedFamily)
     assert tangent_derivative_order(25, seed=11) < 1.9
