@@ -213,13 +213,16 @@ def family_rows(spec: FamilySpec, lam_batch):
     return np.moveaxis(out, -1, 0)
 
 
-def _parameter(family, lam):
+def _parameter(family, lam, name="lam"):
     """lam as an array, once checked to be a parameter of the family (a
     FamilySpec or an ExtendedFamily): k entries inside the open box of
-    half-widths family.radii around 0; ValueError otherwise."""
+    half-widths family.radii around 0; ValueError naming the argument
+    `name` otherwise."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (family.k,) or not np.all(np.abs(lam) < family.radii):
-        raise ValueError("parameter outside the family domain")
+        raise ValueError(f"{name} {lam.tolist()} is outside the family "
+                         f"domain: need k={family.k} entries below the "
+                         f"radii {list(family.radii)} in size")
     return lam
 
 
@@ -260,7 +263,7 @@ class FamilyJacobian:
 
 def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
     """Assemble the maps A_a : V^perp -> V at site lam0, analytically."""
-    rows, derivs = spec.rows_and_derivs(_parameter(spec, lam0),
+    rows, derivs = spec.rows_and_derivs(_parameter(spec, lam0, "lam0"),
                                         np.eye(spec.n))
     dPis = _projector_derivs(rows, derivs)
     g = orthonormalize(rows)  # plane basis, chart coords
@@ -272,9 +275,14 @@ def family_jacobian(spec: FamilySpec, lam0) -> FamilyJacobian:
 def projection_derivative_matrix(family, lam0, z):
     """The n x k matrix whose columns are d Pi_{V_lambda}(z) / d lambda_a
     at lam0, for a FamilySpec or an ExtendedFamily and an arbitrary
-    ambient z (ambient coordinates)."""
-    rows, derivs = family.rows_and_derivs(np.asarray(lam0, dtype=float))
-    return (_projector_derivs(rows, derivs) @ np.asarray(z, dtype=float)).T
+    ambient z (ambient coordinates).  ValueError naming the argument when
+    lam0 is not a parameter of the family or z does not have n entries."""
+    rows, derivs = family.rows_and_derivs(_parameter(family, lam0, "lam0"))
+    z = np.asarray(z, dtype=float)
+    if z.shape != rows.shape[1:]:
+        raise ValueError(f"z must be a vector of n={rows.shape[1]} "
+                         f"entries, got shape {z.shape}")
+    return (_projector_derivs(rows, derivs) @ z).T
 
 
 def nondegeneracy_check(spec: FamilySpec, lam0):

@@ -242,6 +242,22 @@ def test_jacobian_matches_finite_differences():
         assert np.allclose(D[:, a], fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("extended", [False, True])
+def test_projection_derivative_matrix_names_bad_arguments(extended):
+    # checked at the boundary, not left to a numpy shape error
+    spec = disjoint_slot_family(4, 2, 3)
+    fam = extend_family(spec, l=1) if extended else spec
+    lam0, z = np.zeros(fam.k), np.ones(4)
+    assert projection_derivative_matrix(fam, lam0, z).shape == (4, fam.k)
+    for bad in (np.zeros(fam.k + 1), np.zeros((1, fam.k)),
+                np.full(fam.k, 0.5)):  # 0.5 lies outside every radius
+        with pytest.raises(ValueError, match="^lam0 .* outside the family"):
+            projection_derivative_matrix(fam, bad, z)
+    for bad in (np.ones(3), np.ones(5), np.ones((1, 4))):
+        with pytest.raises(ValueError, match="^z must be a vector of n=4 "):
+            projection_derivative_matrix(fam, lam0, bad)
+
+
 def test_jacobian_at_zero_matches_linear_formula():
     # at lam = 0 with the standard base, parameter a driving slot (i, j)
     # maps z to z_j e_i + z_i e_j
