@@ -6,9 +6,9 @@ Both estimators are invariant under ambient rotations; projected clouds
 land in rotated planes, so this is a contract, not an optimization.  Box
 counting works in intrinsic coordinates (weighted PCA with near-zero
 variance directions dropped); the correlation dimension uses raw pair
-distances, which rotations keep.  Box counting is also invariant under
-scaling across the float range; a cloud whose pair distances overflow
-gets the zero correlation estimate.
+distances, which rotations keep.  Both are also invariant under scaling
+across the float range; a cloud whose pair distances overflow gets the
+zero correlation estimate.
 
 Box counting runs its scales one after another on the calling thread and
 reuses one float and two int64 buffers of length N for all its grids.
@@ -249,8 +249,12 @@ def correlation_dim(measure: SampledMeasure, seed=0) -> DimensionEstimate:
     j = rng.choice(measure.count, size=200_000, p=measure.weights)
     keep = i != j
     with np.errstate(over="ignore"):  # checked below
-        d = np.linalg.norm(measure.points[i[keep]] - measure.points[j[keep]],
-                           axis=1)
+        diff = measure.points[i[keep]] - measure.points[j[keep]]
+        # the norm squares the differences scaled by 2**-e, where 2**e
+        # bounds them, so no square overflows or goes subnormal; both
+        # scalings are exact, as in `_intrinsic_coords`
+        e = int(np.frexp(np.max(np.abs(diff), initial=0.0))[1])
+        d = np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1), e)
     if np.isinf(d).any():
         return _zero_estimate("correlation", measure.count,
                               "span outside the float range")

@@ -116,9 +116,10 @@ def test_box_counting_is_scale_invariant_across_the_float_range(scale):
 
 
 def test_correlation_span_past_the_float_range_is_a_zero_estimate():
-    # the pair distances of a cloud this large overflow to inf
+    # points spread over [-1.7e308, 1.7e308]^2: pair distances overflow
     m = _uniform_square(5_000, 0)
-    big = SampledMeasure(m.points * 1e160, m.weights, m.nominal_dim)
+    big = SampledMeasure((2.0 * m.points - 1.0) * 1.7e308, m.weights,
+                         m.nominal_dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         est = correlation_dim(big, seed=0)
@@ -126,11 +127,12 @@ def test_correlation_span_past_the_float_range_is_a_zero_estimate():
     assert est.warning == "span outside the float range"
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-13, 1.0, 1e100,
-                                   1e150])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-150, 1e-100,
+                                   1e-13, 1.0, 1e100, 1e150, 1e300])
 def test_correlation_dim_is_scale_invariant(scale):
     # the distance floor is relative to the largest pair distance, so a
-    # cloud scaled far below 1 keeps its scaling range
+    # cloud scaled far below 1 keeps its scaling range, and the norm works
+    # on differences scaled by a power of two, so no square underflows
     m = _uniform_square(5_000, 0)
     scaled = SampledMeasure(m.points * scale, m.weights, m.nominal_dim)
     with warnings.catch_warnings():
