@@ -121,6 +121,40 @@ def test_only_threads_module_sizes_threads():
                        "threads.py:\n" + "\n".join(found))
 
 
+def _readers(name):
+    """(file, function) of each read of name in src/projlab, as a name or
+    an attribute: the innermost enclosing function, or '<module>'."""
+    found = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            if isinstance(node.ctx, ast.Load):
+                found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted((ROOT / "src/projlab").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path,
+              "<module>")
+    return found
+
+
+def test_one_kernel_rotates_every_chain():
+    # the rows and the derivatives of both family kinds come from one
+    # Givens chain; a second chain must not come back
+    assert _readers("givens") == {("family.py", "_rotated_rows")}
+
+
+def test_central_differences_run_only_in_the_tangent_order_oracle():
+    # every derivative the runs use is analytic; central differences are
+    # only the oracle that checks it
+    assert _readers("_central_differences") == {
+        ("lab.py", "tangent_derivative_order")}
+
+
 def test_cli_import_loads_no_heavy_module():
     # scipy is a test dependency only; threads.cpu_pool imports its thread
     # pool on first use, since concurrent.futures pulls in logging
