@@ -698,8 +698,9 @@ def extended_projection_order(count, seed):
 def extension_wedge_margin(count, seed):
     """Key inequality of the extension at (n, m, k, l) = (5, 2, 5, 1):
     (smallest wedge volume of the extended Jacobian over `count` random
-    unit witness vectors, the margin d'/sqrt(t)^p it must clear).  Here
-    t = 2; at t = 1 the witness sphere is one point and the smallest
+    unit witness vectors, the margin d'/sqrt(t)^p it must clear).  The
+    Jacobian is the extended family's analytic projection derivative.
+    Here t = 2; at t = 1 the witness sphere is one point and the smallest
     wedge equals the margin, so the check could show no slack."""
     ext = extend_family(disjoint_slot_family(5, 2, 5), l=1, seed=0)
     rng = np.random.default_rng(seed)
