@@ -196,8 +196,8 @@ def _rotated_rows(basis, starts, targets, angles, rates, out):
 
 
 def _rows_and_derivs(write, shape, lam, *args):
-    """Rows (d, n) = shape at one parameter lam and their derivatives, (k,
-    d, n), both contiguous, from write(.., *args) as `FamilySpec._write`."""
+    """The rows at lam, shape (d, n), and their derivatives along each
+    parameter, (k, d, n), contiguous; write is as `FamilySpec._write`."""
     lam = np.asarray(lam, dtype=float)
     out = np.empty(shape + (1 + len(lam),))
     write(lam[None], np.eye(len(lam)), out, *args)

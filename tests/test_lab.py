@@ -406,6 +406,15 @@ def test_resolve_family_accepts_spec_dict_and_path(tmp_path):
     assert spec3.schedule == spec.schedule
 
 
+def _scale_derivs(monkeypatch, kind):
+    """Patch kind.rows_and_derivs to return its derivatives times 1.01."""
+    def scaled(self, *args, exact=kind.rows_and_derivs):
+        rows, derivs = exact(self, *args)
+        return rows, 1.01 * derivs
+
+    monkeypatch.setattr(kind, "rows_and_derivs", scaled)
+
+
 def test_derivative_order_sees_a_wrong_family_derivative(monkeypatch):
     # criterion 4 checks the derivative the runs use: scaling the row
     # derivatives of both family kinds by 1.01 must break the second-order
@@ -414,15 +423,6 @@ def test_derivative_order_sees_a_wrong_family_derivative(monkeypatch):
     for kind in (family.FamilySpec, family.ExtendedFamily):
         _scale_derivs(monkeypatch, kind)
     assert tangent_derivative_order(25, seed=11) < 1.9
-
-
-def _scale_derivs(monkeypatch, kind):
-    """Patch kind.rows_and_derivs to return its derivatives times 1.01."""
-    def scaled(self, *args, exact=kind.rows_and_derivs):
-        rows, derivs = exact(self, *args)
-        return rows, 1.01 * derivs
-
-    monkeypatch.setattr(kind, "rows_and_derivs", scaled)
 
 
 def test_derivative_order_sees_a_wrong_extended_derivative(monkeypatch):
