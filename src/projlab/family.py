@@ -85,8 +85,27 @@ def theorem_lower_bound(n, m, k, d):
 # Rotation-schedule families
 # ---------------------------------------------------------------------------
 
+class _ChainFamily:
+    """The rows of both family kinds: a kind gives k, its plane_shape (d, n)
+    and `_write`, the chain writer of its rows and their tangents."""
+
+    def rows(self, lam_batch):
+        """Spanning rows of V_lambda for a batch of parameters, (B, d, n),
+        a fresh array on every call: `family_rows(self, .)`."""
+        return family_rows(self, lam_batch)
+
+    def rows_and_derivs(self, lam, *args):
+        """Rows of V_lambda at lam, (d, n), and their derivatives along each
+        parameter, (k, d, n), contiguous, in the coordinates `_write` takes
+        with args: ambient by default."""
+        lam = np.asarray(lam, dtype=float)
+        out = np.empty(self.plane_shape + (1 + len(lam),))
+        self._write(lam[None], np.eye(len(lam)), out, *args)
+        return out[..., 0].copy(), np.moveaxis(out[..., 1:], -1, 0).copy()
+
+
 @dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_ChainFamily):
     """A k-parameter family of m-planes in R^n given by a rotation schedule.
 
     schedule: tuple of (param, i, j, weight) entries, param in 1..k,
@@ -135,19 +154,14 @@ class FamilySpec:
             a[i - 1, j - self.m - 1] += w * lam_cols[par - 1]
         return a
 
-    def rows(self, lam_batch):
-        """Spanning rows of V_lambda for a batch of parameters, (B, m, n),
-        a fresh array on every call: `family_rows(self, .)`."""
-        return family_rows(self, lam_batch)
-
-    def rows_and_derivs(self, lam, basis=None):
-        """Rows of V_lambda at lam, (m, n), and their derivatives, (k, m, n),
-        in the coordinates basis.T @ chart: ambient by default."""
-        return _rows_and_derivs(self._write, (self.m, self.n), lam, basis)
+    @property
+    def plane_shape(self):
+        return (self.m, self.n)
 
     def _write(self, lam_batch, tangents, out, basis=None):
-        """`_rotated_rows` of the rows of V_lambda at lam_batch (B, k) into
-        out (m, n, B + T), in the coordinates of `rows_and_derivs`."""
+        """`_rotated_rows` of the rows of V_lambda at lam_batch (B, k) and
+        their tangents (T, k) into out (m, n, B + T), in the coordinates
+        basis.T @ chart: ambient by default."""
         _rotated_rows(self.coordinate_matrix() if basis is None else basis,
                       range(self.m), range(self.m, self.n),
                       self.angles(lam_batch), self.angles(tangents), out)
@@ -195,30 +209,31 @@ def _rotated_rows(basis, starts, targets, angles, rates, out):
         np.matmul(basis.T, x[:, B:], out=out[a, :, B:])
 
 
-def _rows_and_derivs(write, shape, lam, *args):
-    """The rows at lam, shape (d, n), and their derivatives along each
-    parameter, (k, d, n), contiguous; write is as `FamilySpec._write`."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.empty(shape + (1 + len(lam),))
-    write(lam[None], np.eye(len(lam)), out, *args)
-    return out[..., 0].copy(), np.moveaxis(out[..., 1:], -1, 0).copy()
-
-
-def family_rows(spec: FamilySpec, lam_batch):
-    """Spanning rows of V_lambda in ambient coordinates, (B, m, n).  Not
-    orthonormalized.  The result is a view of a fresh (m, n, B) buffer."""
+def family_rows(family, lam_batch):
+    """Spanning rows of V_lambda of a FamilySpec or an ExtendedFamily in
+    ambient coordinates, (B, d, n) for its plane_shape (d, n).  Not
+    orthonormalized.  The result is a view of a fresh (d, n, B) buffer."""
     lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-    out = np.empty((spec.m, spec.n, len(lam_batch)))
-    spec._write(lam_batch, np.empty((0, spec.k)), out)
+    out = np.empty(family.plane_shape + (len(lam_batch),))
+    family._write(lam_batch, np.empty((0, family.k)), out)
     return np.moveaxis(out, -1, 0)
+
+
+def _floats(x, name):
+    """x as a float array; ValueError naming the argument `name` when numpy
+    cannot read it as numbers."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numeric, got {x!r}") from None
 
 
 def _parameter(family, lam, name="lam"):
     """lam as an array, once checked to be a parameter of the family (a
-    FamilySpec or an ExtendedFamily): k entries inside the open box of
+    FamilySpec or an ExtendedFamily): k numbers inside the open box of
     half-widths family.radii around 0; ValueError naming the argument
     `name` otherwise."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _floats(lam, name)
     if lam.shape != (family.k,) or not np.all(np.abs(lam) < family.radii):
         raise ValueError(f"{name} {lam.tolist()} is outside the family "
                          f"domain: need k={family.k} entries below the "
@@ -276,9 +291,9 @@ def projection_derivative_matrix(family, lam0, z):
     """The n x k matrix whose columns are d Pi_{V_lambda}(z) / d lambda_a
     at lam0, for a FamilySpec or an ExtendedFamily and an arbitrary
     ambient z (ambient coordinates).  ValueError naming the argument when
-    lam0 is not a parameter of the family or z does not have n entries."""
+    lam0 is not a parameter of the family or z is not n numbers."""
     rows, derivs = family.rows_and_derivs(_parameter(family, lam0, "lam0"))
-    z = np.asarray(z, dtype=float)
+    z = _floats(z, "z")
     if z.shape != rows.shape[1:]:
         raise ValueError(f"z must be a vector of n={rows.shape[1]} "
                          f"entries, got shape {z.shape}")
@@ -361,7 +376,7 @@ EXTRA_RADIUS = 0.4
 
 
 @dataclass(frozen=True)
-class ExtendedFamily:
+class ExtendedFamily(_ChainFamily):
     """The (m+p)-plane family built over a base family at its center 0.
 
     Parameters are (lam1, lam2): lam1 the base family's parameters, lam2
@@ -392,6 +407,10 @@ class ExtendedFamily:
         """Transversality order r = l + 1 + p aimed at by the construction."""
         return self.l + 1 + self.p
 
+    @property
+    def plane_shape(self):
+        return (self.spec.m + self.p, self.spec.n)
+
     def _write(self, lam_batch, tangents, out):
         """`FamilySpec._write` for the extended plane, ambient.  The added
         rows turn at unit rate in lam2 and mix complement coordinates only,
@@ -402,20 +421,6 @@ class ExtendedFamily:
                       lam_batch[:, k:].T.reshape(p, t, len(lam_batch)),
                       tangents[:, k:].T.reshape(p, t, len(tangents)),
                       out[m:])
-
-    def rows(self, lam_batch):
-        """Spanning rows of the extended plane, ambient, (B, m+p, n).  The
-        result is a view of a fresh (m+p, n, B) buffer."""
-        lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-        out = np.empty((self.spec.m + self.p, self.spec.n, len(lam_batch)))
-        self._write(lam_batch, np.empty((0, self.k)), out)
-        return np.moveaxis(out, -1, 0)
-
-    def rows_and_derivs(self, lam):
-        """Spanning rows of the extended plane at lam, ambient, (m+p, n),
-        and their derivatives along each parameter, (k, m+p, n)."""
-        return _rows_and_derivs(self._write,
-                                (self.spec.m + self.p, self.spec.n), lam)
 
     def frame(self, lam) -> Frame:
         """`family_frame(self, lam)`, kept as a method only because the
@@ -457,11 +462,12 @@ def extend_family(spec: FamilySpec, l, seed=0) -> ExtendedFamily:
 
 # Samples per pool task, and the unit of the probe's random stream: slice i
 # covers samples [i*S, min((i+1)*S, samples)) and draws its normals (B, k),
-# then its uniforms (B,), from default_rng(child_i), where child_i is
-# SeedSequence(seed).spawn(n_slices)[i].  The counts, fractions and
-# exponents therefore depend on this size, but not on the CPU count or on
-# the order in which the pool runs the slices.  Each pool thread holds one
-# slice's draws, rows and scratch at a time.
+# then its uniforms (B,), from the stream built from (seed, i) alone,
+# default_rng(SeedSequence(seed, spawn_key=(i,))): numpy defines child i of
+# SeedSequence(seed).spawn(n_slices) as that sequence.  The counts,
+# fractions and exponents therefore depend on this size, but not on the CPU
+# count or on the order in which the pool runs the slices.  Each pool
+# thread holds one slice's draws, rows and scratch at a time.
 SUBLEVEL_SLICE = 25_000
 
 # Slices handed to the pool at once: the futures alive, and so the memory,
@@ -495,17 +501,17 @@ def _sublevel_fractions(family, R, ws, deltas, samples, seed):
     given order).  Every direction is scored on the same samples.
 
     One `cpu_pool` scores the whole probe, SUBLEVEL_WINDOW slices at a
-    time.  A pool thread draws one slice of SUBLEVEL_SLICE samples from
-    the slice's own stream, turns the draws into parameters in place
-    (`ball`), builds their fresh rows, orthonormalizes them and counts
-    every direction's hits.  Counts are integers summed per slice, so they
-    equal a one-CPU run's."""
+    time.  A pool thread draws slice i, SUBLEVEL_SLICE samples, from the
+    stream it builds from (seed, i), turns the draws into parameters in
+    place (`ball`), builds their fresh rows, orthonormalizes them and
+    counts every direction's hits.  Counts are integers summed per slice,
+    so they equal a one-CPU run's."""
     deltas = np.asarray(deltas, dtype=float)
-    root = np.random.SeedSequence(seed)
 
-    def slice_counts(a, child):
-        rng = np.random.default_rng(child)
-        B = min(SUBLEVEL_SLICE, samples - a)
+    def slice_counts(i):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(i,)))
+        B = min(SUBLEVEL_SLICE, samples - i * SUBLEVEL_SLICE)
         lam = ball(rng.standard_normal((B, family.k)), rng.random(B), R)
         Q = np.ascontiguousarray(np.moveaxis(family.rows(lam), 0, -1))
         _orthonormalize(Q)
@@ -517,12 +523,10 @@ def _sublevel_fractions(family, R, ws, deltas, samples, seed):
         return counts
 
     counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
-    starts = range(0, samples, SUBLEVEL_SLICE)
+    slices = range(-(-samples // SUBLEVEL_SLICE))
     with cpu_pool() as pool:
-        for i in range(0, len(starts), SUBLEVEL_WINDOW):
-            window = starts[i:i + SUBLEVEL_WINDOW]
-            # spawning in turn gives child i of spawn(len(starts))
-            for c in pool.map(slice_counts, window, root.spawn(len(window))):
+        for i in range(0, len(slices), SUBLEVEL_WINDOW):
+            for c in pool.map(slice_counts, slices[i:i + SUBLEVEL_WINDOW]):
                 counts += c
     return counts / samples, counts
 
@@ -556,11 +560,11 @@ def transversality_probe(family, R, ws, deltas, samples, seed):
     at least 16 hits and a fraction of at most 0.5 (saturated scales carry
     no exponent information).  All directions share one sample cloud drawn
     from the seed, so a direction's result does not depend on the others.
-    The cloud comes in slices of SUBLEVEL_SLICE samples, each drawn from
-    its own child of SeedSequence(seed) by the task that scores it on the
-    usable CPUs (`cpu_pool`), bitwise as on one CPU.  family.rows must
-    return a fresh (B, d, n) array per call, as `FamilySpec.rows` and
-    `ExtendedFamily.rows` do: a slice's task writes only its rows and its
+    The cloud comes in slices of SUBLEVEL_SLICE samples, slice i drawn
+    from the stream of (seed, i) by the task that scores it on the usable
+    CPUs (`cpu_pool`), bitwise as on one CPU.  family.rows must return a
+    fresh (B, d, n) array per call, as both family kinds' rows
+    (`family_rows`) do: a slice's task writes only its rows and its
     draws, so threads share no buffer they write.  The ball must lie in
     the family's box, 0 < R <= min(family.radii), so every sample is a
     parameter of the family.  Deterministic given the seed.  ValueError
@@ -659,7 +663,7 @@ def check_keys(d, keys, where):
 
 
 def family_to_dict(spec: FamilySpec):
-    if np.allclose(spec.base.basis, np.eye(spec.n)[: spec.m], atol=0.0):
+    if np.array_equal(spec.base.basis, np.eye(spec.n)[: spec.m]):
         base = "standard"
     else:
         base = [list(map(float, row)) for row in spec.base.basis]

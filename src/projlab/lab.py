@@ -87,21 +87,26 @@ class ExperimentConfig:
     n_directions: int = 8
     force: bool = False
 
+    def __post_init__(self):
+        """ConfigError naming the first field, in field order, that is not
+        of its kind; a None is accepted where the default is None."""
+        for name, fld in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if not (fld.default is None and value is None):
+                config_field({name: value}, name, "config", fld.type)
+
     @classmethod
     def from_dict(cls, d):
         """The config of a JSON object; ConfigError naming the field when
         a key is unknown, a required field is missing or a field is of the
-        wrong kind.  A null is accepted where the default is None."""
+        wrong kind.  The required fields lead the field order, so checking
+        them here, then the rest in `__post_init__`, keeps that order."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be an object, got {d!r}")
         check_keys(d, cls.__dataclass_fields__, "config")
         for name, fld in cls.__dataclass_fields__.items():
-            if fld.default is None and d.get(name) is None:
-                continue
-            has_default = (fld.default is not MISSING
-                           or fld.default_factory is not MISSING)
-            config_field(d, name, "config", _FIELD_KINDS[name],
-                         None if has_default else REQUIRED)
+            if fld.default is MISSING and fld.default_factory is MISSING:
+                config_field(d, name, "config", fld.type)
         return cls(**d)
 
     @classmethod

@@ -256,6 +256,11 @@ def test_projection_derivative_matrix_names_bad_arguments(extended):
     for bad in (np.ones(3), np.ones(5), np.ones((1, 4))):
         with pytest.raises(ValueError, match="^z must be a vector of n=4 "):
             projection_derivative_matrix(fam, lam0, bad)
+    for bad in (["a"] * fam.k, "a", [0.0, {}]):
+        with pytest.raises(ValueError, match="^lam0 must be numeric"):
+            projection_derivative_matrix(fam, bad, z)
+        with pytest.raises(ValueError, match="^z must be numeric"):
+            projection_derivative_matrix(fam, lam0, bad)
 
 
 def test_jacobian_at_zero_matches_linear_formula():
@@ -942,7 +947,8 @@ def test_extended_rows_equal_sample_major_construction_p2():
     assert ext.p == 2
     rng = np.random.default_rng(9)
     lam = rng.uniform(-0.1, 0.1, size=(999, ext.k))
-    assert np.array_equal(ext.rows(lam), _ref_extended_rows(ext, lam))
+    for rows in (ext.rows(lam), family_rows(ext, lam)):
+        assert np.array_equal(rows, _ref_extended_rows(ext, lam))
 
 
 # --- chart rows and parameter derivatives against the pre-merge chain ------

@@ -148,6 +148,21 @@ def test_one_kernel_rotates_every_chain():
     assert _readers("givens") == {("family.py", "_rotated_rows")}
 
 
+def test_one_rows_path_serves_both_family_kinds():
+    # both kinds' batch rows and derivatives come from the shared builders
+    # over their chain writers; a kind's own copy must not come back
+    tree = ast.parse((ROOT / "src/projlab/family.py").read_text())
+    methods = {node.name: {f.name for f in node.body
+                           if isinstance(f, ast.FunctionDef)}
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    for kind in ("FamilySpec", "ExtendedFamily"):
+        assert not methods[kind] & {"rows", "rows_and_derivs"}, kind
+    # ExtendedFamily._write writes its base block with the base's _write
+    assert _readers("_write") == {("family.py", "family_rows"),
+                                  ("family.py", "rows_and_derivs"),
+                                  ("family.py", "_write")}
+
+
 def test_central_differences_run_only_in_the_tangent_order_oracle():
     # every derivative the runs use is analytic; central differences are
     # only the oracle that checks it

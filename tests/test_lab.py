@@ -12,7 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import save_family
-from projlab.family import disjoint_slot_family, load_family
+from projlab.family import (
+    disjoint_slot_family,
+    family_from_dict,
+    family_to_dict,
+    load_family,
+)
 from projlab.fractal import lebesgue_ball, line_cantor, product_embed
 from projlab.grassmann import Frame
 from projlab.lab import (
@@ -78,6 +83,21 @@ def test_content_hash_follows_the_family_file(tmp_path):
     assert _provenance_hash(cfg) == first
 
 
+def test_family_dict_keeps_a_base_near_the_standard_one():
+    # a base 4e-9 off the standard one is saved as its matrix: it reads
+    # back unchanged, and its runs hash apart from the standard family's
+    standard = disjoint_slot_family(3, 2, 1)
+    basis = np.eye(3)[:2]
+    basis[0, 0] = 1 - 4e-9
+    near = disjoint_slot_family(3, 2, 1, base=Frame(basis))
+    assert np.array_equal(
+        family_from_dict(family_to_dict(near)).base.basis, basis)
+    hashes = {_provenance_hash(ExperimentConfig("transversality",
+                                                family_to_dict(spec), 1))
+              for spec in (standard, near)}
+    assert len(hashes) == 2
+
+
 def test_provenance_hashes_the_family_that_ran(tmp_path, monkeypatch):
     # the run reads its family file once; a rewrite after that read is
     # neither run nor hashed
@@ -119,6 +139,22 @@ def test_config_from_dict_names_the_bad_field(extra, field):
         ExperimentConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("seed", "x", "an integer"), ("seed", 1.5, "an integer"),
+    ("mc_samples", "10", "an integer"),
+    ("deltas", ("a",), "a list of numbers"),
+    ("n_directions", None, "an integer"), ("l", "1", "an integer"),
+])
+def test_config_built_in_python_names_the_bad_field(field, value, kind):
+    # the CLI's transversality command and library callers build the config
+    # directly; it meets the kind check a JSON config meets
+    fields = {"mode": "transversality", "seed": 1,
+              "family": str(CONFIGS / "family_n3m2k1.json"), field: value}
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config field {field!r} must be {kind}, got {value!r}")):
+        run_transversality(ExperimentConfig(**fields))
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.pop("n"), "family field 'n' is required"),
     (lambda d: d.update(k=1.5), "family field 'k' must be an integer"),
@@ -129,8 +165,6 @@ def test_config_from_dict_names_the_bad_field(extra, field):
     (lambda d: d.update(radii=[2.0]), "family: domain radii"),
 ])
 def test_family_from_dict_names_the_bad_field(edit, message):
-    from projlab.family import family_to_dict
-
     d = family_to_dict(disjoint_slot_family(3, 2, 1))
     edit(d)
     with pytest.raises(ConfigError, match=message):
@@ -397,7 +431,6 @@ def test_extension_key_inequality_has_slack():
 
 def test_resolve_family_accepts_spec_dict_and_path(tmp_path):
     spec = disjoint_slot_family(3, 2, 1)
-    from projlab.family import family_to_dict
     spec2 = resolve_family(family_to_dict(spec))
     assert spec2.schedule == spec.schedule
     path = tmp_path / "fam.json"
