@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal import SampledMeasure
+from .fractal import SampledMeasure, check_integer
 from .grassmann import Frame
 
 DISTANCE_FLOOR = 1e-12
@@ -201,8 +201,12 @@ def box_counting_dim(measure: SampledMeasure, n_offsets=3,
     over the best scaling window.
 
     Grids are anchored at n_offsets random offsets per scale and averaged,
-    which removes alignment artifacts on self-similar sets.
+    which removes alignment artifacts on self-similar sets.  ValueError
+    naming the argument unless n_offsets is a positive integer and seed a
+    non-negative one.
     """
+    check_integer(n_offsets, "n_offsets", 1)
+    check_integer(seed, "seed", 0)
     pts = _intrinsic_coords(measure.points, measure.weights)
     if pts.shape[1] == 0:
         return _zero_estimate("box_counting", measure.count,
@@ -242,9 +246,10 @@ def correlation_dim(measure: SampledMeasure, seed=0) -> DimensionEstimate:
     integral log C(r) against log r over the best scaling window.
 
     Pairs are sampled by weight, so the plain fraction below r estimates
-    the weighted correlation integral.  Deterministic per seed.
+    the weighted correlation integral.  Deterministic per seed, which must
+    be a non-negative integer (ValueError naming it otherwise).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
     i = rng.choice(measure.count, size=200_000, p=measure.weights)
     j = rng.choice(measure.count, size=200_000, p=measure.weights)
     keep = i != j

@@ -10,13 +10,14 @@ base frame.  All chart work happens in the orthonormal coordinates of
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .fractal import ball
+from .fractal import ball, check_integer
 from .grassmann import (
     Frame,
     complement,
@@ -26,7 +27,7 @@ from .grassmann import (
     standard_frame,
 )
 from .multivec import gram_norm
-from .threads import cpu_pool
+from .threads import each_cpu
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +86,36 @@ def theorem_lower_bound(n, m, k, d):
 # Rotation-schedule families
 # ---------------------------------------------------------------------------
 
+def _take(flat, shape):
+    """A C-contiguous float array of the shape at the head of the flat
+    buffer, and the rest of the buffer: the scratch convention of the
+    probe's kernels, which write into the head of the buffer they are
+    given and use the rest.  A fresh array, and None for the rest, when
+    flat is None or too short."""
+    size = math.prod(shape)
+    if flat is None or len(flat) < size:
+        return np.empty(shape), None
+    return flat[:size].reshape(shape), flat[size:]
+
+
 class _ChainFamily:
     """The rows of both family kinds: a kind gives k, its plane_shape (d, n)
     and `_write`, the chain writer of its rows and their tangents."""
 
-    def rows(self, lam_batch):
-        """Spanning rows of V_lambda for a batch of parameters, (B, d, n),
-        a fresh array on every call: `family_rows(self, .)`."""
-        return family_rows(self, lam_batch)
+    def rows(self, lam_batch, out=None):
+        """Spanning rows of V_lambda for a batch of parameters, (B, d, n):
+        `family_rows(self, lam_batch, out)`."""
+        return family_rows(self, lam_batch, out)
 
     def rows_and_derivs(self, lam, *args):
         """Rows of V_lambda at lam, (d, n), and their derivatives along each
         parameter, (k, d, n), contiguous, in the coordinates `_write` takes
         with args: ambient by default."""
         lam = np.asarray(lam, dtype=float)
-        out = np.empty(self.plane_shape + (1 + len(lam),))
+        shape = self.plane_shape + (1 + len(lam),)
+        out = np.empty(math.prod(shape))
         self._write(lam[None], np.eye(len(lam)), out, *args)
+        out = out.reshape(shape)
         return out[..., 0].copy(), np.moveaxis(out[..., 1:], -1, 0).copy()
 
 
@@ -145,26 +160,36 @@ class FamilySpec(_ChainFamily):
         coordinate system of the family."""
         return np.vstack([self.base.basis, self.comp.basis])
 
-    def angles(self, lam):
+    def angles(self, lam, scratch=None):
         """Chart angles at lam: (m, n-m) for one parameter (k,), and
-        (m, n-m, B) for a batch (B, k)."""
+        (m, n-m, B) for a batch (B, k), at the head of the flat buffer
+        scratch, with one term per parameter after them (`_take`)."""
         lam_cols = np.asarray(lam, dtype=float).T
-        a = np.zeros((self.m, self.n - self.m) + lam_cols.shape[1:])
+        a, rest = _take(scratch, (self.m, self.n - self.m)
+                        + lam_cols.shape[1:])
+        term, _ = _take(rest, lam_cols.shape[1:])
+        a[...] = 0.0
         for (par, i, j, w) in self.schedule:
-            a[i - 1, j - self.m - 1] += w * lam_cols[par - 1]
+            a[i - 1, j - self.m - 1] += np.multiply(w, lam_cols[par - 1],
+                                                    out=term)
         return a
 
     @property
     def plane_shape(self):
         return (self.m, self.n)
 
-    def _write(self, lam_batch, tangents, out, basis=None):
+    def _write(self, lam_batch, tangents, flat, basis=None):
         """`_rotated_rows` of the rows of V_lambda at lam_batch (B, k) and
-        their tangents (T, k) into out (m, n, B + T), in the coordinates
-        basis.T @ chart: ambient by default."""
+        their tangents (T, k), as (m, n, B + T), into the head of the flat
+        buffer, in the coordinates basis.T @ chart (ambient by default); the
+        chart angles and the chain use the rest of it as scratch."""
+        out, rest = _take(flat, (self.m, self.n,
+                                 len(lam_batch) + len(tangents)))
+        angles = self.angles(lam_batch, rest)
+        _, rest = _take(rest, angles.shape)
         _rotated_rows(self.coordinate_matrix() if basis is None else basis,
-                      range(self.m), range(self.m, self.n),
-                      self.angles(lam_batch), self.angles(tangents), out)
+                      range(self.m), range(self.m, self.n), angles,
+                      self.angles(tangents), out, rest)
 
 
 def slot_family(n, m, k, slots, radius, base=None):
@@ -187,21 +212,23 @@ def disjoint_slot_family(n, m, k, base=None, radius=np.pi / 8):
     return slot_family(n, m, k, slots, radius, base)
 
 
-def _rotated_rows(basis, starts, targets, angles, rates, out):
+def _rotated_rows(basis, starts, targets, angles, rates, out, scratch=None):
     """For each a, rotate the unit coordinate starts[a] toward each of the
     coordinates `targets` in turn, by the angles angles[a] (len(targets),
     B), and write basis.T @ x, ambient, into out[a] (n, B + T).  Row c of x
     holds coordinate c of B states, then, for B = 1, of T tangents as the
     angles move at the rates rates[a] (len(targets), T): by the product
     rule, each turn also adds its rate times the turned state turned a
-    further quarter turn."""
+    further quarter turn.  x and the `givens` scratch come from the flat
+    buffer scratch (`_take`)."""
     B = angles.shape[-1]
-    x = np.empty((basis.shape[0], out.shape[-1]))
+    x, rest = _take(scratch, (basis.shape[0], out.shape[-1]))
+    turn, _ = _take(rest, (3, out.shape[-1]))
     for a, i in enumerate(starts):
         x[:] = 0.0
         x[i, :B] = 1.0
         for j, beta, rate in zip(targets, angles[a], rates[a]):
-            givens(x, i, j, beta)
+            givens(x, i, j, beta, turn)
             x[i, B:] -= rate * x[j, 0]
             x[j, B:] += rate * x[i, 0]
         # a one-column product sums in another order than a wider one
@@ -209,23 +236,34 @@ def _rotated_rows(basis, starts, targets, angles, rates, out):
         np.matmul(basis.T, x[:, B:], out=out[a, :, B:])
 
 
-def family_rows(family, lam_batch):
+def family_rows(family, lam_batch, out=None):
     """Spanning rows of V_lambda of a FamilySpec or an ExtendedFamily in
     ambient coordinates, (B, d, n) for its plane_shape (d, n).  Not
-    orthonormalized.  The result is a view of a fresh (d, n, B) buffer."""
+    orthonormalized.  The result is a view of a (d, n, B) array: a fresh
+    one when out is None, else the head of the flat float buffer out, of
+    B * d * n numbers at least, whose rest the chain uses as scratch.
+    Either way the rows have the same bits."""
     lam_batch = np.atleast_2d(np.asarray(lam_batch, dtype=float))
-    out = np.empty(family.plane_shape + (len(lam_batch),))
+    shape = family.plane_shape + (len(lam_batch),)
+    if out is None:
+        out = np.empty(math.prod(shape))
+    elif len(out) < math.prod(shape):
+        raise ValueError(f"out must hold the {math.prod(shape)} numbers of "
+                         f"the rows, got {len(out)}")
     family._write(lam_batch, np.empty((0, family.k)), out)
-    return np.moveaxis(out, -1, 0)
+    return np.moveaxis(_take(out, shape)[0], -1, 0)
 
 
 def _floats(x, name):
-    """x as a float array; ValueError naming the argument `name` when numpy
-    cannot read it as numbers."""
+    """x as a float array; ValueError naming the argument `name` unless
+    numpy reads it as integers or floats (booleans and strings are not)."""
     try:
-        return np.asarray(x, dtype=float)
+        kind = np.asarray(x).dtype.kind
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be numeric, got {x!r}") from None
+        kind = None
+    if kind not in ("i", "u", "f"):
+        raise ValueError(f"{name} must be numeric, got {x!r}")
+    return np.asarray(x, dtype=float)
 
 
 def _parameter(family, lam, name="lam"):
@@ -315,26 +353,27 @@ def nondegeneracy_check(spec: FamilySpec, lam0):
 
 def _witness_score(J: FamilyJacobian, W_rows, l, dirs):
     """min over sampled unit z in span(W) of the best (l+1)-wedge volume
-    of the images A_j(z)."""
-    zs = dirs @ W_rows  # (S, n-m)
-    images = np.einsum("arc,sc->sar", J.A, zs)  # (S, k, m)
-    best = np.zeros(len(zs))
+    of the images A_j(z), for one W (t, n-m) or a stack of them (..., t,
+    n-m): a score of the shape (...)."""
+    zs = dirs @ W_rows  # (..., S, n-m)
+    images = np.einsum("arc,...sc->...sar", J.A, zs)  # (..., S, k, m)
+    best = np.zeros(zs.shape[:-1])
     for combo in itertools.combinations(range(len(J.A)), l + 1):
-        M = images[:, list(combo), :]
-        g = M @ np.swapaxes(M, 1, 2)
+        M = images[..., list(combo), :]
+        g = M @ np.swapaxes(M, -1, -2)
         vols = np.sqrt(np.maximum(np.linalg.det(g), 0.0))
         best = np.maximum(best, vols)
-    return float(best.min())
+    return best.min(axis=-1)
 
 
 def find_witness_subspace(J: FamilyJacobian, t, l, seed=0):
     """Search for a t-dimensional subspace W of the complement on which
     every unit z has l+1 images A_j(z) of uniformly positive wedge volume.
 
-    200 random orthonormal t-frame restarts scored on a fixed sample of 512
-    sphere points, then 50 steps of local hill-climbing.  The returned
-    margin d_prime_hat is a certificate only for the sampled sphere
-    points.
+    200 random orthonormal t-frame restarts, drawn at once and scored in
+    one batch on a fixed sample of 512 sphere points, then 50 steps of
+    local hill-climbing.  The returned margin d_prime_hat is a certificate
+    only for the sampled sphere points.
     """
     k, m, nm = J.A.shape
     if not (1 <= t <= nm and 0 <= l <= m - 1 and seed >= 0):
@@ -348,10 +387,10 @@ def find_witness_subspace(J: FamilyJacobian, t, l, seed=0):
     rng = np.random.default_rng(seed)
     dirs = (np.ones((1, 1)) if t == 1 else
             ball(rng.standard_normal((512, t)), np.ones(512), 1.0))
+    starts = np.array([orthonormalize(g)
+                       for g in rng.standard_normal((200, t, nm))])
     best_W, best_score = None, -np.inf
-    for _ in range(200):
-        W = orthonormalize(rng.standard_normal((t, nm)))
-        score = _witness_score(J, W, l, dirs)
+    for W, score in zip(starts, _witness_score(J, starts, l, dirs)):
         if score > best_score:
             best_W, best_score = W, score
     step = 0.2
@@ -411,16 +450,20 @@ class ExtendedFamily(_ChainFamily):
     def plane_shape(self):
         return (self.spec.m + self.p, self.spec.n)
 
-    def _write(self, lam_batch, tangents, out):
-        """`FamilySpec._write` for the extended plane, ambient.  The added
-        rows turn at unit rate in lam2 and mix complement coordinates only,
-        so they stay inside V_0^perp and are independent of lam1."""
-        m, k, p, t = self.spec.m, self.spec.k, self.p, self.t
-        self.spec._write(lam_batch[:, :k], tangents[:, :k], out[:m])
+    def _write(self, lam_batch, tangents, flat):
+        """`FamilySpec._write` for the extended plane, ambient.  The base
+        rows take the head of the flat buffer, and the rest, where the added
+        rows go next, is their scratch.  The added rows turn at unit rate in
+        lam2 and mix complement coordinates only, so they stay inside
+        V_0^perp and are independent of lam1."""
+        m, n, k, p, t = self.spec.m, self.spec.n, self.spec.k, self.p, self.t
+        self.spec._write(lam_batch[:, :k], tangents[:, :k], flat)
+        cols = len(lam_batch) + len(tangents)
+        out, rest = _take(flat[m * n * cols:], (p, n, cols))
         _rotated_rows(self.ehat, range(t, t + p), range(t),
                       lam_batch[:, k:].T.reshape(p, t, len(lam_batch)),
                       tangents[:, k:].T.reshape(p, t, len(tangents)),
-                      out[m:])
+                      out, rest)
 
     def frame(self, lam) -> Frame:
         """`family_frame(self, lam)`, kept as a method only because the
@@ -460,38 +503,53 @@ def extend_family(spec: FamilySpec, l, seed=0) -> ExtendedFamily:
 # Transversality probe
 # ---------------------------------------------------------------------------
 
-# Samples per pool task, and the unit of the probe's random stream: slice i
-# covers samples [i*S, min((i+1)*S, samples)) and draws its normals (B, k),
-# then its uniforms (B,), from the stream built from (seed, i) alone,
+# Samples per slice, the unit of the probe's random stream: slice i covers
+# samples [i*S, min((i+1)*S, samples)) and draws its normals (B, k), then
+# its uniforms (B,), from the stream built from (seed, i) alone,
 # default_rng(SeedSequence(seed, spawn_key=(i,))): numpy defines child i of
 # SeedSequence(seed).spawn(n_slices) as that sequence.  The counts,
 # fractions and exponents therefore depend on this size, but not on the CPU
-# count or on the order in which the pool runs the slices.  Each pool
-# thread holds one slice's draws, rows and scratch at a time.
+# count or on which worker scores which slice.
 SUBLEVEL_SLICE = 25_000
 
-# Slices handed to the pool at once: the futures alive, and so the memory,
-# do not grow with the sample count.  At least 40, so 10^6 samples are one
-# window.
-SUBLEVEL_WINDOW = 64
+
+def sublevel_workspace(k, d, n):
+    """Float numbers per sample of a probe worker's workspace, for k
+    parameters and planes of dimension d in R^n: the k parameters, then the
+    d*n of the rows and n + 5 of scratch.  Before the rows exist, their
+    place holds the uniforms and `ball`'s k + 1; the chain writers keep
+    their state, angles and `givens` scratch behind the rows written so
+    far; then `_orthonormalize` takes n + 1 behind the rows, and
+    `_projection_norm` 2."""
+    return k + d * n + n + 5
 
 
-def _orthonormalize(E):
+def _orthonormalize(E, scratch=None):
     """Overwrite the spanning rows E (d, n, B), column layout, with an
     orthonormal basis of their span, sample by sample, by modified
-    Gram-Schmidt.  Singular rows give NaN."""
+    Gram-Schmidt, with the n + 1 numbers per sample of scratch from the
+    flat buffer scratch (`_take`).  Singular rows give NaN."""
+    dots, rest = _take(scratch, E.shape[-1:])
+    terms, _ = _take(rest, E.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, q in enumerate(E):
-            q /= np.sqrt(np.einsum("ab,ab->b", q, q))
+            q /= np.sqrt(np.einsum("ab,ab->b", q, q, out=dots), out=dots)
             for r in E[j + 1:]:
-                r -= np.einsum("ab,ab->b", q, r) * q
+                r -= np.multiply(np.einsum("ab,ab->b", q, r, out=dots), q,
+                                 out=terms)
 
 
-def _projection_norm(Q, w):
-    """|Pi_{span rows} w| per sample, a length-B vector, from orthonormal
-    rows Q (d, n, B) (`_orthonormalize`): the norm of the d dot products
-    w . q_j.  Writes nothing shared, so threads may call it at once."""
-    return np.sqrt(sum(np.square(w @ q) for q in Q))
+def _projection_norm(Q, w, scratch=None):
+    """|Pi_{span rows} w| per sample, a length-B vector at the head of the
+    flat buffer scratch (`_take`, with one more vector after it), from
+    orthonormal rows Q (d, n, B) (`_orthonormalize`): the norm of the d dot
+    products w . q_j."""
+    norms, rest = _take(scratch, Q.shape[-1:])
+    term, _ = _take(rest, Q.shape[-1:])
+    norms[...] = 0.0
+    for q in Q:
+        norms += np.square(np.matmul(w, q, out=term), out=term)
+    return np.sqrt(norms, out=norms)
 
 
 def _sublevel_fractions(family, R, ws, deltas, samples, seed):
@@ -499,35 +557,56 @@ def _sublevel_fractions(family, R, ws, deltas, samples, seed):
     the ball B(0, R) of the family's parameters with |Pi_{V_lam} w| <=
     delta, for each of the D directions w in ws and each delta (in the
     given order).  Every direction is scored on the same samples.
+    ValueError when ws is not n wide, n the width of the family's rows.
 
-    One `cpu_pool` scores the whole probe, SUBLEVEL_WINDOW slices at a
-    time.  A pool thread draws slice i, SUBLEVEL_SLICE samples, from the
-    stream it builds from (seed, i), turns the draws into parameters in
-    place (`ball`), builds their fresh rows, orthonormalizes them and
-    counts every direction's hits.  Counts are integers summed per slice,
-    so they equal a one-CPU run's."""
+    One worker per usable CPU (`each_cpu`) allocates one workspace for a
+    slice, `sublevel_workspace` numbers per sample, and a mask, then
+    claims slice indices from one shared counter until none is left.  For
+    slice i it draws from the stream of (seed, i) into the workspace,
+    turns the draws into parameters in place (`ball`), writes their rows
+    (`family.rows(lam, out)`), orthonormalizes them in place and counts
+    every direction's hits, allocating no slice-sized array after its
+    first slice.  Counts are integers summed per worker, so they equal a
+    one-CPU run's."""
     deltas = np.asarray(deltas, dtype=float)
+    k = family.k
+    d, n = family.rows(np.zeros((1, k)), None).shape[1:]
+    if ws.shape[1] != n:
+        raise ValueError(f"ws must have n={n} columns, the width of the "
+                         f"rows, got shape {ws.shape}")
+    slices = -(-samples // SUBLEVEL_SLICE)
+    # next() of a count is one step under the GIL, so every index is
+    # claimed by exactly one worker
+    claims = itertools.count()
 
-    def slice_counts(i):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(i,)))
-        B = min(SUBLEVEL_SLICE, samples - i * SUBLEVEL_SLICE)
-        lam = ball(rng.standard_normal((B, family.k)), rng.random(B), R)
-        Q = np.ascontiguousarray(np.moveaxis(family.rows(lam), 0, -1))
-        _orthonormalize(Q)
-        counts = np.empty((len(ws), len(deltas)), dtype=np.int64)
-        for c, w in zip(counts, ws):
-            vals = _projection_norm(Q, w)
-            # NaN lies below no delta, so a singular sample is never a hit
-            c[:] = [np.count_nonzero(vals <= d) for d in deltas]
+    def worker():
+        size = min(SUBLEVEL_SLICE, samples)
+        space = np.empty(size * sublevel_workspace(k, d, n))
+        hits = np.empty(size, dtype=bool)
+        counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
+        while (i := next(claims)) < slices:
+            B = min(SUBLEVEL_SLICE, samples - i * SUBLEVEL_SLICE)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i,)))
+            lam, rest = _take(space, (B, k))
+            u, scratch = _take(rest, (B,))
+            rng.standard_normal(out=lam)
+            rng.random(out=u)
+            ball(lam, u, R, scratch)
+            Q = np.ascontiguousarray(np.moveaxis(family.rows(lam, rest), 0,
+                                                 -1))
+            _, scratch = _take(rest, Q.shape)
+            _orthonormalize(Q, scratch)
+            for c, w in zip(counts, ws):
+                vals = _projection_norm(Q, w, scratch)
+                # NaN lies below no delta, so a singular sample is never a
+                # hit
+                for j, delta in enumerate(deltas):
+                    c[j] += np.count_nonzero(np.less_equal(vals, delta,
+                                                           out=hits[:B]))
         return counts
 
-    counts = np.zeros((len(ws), len(deltas)), dtype=np.int64)
-    slices = range(-(-samples // SUBLEVEL_SLICE))
-    with cpu_pool() as pool:
-        for i in range(0, len(slices), SUBLEVEL_WINDOW):
-            for c in pool.map(slice_counts, slices[i:i + SUBLEVEL_WINDOW]):
-                counts += c
+    counts = sum(each_cpu(worker, slices))
     return counts / samples, counts
 
 
@@ -562,15 +641,16 @@ def transversality_probe(family, R, ws, deltas, samples, seed):
     from the seed, so a direction's result does not depend on the others.
     The cloud comes in slices of SUBLEVEL_SLICE samples, slice i drawn
     from the stream of (seed, i) by the task that scores it on the usable
-    CPUs (`cpu_pool`), bitwise as on one CPU.  family.rows must return a
-    fresh (B, d, n) array per call, as both family kinds' rows
-    (`family_rows`) do: a slice's task writes only its rows and its
-    draws, so threads share no buffer they write.  The ball must lie in
-    the family's box, 0 < R <= min(family.radii), so every sample is a
-    parameter of the family.  Deterministic given the seed.  ValueError
-    naming the argument when ws is not (D, n) with n the rows' width, R
-    leaves that range, samples is not positive, or deltas is empty, not
-    positive or repeated.
+    CPUs (`each_cpu`), bitwise as on one CPU.  family.rows(lam, out)
+    returns the rows (B, d, n) at lam (B, k); out is None, or a flat float
+    buffer of B * (d*n + n + 5) numbers that the call may write, as both
+    family kinds' rows (`family_rows`) do: the rows at its head, scratch
+    after them.  The ball must lie in the family's box, 0 < R <=
+    min(family.radii), so every sample is a parameter of the family.
+    Deterministic given the seed.  ValueError naming the argument when ws
+    is not (D, n) with n the rows' width, R leaves that range, samples is
+    not positive, seed is not a non-negative integer, or deltas is empty,
+    not positive or repeated.
     """
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 2:
@@ -579,18 +659,13 @@ def transversality_probe(family, R, ws, deltas, samples, seed):
     if not 0 < R <= min(family.radii):
         raise ValueError(f"R must lie in (0, {min(family.radii)}], the "
                          f"family's smallest radius, got {R}")
-    if not (isinstance(samples, numbers.Integral) and samples > 0):
-        raise ValueError(f"samples must be a positive integer, got "
-                         f"{samples!r}")
+    check_integer(samples, "samples", 1)
+    check_integer(seed, "seed", 0)
     deltas = np.asarray(deltas, dtype=float)
     if not (deltas.ndim == 1 and deltas.size and np.all(deltas > 0)
             and len(set(deltas.tolist())) == deltas.size):
         raise ValueError(f"deltas must be a non-empty list of distinct "
                          f"positive numbers, got {deltas.tolist()}")
-    n = family.rows(np.zeros((1, family.k))).shape[-1]
-    if ws.shape[1] != n:
-        raise ValueError(f"ws must have n={n} columns, the width of the "
-                         f"rows, got shape {ws.shape}")
     deltas = np.sort(deltas)[::-1]
     fractions, counts = _sublevel_fractions(family, R, ws, deltas,
                                             samples, seed)

@@ -8,6 +8,7 @@ iterates; Lebesgue types are seeded uniform samples, so every generator is
 reproducible from (spec, seed).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +85,34 @@ def line_cantor(s, level) -> SampledMeasure:
     return SampledMeasure(pts, w, float(s))
 
 
-def ball(g, u, radius):
+def check_integer(value, name, low):
+    """value once checked to be an integer, not a bool, of at least low;
+    ValueError naming the argument `name` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValueError(f"{name} must be an integer of at least {low}, "
+                         f"got {value!r}")
+    return value
+
+
+def ball(g, u, radius, scratch=None):
     """Overwrite normals g (count, dim) with uniform points of B(0, radius)
-    in R^dim, radii from the uniforms u (count,) (Muller); return g."""
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    g *= (radius * u ** (1.0 / g.shape[1]))[:, None]
+    in R^dim, radii from the uniforms u (count,) (Muller), which become
+    the radii; return g.  The squares and norms of the normals go to the
+    head of the flat buffer scratch, of count * (dim + 1) numbers at
+    least (fresh when None): the steps of np.linalg.norm, bit for bit."""
+    count, dim = g.shape
+    if scratch is None:
+        scratch = np.empty(count * (dim + 1))
+    squares = scratch[:count * dim].reshape(count, dim)
+    norms = scratch[count * dim:count * (dim + 1)].reshape(count, 1)
+    np.multiply(g, g, out=squares)
+    np.sqrt(np.add.reduce(squares, axis=1, keepdims=True, out=norms),
+            out=norms)
+    g /= norms
+    u **= 1.0 / dim  # the same fast paths as u ** (1.0 / dim)
+    u *= radius
+    g *= u[:, None]
     return g
 
 

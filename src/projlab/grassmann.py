@@ -73,19 +73,26 @@ def complement(f: Frame) -> Frame:
     return Frame(comp)
 
 
-def givens(x, i, j, beta):
+def givens(x, i, j, beta, scratch=None):
     """Rotate coordinate i toward coordinate j by beta in place, 0-based;
     x holds coordinates on axis 0 and any batch on the rest, and beta
-    broadcasts against x[i].  A zero angle leaves x as it is.  Every
+    broadcasts against x[i].  A zero angle leaves x as it is.  scratch,
+    three arrays of x[i]'s shape (an array (3,) + x[i].shape, say), holds
+    the cosines, the sines and one product (fresh when None).  Every
     rotation chain of the package is built from this update."""
     if not np.any(beta):
         return
-    c, s = np.cos(beta), np.sin(beta)
-    xi = c * x[i]
-    xi -= s * x[j]
+    if scratch is None:
+        scratch = [np.empty(np.shape(x[i])) for _ in range(3)]
+    c, s, t = scratch
+    np.cos(beta, out=c)
+    np.sin(beta, out=s)
+    np.multiply(s, x[j], out=t)
     x[j] *= c
-    x[j] += s * x[i]
-    x[i] = xi
+    np.multiply(s, x[i], out=s)
+    x[j] += s
+    x[i] *= c
+    x[i] -= t
 
 
 def projector(f: Frame):

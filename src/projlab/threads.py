@@ -23,3 +23,13 @@ def cpu_pool():
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(usable_cpus()) as pool:
         yield pool
+
+
+def each_cpu(task, limit):
+    """The results, in a list, of task() started at once on min(limit,
+    usable CPUs) threads of one `cpu_pool`: the calls share their work out
+    among themselves."""
+    with cpu_pool() as pool:
+        futures = [pool.submit(task)
+                   for _ in range(min(limit, usable_cpus()))]
+    return [f.result() for f in futures]

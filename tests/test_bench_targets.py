@@ -4,12 +4,14 @@ they wrap, and every argument they read, must exist."""
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 from projlab.dimest import box_counting_dim
 from projlab.family import transversality_probe
 
-LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "bench" / "layers.py"
 
 
 def test_every_trace_target_resolves():
@@ -30,3 +32,23 @@ def test_traced_arguments_exist():
     assert {"measure", "n_offsets"} <= set(
         inspect.signature(box_counting_dim).parameters)
     assert "samples" in inspect.signature(transversality_probe).parameters
+
+
+def test_bench_records_name_only_declared_workloads_and_metrics():
+    # every committed pair record (scripts/bench_pairs.py) parses and
+    # speaks of the workloads and metrics BENCHMARK.json declares
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
+    problems = []
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        record = json.loads(path.read_text())
+        if record["workload"] not in workloads:
+            problems.append(f"{path.name}: workload {record['workload']!r}")
+        named = set(record["summary"])
+        for pair in record["pairs"]:
+            for side in ("parent", "change"):
+                named |= set(pair[side].get("metrics", {}))
+        problems += [f"{path.name}: metric {m!r}"
+                     for m in sorted(named - metrics)]
+    assert not problems, "\n".join(problems)

@@ -305,6 +305,25 @@ def test_box_counting_rejects_short_scale_list():
         _best_window(x, 1.5 * x)
 
 
+@pytest.mark.parametrize("estimator, argument, value", [
+    (box_counting_dim, "n_offsets", 0),
+    (box_counting_dim, "n_offsets", 2.5),
+    (box_counting_dim, "n_offsets", True),
+    (box_counting_dim, "seed", -1),
+    (box_counting_dim, "seed", 1.5),
+    (correlation_dim, "seed", -1),
+    (correlation_dim, "seed", 1.5),
+    (correlation_dim, "seed", False),
+], ids=["box_offsets_0", "box_offsets_float", "box_offsets_bool",
+        "box_seed_negative", "box_seed_float", "correlation_seed_negative",
+        "correlation_seed_float", "correlation_seed_bool"])
+def test_estimators_name_bad_arguments(estimator, argument, value):
+    # checked at entry, not left to numpy's reductions or SeedSequence
+    measure = four_corner_cantor(4)
+    with pytest.raises(ValueError, match=rf"^{argument} must be an integer"):
+        estimator(measure, **{argument: value})
+
+
 def test_correlation_rejects_too_few_usable_radii():
     # the window fit of six usable correlation radii, log C against log r
     x = np.log(np.geomspace(0.5, 0.005, 6))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import threading
 import tracemalloc
 import types
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import save_family, usable_cpus
 from projlab import family
+from projlab.cli import main
 from projlab.family import (
     SUBLEVEL_SLICE,
     FamilySpec,
@@ -31,6 +34,7 @@ from projlab.family import (
     p_of_l,
     p_oracle_dots,
     projection_derivative_matrix,
+    sublevel_workspace,
     theorem_lower_bound,
     transversality_probe,
 )
@@ -183,6 +187,41 @@ def test_theorem_lower_bound_equals_branch_walk(data):
     assert max(0.0, d - (n - m)) <= lb <= min(d, m)
 
 
+def _printed_threshold(n, m, k):
+    """The absolute-continuity threshold `projlab bound` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bound", "--n", str(n), "--m", str(m), "--k", str(k),
+                     "--d", "0"]) == 0
+    [line] = [x for x in out.getvalue().splitlines()
+              if x.startswith("# absolute-continuity threshold")]
+    return int(line.rsplit(">", 1)[1])
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_theorem_lower_bound_properties(data):
+    # every admissible (n, m, k) with n <= 8, and d, d2 anywhere in [0, n]
+    n = data.draw(st.integers(3, 8), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    k = data.draw(st.integers(1, m * (n - m) - 1), label="k")
+    d, d2 = sorted(data.draw(st.floats(0.0, n), label=f"d{i}")
+                   for i in (1, 2))
+    lb, lb2 = (theorem_lower_bound(n, m, k, x) for x in (d, d2))
+    for x, b in ((d, lb), (d2, lb2)):
+        assert max(0.0, x - (n - m)) <= b <= min(x, m)
+    # nondecreasing and 1-Lipschitz in d
+    assert 0.0 <= lb2 - lb <= d2 - d + 1e-12
+    # the bound is m past the threshold p(m-1) + m that `projlab bound`
+    # prints
+    threshold = _printed_threshold(n, m, k)
+    assert threshold == p_of_l(n, m, k, m - 1) + m
+    above = data.draw(st.floats(threshold, n, exclude_min=True),
+                      label="above") if threshold < n else None
+    if above is not None:
+        assert theorem_lower_bound(n, m, k, above) == float(m)
+
+
 def test_theorem_lower_bound_validates_input():
     with pytest.raises(ValueError):
         theorem_lower_bound(4, 2, 3, -0.1)
@@ -256,11 +295,18 @@ def test_projection_derivative_matrix_names_bad_arguments(extended):
     for bad in (np.ones(3), np.ones(5), np.ones((1, 4))):
         with pytest.raises(ValueError, match="^z must be a vector of n=4 "):
             projection_derivative_matrix(fam, lam0, bad)
-    for bad in (["a"] * fam.k, "a", [0.0, {}]):
+    # booleans and numeric strings are not numbers either, though numpy
+    # would cast them to floats
+    for bad in (["a"] * fam.k, "a", [0.0, {}], [False] * fam.k,
+                ["0.1"] + ["0"] * (fam.k - 1), np.zeros(fam.k, dtype=bool),
+                np.array(["1"] * fam.k)):
         with pytest.raises(ValueError, match="^lam0 must be numeric"):
             projection_derivative_matrix(fam, bad, z)
+    for bad in (["a"] * 4, "a", [0.0, {}], [True] * 4, ["1"] * 4):
         with pytest.raises(ValueError, match="^z must be numeric"):
             projection_derivative_matrix(fam, lam0, bad)
+    with pytest.raises(ValueError, match="^lam must be numeric"):
+        family_frame(fam, [False] * fam.k)
 
 
 def test_jacobian_at_zero_matches_linear_formula():
@@ -421,8 +467,9 @@ def test_transversality_probe_known_exponent():
 
 def _tilted_planes(r):
     """The r-parameter family of r-planes of R^(r+1) spanned by the rows
-    e_i + lam_i e_(r+1), i = 1..r, in the probe's family contract."""
-    def rows(lam):
+    e_i + lam_i e_(r+1), i = 1..r, in the probe's family contract; the
+    rows are fresh, so the buffer out is left as it is."""
+    def rows(lam, out):
         eye = np.broadcast_to(np.eye(r), (len(lam), r, r))
         return np.concatenate([eye, np.asarray(lam)[:, :, None]], axis=2)
     return types.SimpleNamespace(k=r, radii=(1.0,) * r, rows=rows)
@@ -503,6 +550,10 @@ def test_transversality_probe_empty_panel():
 
 @pytest.mark.parametrize("argument, edit", [
     ("samples", dict(samples=0)),
+    ("samples", dict(samples=True)),
+    ("seed", dict(seed=-1)),
+    ("seed", dict(seed=1.5)),
+    ("seed", dict(seed=True)),
     ("ws", dict(ws=[[0.0, 0.0, 0.0, 1.0]])),
     ("deltas", dict(deltas=[0.1, -0.01])),
     ("deltas", dict(deltas=[])),
@@ -510,7 +561,8 @@ def test_transversality_probe_empty_panel():
     ("R", dict(R=0.0)),
     ("R", dict(R=-0.3)),
     ("R", dict(R=0.5)),  # the ball leaves the box of radius pi/8
-], ids=["samples_0", "ws_width", "delta_negative", "deltas_empty",
+], ids=["samples_0", "samples_bool", "seed_negative", "seed_float",
+        "seed_bool", "ws_width", "delta_negative", "deltas_empty",
         "deltas_repeated", "R_0", "R_negative", "R_outside"])
 def test_transversality_probe_rejects_bad_arguments(argument, edit):
     spec = disjoint_slot_family(3, 2, 1)
@@ -720,9 +772,9 @@ def test_probe_samples_lie_in_the_family_box(probe_families):
         R = min(fam.radii)
         seen = []
 
-        def rows(lam, fam=fam, seen=seen):
+        def rows(lam, out, fam=fam, seen=seen):
             seen.append(np.array(lam))
-            return fam.rows(lam)
+            return fam.rows(lam, out)
 
         recorder = types.SimpleNamespace(rows=rows, k=fam.k, radii=fam.radii)
         transversality_probe(recorder, R, _panel(fam, R, 3, count=2), deltas,
@@ -736,8 +788,8 @@ def test_probe_samples_lie_in_the_family_box(probe_families):
 def test_sublevel_counts_leave_nan_uncounted():
     spec = disjoint_slot_family(3, 2, 1)
 
-    def rows_fn(lam):
-        E = family_rows(spec, lam)
+    def rows_fn(lam, out=None):
+        E = family_rows(spec, lam, out)
         E[::3, 1, :] = np.nan
         return E
 
@@ -775,90 +827,44 @@ def test_concurrent_probes_match_one_cpu_runs(probe_families, monkeypatch):
             assert np.array_equal(got, want)
 
 
-def test_sublevel_batches_free_their_buffers(probe_families, monkeypatch):
-    # on one usable CPU the batch of slices one pool.map scores (a window)
-    # frees each slice's draws, rows and projection buffers before the next
-    # slice is drawn, so three windows peak no higher than one, and no
-    # higher than one slice's worth (the per-sample terms of
-    # test_sublevel_memory_is_two_slices_at_any_sample_count, for one
-    # thread): 6,862,144 B (6.54 MiB) with (m, n, d, k) = (2, 4, 3, 4),
-    # and the peak measured 5.37 MiB after a warm-up call
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sublevel_memory_is_one_workspace_per_worker(probe_families,
+                                                     monkeypatch, cpus):
+    # each worker allocates one workspace for a slice and reuses it for
+    # every slice it claims, so the peak is the same at one and three times
+    # the samples, and within one workspace per worker: the bound is
+    # derived from (k, d, n) by `sublevel_workspace`, 25 numbers and one
+    # mask byte per sample for the extended family, (k, d, n) = (4, 3, 4),
+    # 5,025,000 B per worker.  2**18 bytes cover the pool's Python objects
+    # and each slice's random generator
     _, fam, _ = probe_families[1]
     R, k = _probe_radius(fam), fam.k
     ws = _panel(fam, R, 4)
     deltas = np.geomspace(0.3, 1e-3, 10)
     d, n = fam.rows(np.zeros((1, k))).shape[1:]
-    m = 2  # the base plane of configs/family_n4m2k3.json
-    one_slice = SUBLEVEL_SLICE * (k + 1 + d * n + k + m * (n - m) + n + 4) * 8
-    usable_cpus(monkeypatch, 1)
-    monkeypatch.setattr(family, "SUBLEVEL_WINDOW", 8)
+    workspaces = cpus * SUBLEVEL_SLICE * (8 * sublevel_workspace(k, d, n) + 1)
+    usable_cpus(monkeypatch, cpus)
     # a first call imports the pool's modules, which are not the probe's
     _sublevel_fractions(fam, R, ws, deltas, 1_000, 1)
     peaks = []
-    for windows in (1, 3):
+    for times in (1, 3):
         tracemalloc.start()
         try:
             _sublevel_fractions(fam, R, ws, deltas,
-                                windows * 8 * SUBLEVEL_SLICE, 2718)
+                                times * 8 * SUBLEVEL_SLICE, 2718)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 2 ** 20, peaks
-    assert max(peaks) <= one_slice + 2 ** 18, (peaks, one_slice)
+    assert abs(peaks[1] - peaks[0]) <= 2 ** 18, peaks
+    assert max(peaks) <= workspaces + 2 ** 18, (peaks, workspaces)
 
 
-def test_sublevel_memory_is_two_slices_at_any_sample_count(probe_families,
-                                                           monkeypatch):
-    # on two CPUs each pool thread draws, builds and scores one slice at a
-    # time, and the calling thread draws nothing, so the peak is two
-    # slices' worth whatever the number of windows.  Per sample of a slice
-    # a thread first holds its draws, k normals and 1 uniform, and k+2
-    # temporaries (the squares, their sum and the radius factor) while
-    # `ball` turns the normals into parameters in place.  Then it holds
-    # the k parameters, the slice's fresh rows (d*n numbers) and the
-    # temporaries of one step at a time: m(n-m) chart angles, n rotated
-    # coordinates and 4 for a Givens update (cos, sin, the new row, a
-    # product) writing the rows; n+1 orthonormalizing (a dot product and
-    # its product with a row); and 4 counting (a running sum, a square, a
-    # dot product, the previous direction's norms).  The draws' term,
-    # k+1 per sample, is margin.  2**18 bytes cover the pool's Python
-    # objects.  With (m, n, d, k) = (2, 4, 3, 4) the bound is 13,462,144 B
-    # (12.84 MiB), and the peak measured 9.4-10.7 MiB after a warm-up
-    # call; drawing ahead in batches of 200,000 peaked at 23-24.5 MiB.
-    # A run peaks at one thread's slice at least and two at most, so
-    # however the threads' steps line up, three windows peak at most one
-    # thread's slice above one window
-    _, fam, _ = probe_families[1]
-    R, k = _probe_radius(fam), fam.k
-    ws = _panel(fam, R, 4)
-    deltas = np.geomspace(0.3, 1e-3, 10)
-    d, n = fam.rows(np.zeros((1, k))).shape[1:]
-    m = 2  # the base plane of configs/family_n4m2k3.json
-    draws = 2 * SUBLEVEL_SLICE * (k + 1) * 8
-    slices = 2 * SUBLEVEL_SLICE * (d * n + k + m * (n - m) + n + 4) * 8
-    usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(family, "SUBLEVEL_WINDOW", 8)
-    # a first call imports the pool's modules, which are not the probe's
-    _sublevel_fractions(fam, R, ws, deltas, 1_000, 1)
-    peaks = []
-    for windows in (1, 3):
-        tracemalloc.start()
-        try:
-            _sublevel_fractions(fam, R, ws, deltas,
-                                windows * 8 * SUBLEVEL_SLICE, 2718)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) <= draws + slices + 2 ** 18, (peaks, draws, slices)
-    assert peaks[1] <= peaks[0] + slices // 2, peaks
-
-
-def test_sublevel_window_size_leaves_results_unchanged(probe_families,
-                                                       monkeypatch):
-    # windows of 1, 3 and every slice, on 1 and 2 CPUs, give the same
-    # counts, fractions and exponents: each slice's draws come from its own
-    # stream, whichever task or window scores it.  Slices of 1,000 keep the
-    # run quick; the sample count leaves a ragged last slice
+def test_sublevel_results_are_equal_on_one_two_and_three_cpus(
+        probe_families, monkeypatch):
+    # 1, 2 and 3 workers give the same counts, fractions and exponents:
+    # each slice's draws come from its own stream, whichever worker claims
+    # it.  Slices of 1,000 keep the run quick and give each worker many
+    # slices; the sample count leaves a ragged last slice
     monkeypatch.setattr(family, "SUBLEVEL_SLICE", 1_000)
     samples = 7 * 1_000 + 457
     deltas = np.geomspace(0.3, 1e-3, 10)
@@ -866,15 +872,13 @@ def test_sublevel_window_size_leaves_results_unchanged(probe_families,
         R = _probe_radius(fam)
         ws = _panel(fam, R, 6)
         results = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             usable_cpus(monkeypatch, cpus)
-            for window in (1, 3, 64):
-                monkeypatch.setattr(family, "SUBLEVEL_WINDOW", window)
-                fractions, counts = _sublevel_fractions(fam, R, ws, deltas,
-                                                        samples, 2718)
-                exponents = [_fit_exponent(deltas, f, c)["exponent"]
-                             for f, c in zip(fractions, counts)]
-                results.append((counts, fractions, exponents))
+            fractions, counts = _sublevel_fractions(fam, R, ws, deltas,
+                                                    samples, 2718)
+            exponents = [_fit_exponent(deltas, f, c)["exponent"]
+                         for f, c in zip(fractions, counts)]
+            results.append((counts, fractions, exponents))
         (counts, fractions, exponents), *others = results
         assert counts.sum() > 0 and None not in exponents, name
         for c, f, e in others:
