@@ -112,10 +112,8 @@ class _ChainFamily:
         parameter, (k, d, n), contiguous, in the coordinates `_write` takes
         with args: ambient by default."""
         lam = np.asarray(lam, dtype=float)
-        shape = self.plane_shape + (1 + len(lam),)
-        out = np.empty(math.prod(shape))
-        self._write(lam[None], np.eye(len(lam)), out, *args)
-        out = out.reshape(shape)
+        out = np.empty(self.plane_shape + (1 + len(lam),))
+        self._write(lam[None], np.eye(len(lam)), out.reshape(-1), *args)
         return out[..., 0].copy(), np.moveaxis(out[..., 1:], -1, 0).copy()
 
 
