@@ -4,8 +4,10 @@
         --pairs 10 --label probe_workspace --seconds 8
 
 Run from the root of a checkout.  The parent tree is exported from the local
-repository with `git archive` into .bench_work/pairs/parent (no network);
-the change is the working tree itself.  Each pair runs
+repository with `git archive` into .bench_work/pairs/parent (no network),
+and the change, the working tree's files that git tracks or does not
+ignore, is copied into .bench_work/pairs/change, so both sides run from
+fresh trees at paths of the same length.  Each pair runs
 `python3 bench/run.py --workload W --trace 0` once on each side, and the
 side that runs first alternates from pair to pair, so a drift of the host's
 speed over the session hits both sides alike.  A run's metrics are the
@@ -17,9 +19,9 @@ run's end-to-end metrics, each side's median and quartiles, and per metric
 the pairs the change wins (the better direction comes from BENCHMARK.json),
 the median gap (positive when the change is better) and the parent's
 interquartile range.  A gain is resolved when the change wins at least 9 of
-10 pairs and its median gap exceeds the parent's interquartile range; in an
-A/A record (parent = HEAD on a clean tree) that range is the smallest gap
-the protocol can resolve.
+10 pairs and its median gap exceeds the parent's interquartile range.  An
+A/A record (parent = HEAD on a clean tree) also states, per metric, that
+range as the smallest gap the protocol can resolve.
 """
 
 import argparse
@@ -53,6 +55,19 @@ def export(rev, dest):
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def copy_worktree(dest):
+    """The working tree's files that git tracks or does not ignore, copied
+    into dest."""
+    shutil.rmtree(dest, ignore_errors=True)
+    names = _git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_once(tree, workload, seconds, seed):
@@ -139,9 +154,9 @@ def main(argv=None):
     parent_rev = _git("rev-parse", args.parent)
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     change_rev = _git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
-    parent_tree = WORK / "parent"
-    export(parent_rev, parent_tree)
-    sides = {"parent": parent_tree, "change": ROOT}
+    sides = {"parent": WORK / "parent", "change": WORK / "change"}
+    export(parent_rev, sides["parent"])
+    copy_worktree(sides["change"])
 
     pairs = []
     for i in range(args.pairs):
@@ -163,6 +178,10 @@ def main(argv=None):
         "seed": args.seed, "seconds": args.seconds, "pairs": pairs,
         "summary": summarize(pairs, metrics),
     }
+    if change_rev == parent_rev:
+        record["smallest_resolvable_gap"] = {
+            name: s["parent_iqr"] for name, s in record["summary"].items()
+            if s["pairs"]}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     for name, s in record["summary"].items():

@@ -45,7 +45,8 @@ def test_bench_records_name_only_declared_workloads_and_metrics():
         record = json.loads(path.read_text())
         if record["workload"] not in workloads:
             problems.append(f"{path.name}: workload {record['workload']!r}")
-        named = set(record["summary"])
+        named = set(record["summary"]) | set(
+            record.get("smallest_resolvable_gap", {}))
         for pair in record["pairs"]:
             for side in ("parent", "change"):
                 named |= set(pair[side].get("metrics", {}))
